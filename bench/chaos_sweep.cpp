@@ -25,9 +25,9 @@
 //               [--smoke] [--json out.json] [--floor F]
 //               [--require-recovery]
 //
-// Environment: AVMEM_THREADS, AVMEM_PIPELINE, and AVMEM_FAULT_PLAN are
-// honored through the scenario builders (the fault-plan file replaces
-// the scenario's built-in campaign).
+// Environment: AVMEM_THREADS and AVMEM_FAULT_PLAN are honored through
+// the scenario builders (the fault-plan file replaces the scenario's
+// built-in campaign).
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>

@@ -40,11 +40,11 @@
 //                         (default: the scenario's choice, markov)
 //   AVMEM_THREADS         maintenance plan-phase threads
 //                         (default 0 = every core; 1 = serial)
-//   AVMEM_SHUFFLE_PERIOD_S  override the shuffle period in seconds — small
-//                         values make the run gossip-dominated (CI uses
-//                         this to gate the batched shuffle path)
-//   AVMEM_PIPELINE        1 = pipelined plan/commit dispatch (the scale
-//                         default), 0 = barrier mode (CI diffs the two)
+//   AVMEM_SHUFFLE_PERIOD_S  override the shuffle period in whole seconds,
+//                         1 .. 31536000 (one year) — small values make the
+//                         run gossip-dominated (CI uses this to gate the
+//                         batched shuffle path); anything else is ignored
+//                         with a warning
 //   AVMEM_AVAIL_BACKEND   oracle | avmon — availability substrate
 //                         (default oracle; avmon swaps in the real
 //                         monitoring overlay, scale-avmon-* style, and
@@ -104,11 +104,29 @@ std::vector<std::uint32_t> populationSizes(bool fast) {
   return out;
 }
 
+/// AVMEM_SHUFFLE_PERIOD_S: a whole number of seconds in [1, one year].
+/// Trailing junk ("600s", "1e3") and out-of-range values are rejected
+/// loudly rather than truncated — SimDuration::seconds would overflow
+/// far above the cap.
+std::optional<std::int64_t> shufflePeriodFromEnv() {
+  const char* sp = std::getenv("AVMEM_SHUFFLE_PERIOD_S");
+  if (sp == nullptr) return std::nullopt;
+  constexpr long long kMaxPeriodS = 365LL * 24 * 3600;
+  char* end = nullptr;
+  const long long v = std::strtoll(sp, &end, 10);
+  if (end == sp || *end != '\0' || v < 1 || v > kMaxPeriodS) {
+    std::cerr << "scale_sweep: ignoring AVMEM_SHUFFLE_PERIOD_S='" << sp
+              << "' (want an integer in [1, " << kMaxPeriodS << "])\n";
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(v);
+}
+
 /// One sweep point, as printed and as serialized to --json.
 ///
 /// The JSON record is self-contained on purpose: seed, trace backend, and
 /// the shuffle/feed knob values ride along per point so two archived runs
-/// can be diffed (tools/check_thread_invariance.py) without reconstructing
+/// can be diffed (tools/check_sim_equivalence.py) without reconstructing
 /// the environment that produced them.
 struct PointResult {
   std::uint32_t n = 0;
@@ -132,14 +150,8 @@ struct PointResult {
   double commitS = 0.0;  ///< warm-up wall in the serial commit phase
   double planShare = 0.0;  ///< planS / warmupS — the Amdahl-scalable part
   double planNodesPerS = 0.0;  ///< members planned / plan wall (kernel rate)
-  double pipelineOverlapS = 0.0;  ///< commit wall hidden behind spec plans
   double planSlotP50Ms = 0.0;  ///< per-slot-firing plan wall, median
   double planSlotP99Ms = 0.0;  ///< per-slot-firing plan wall, 99th pct
-  /// Firings whose speculative plans survived the acceptance check, and
-  /// launches discarded by an intervening event (JSON only — diagnostics
-  /// for how often the event mix lets cross-slot speculation engage).
-  std::uint64_t pipelinedFirings = 0;
-  std::uint64_t discardedSpeculations = 0;
   std::size_t maintTimers = 0;
   std::uint64_t completedShuffles = 0;
   std::uint64_t viewDigest = 0;  ///< order-sensitive hash over all views
@@ -198,11 +210,8 @@ void writeJson(const std::string& path, const std::vector<PointResult>& points,
         << ", \"plan_s\": " << p.planS << ", \"commit_s\": " << p.commitS
         << ", \"plan_share\": " << p.planShare
         << ", \"plan_nodes_per_s\": " << p.planNodesPerS
-        << ", \"pipeline_overlap_s\": " << p.pipelineOverlapS
         << ", \"plan_slot_p50_ms\": " << p.planSlotP50Ms
         << ", \"plan_slot_p99_ms\": " << p.planSlotP99Ms
-        << ", \"pipelined_firings\": " << p.pipelinedFirings
-        << ", \"discarded_speculations\": " << p.discardedSpeculations
         << ", \"maint_timers\": " << p.maintTimers
         << ", \"completed_shuffles\": " << p.completedShuffles
         << ", \"view_digest\": " << p.viewDigest
@@ -299,7 +308,7 @@ int main(int argc, char** argv) {
   std::cout << "# n backend threads model_mb build_s warmup_s restore_s "
                "warmup_sim_h "
                "events events_per_s plan_s commit_s plan_share "
-               "plan_nodes_per_s pipeline_overlap_s plan_slot_p50_ms "
+               "plan_nodes_per_s plan_slot_p50_ms "
                "plan_slot_p99_ms maint_timers "
                "completed_shuffles view_digest mean_degree hs_degree "
                "feed_candidates rejected dropped_offline ack_timeouts "
@@ -307,16 +316,7 @@ int main(int argc, char** argv) {
                "avail_backend avmon_mae avmon_p99_err avmon_coverage "
                "pings_sent pings_delivered ping_bytes\n";
 
-  std::optional<std::int64_t> shufflePeriodS;
-  if (const char* sp = std::getenv("AVMEM_SHUFFLE_PERIOD_S"); sp != nullptr) {
-    const auto v = std::strtol(sp, nullptr, 10);
-    if (v > 0) {
-      shufflePeriodS = v;
-    } else {
-      std::cerr << "scale_sweep: ignoring AVMEM_SHUFFLE_PERIOD_S='" << sp
-                << "' (need a positive integer)\n";
-    }
-  }
+  const std::optional<std::int64_t> shufflePeriodS = shufflePeriodFromEnv();
 
   const std::vector<std::uint32_t> sizes = populationSizes(fast);
   // With several populations one checkpoint path cannot serve them all:
@@ -402,22 +402,16 @@ int main(int argc, char** argv) {
     const double commitS = system.membershipEngine().commitWallSeconds() +
                            system.shuffleService().commitWallSeconds();
 
-    // Pipeline/kernel detail, merged over the three timing wheels
+    // Kernel detail, merged over the three timing wheels
     // (discovery, refresh, shuffle initiation).
     const sim::ShardedScheduler* wheels[] = {
         &system.membershipEngine().discoveryScheduler(),
         &system.membershipEngine().refreshScheduler(),
         &system.shuffleService().scheduler()};
     std::uint64_t plannedMembers = 0;
-    std::uint64_t pipelinedFirings = 0;
-    std::uint64_t discardedSpeculations = 0;
-    double overlapS = 0.0;
     std::vector<std::uint64_t> slotNs;
     for (const sim::ShardedScheduler* w : wheels) {
       plannedMembers += w->plannedMembers();
-      pipelinedFirings += w->pipelinedFirings();
-      discardedSpeculations += w->discardedSpeculations();
-      overlapS += w->pipelineOverlapSeconds();
       const auto& samples = w->planWallSamplesNs();
       slotNs.insert(slotNs.end(), samples.begin(), samples.end());
     }
@@ -522,11 +516,8 @@ int main(int argc, char** argv) {
     p.planShare = warmupS > 0.0 ? planS / warmupS : 0.0;
     p.planNodesPerS =
         planS > 0.0 ? static_cast<double>(plannedMembers) / planS : 0.0;
-    p.pipelineOverlapS = overlapS;
     p.planSlotP50Ms = percentileMs(0.50);
     p.planSlotP99Ms = percentileMs(0.99);
-    p.pipelinedFirings = pipelinedFirings;
-    p.discardedSpeculations = discardedSpeculations;
     p.maintTimers = maintTimers;
     p.completedShuffles = system.shuffleService().completedShuffles();
     p.viewDigest = viewDigest;
@@ -559,8 +550,7 @@ int main(int argc, char** argv) {
               << p.restoreS << " "
               << p.warmupSimH << " " << p.events << " " << p.eventsPerS
               << " " << p.planS << " " << p.commitS << " " << p.planShare
-              << " " << p.planNodesPerS << " " << p.pipelineOverlapS << " "
-              << p.planSlotP50Ms << " " << p.planSlotP99Ms
+              << " " << p.planNodesPerS << " " << p.planSlotP50Ms << " " << p.planSlotP99Ms
               << " " << p.maintTimers << " " << p.completedShuffles << " "
               << p.viewDigest << " " << p.meanDegree << " " << p.hsDegree
               << " " << p.feedCandidates << " " << p.wireRejected << " "

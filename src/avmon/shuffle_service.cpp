@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace avmem::avmon {
@@ -35,7 +34,6 @@ ShuffleService::ShuffleService(sim::Simulator& sim, net::Network& network,
       gossipLength_(config.gossipLength),
       period_(config.period),
       shards_(config.shards),
-      pipeline_(config.pipeline),
       rng_(rng),
       pool_(pool),
       views_(nodeCount),
@@ -108,11 +106,8 @@ void ShuffleService::start() {
       },
       [this](std::uint32_t i, std::size_t lane) {
         commitExchange(static_cast<NodeIndex>(i), lane);
-      },
-      pipeline_);
-  lanes_.resize(schedule_.laneSpan());
-  pipelineDrains_ =
-      pipeline_.enabled && pool_ != nullptr && pool_->threadCount() > 1;
+      });
+  lanes_.resize(schedule_.maxSlotPopulation());
 }
 
 void ShuffleService::restoreState(SavedState s) {
@@ -139,11 +134,8 @@ void ShuffleService::restoreState(SavedState s) {
       },
       [this](std::uint32_t i, std::size_t lane) {
         commitExchange(static_cast<NodeIndex>(i), lane);
-      },
-      pipeline_);
-  lanes_.resize(schedule_.laneSpan());
-  pipelineDrains_ =
-      pipeline_.enabled && pool_ != nullptr && pool_->threadCount() > 1;
+      });
+  lanes_.resize(schedule_.maxSlotPopulation());
 }
 
 void ShuffleService::sampleSubsetInto(const std::vector<NodeIndex>& view,
@@ -232,58 +224,22 @@ void ShuffleService::onShuffleBatch(
   auto planOne = [this, &batch](std::size_t g) {
     planGroup(batch, groups_[g]);
   };
-  bool streamed = false;
   const auto t0 = HostClock::now();
-  if (pipelineDrains_ && groupCount >= kMinGroupsForFanOut) {
-    // Streaming drain: the group plans run asynchronously on the pool
-    // while this thread installs each group's view the moment its done
-    // flag publishes — commit g overlaps the still-running plans of
-    // later groups. Safe because a group's plan reads only its own
-    // node's view and the frozen wire arena: installing group g mutates
-    // views_[node_g] only, and every group holds a distinct node.
-    // Install order is still ascending group order, so outcomes are
-    // bit-identical to the barrier drain.
-    streamed = true;
-    if (planDoneCap_ < groupCount) {
-      planDone_ = std::make_unique<std::atomic<std::uint8_t>[]>(groupCount);
-      planDoneCap_ = groupCount;
-    }
-    for (std::size_t g = 0; g < groupCount; ++g) {
-      planDone_[g].store(0, std::memory_order_relaxed);
-    }
-    planGroupFn_ = planOne;
-    pool_->begin(groupCount, planGroupFn_, planDone_.get());
-    for (std::size_t g = 0; g < groupCount; ++g) {
-      while (planDone_[g].load(std::memory_order_acquire) == 0) {
-        // A task exception abandons the batch (later flags never set);
-        // wait() rethrows it out of the drain.
-        if (pool_->asyncAbandoned()) pool_->wait();
-        std::this_thread::yield();
-      }
-      DeliveryGroup& group = groups_[g];
-      views_[group.node].swap(group.view);
-      completedShuffles_ += group.completed;
-    }
-    pool_->wait();
-  } else if (pool_ != nullptr && pool_->threadCount() > 1 &&
-             groupCount >= kMinGroupsForFanOut) {
+  if (pool_ != nullptr && pool_->threadCount() > 1 &&
+      groupCount >= kMinGroupsForFanOut) {
     pool_->run(groupCount, planOne);
   } else {
     for (std::size_t g = 0; g < groupCount; ++g) planOne(g);
   }
-  // The streamed window is billed whole to plan wall: the interleaved
-  // view swaps are negligible next to the group planning they overlap.
   const auto t1 = HostClock::now();
 
   // Commit: install the new views in deterministic group order, then
   // assemble request outcomes in batch order (the channel emits replies
   // and acks from them).
-  if (!streamed) {
-    for (std::size_t g = 0; g < groupCount; ++g) {
-      DeliveryGroup& group = groups_[g];
-      views_[group.node].swap(group.view);
-      completedShuffles_ += group.completed;
-    }
+  for (std::size_t g = 0; g < groupCount; ++g) {
+    DeliveryGroup& group = groups_[g];
+    views_[group.node].swap(group.view);
+    completedShuffles_ += group.completed;
   }
   groupCursor_.assign(groupCount, 0);
   for (std::size_t i = 0; i < count; ++i) {

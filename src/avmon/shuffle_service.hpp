@@ -34,9 +34,7 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -67,11 +65,6 @@ struct ShuffleConfig {
   /// this quantum so records coalesce into batches the drain can plan in
   /// parallel. 0 = exact delivery instants (no batching beyond ties).
   sim::SimDuration deliveryQuantum = sim::SimDuration::millis(20);
-  /// Pipelined dispatch for the initiation wheel (see sharded_scheduler):
-  /// when enabled, the next slot's exchange plans are speculated while the
-  /// current slot's requests are being committed. Delivery drains also
-  /// stream their commits behind the group plan fan-out.
-  sim::PipelineOptions pipeline;
 };
 
 /// Owns every node's coarse view and drives the periodic exchanges.
@@ -117,7 +110,7 @@ class ShuffleService final : public net::ShuffleSink {
   /// this one implementation so they cannot drift apart.
   [[nodiscard]] std::uint64_t viewDigest() const noexcept;
 
-  /// The initiation wheel — exposes plan-wall samples and pipeline
+  /// The initiation wheel — exposes plan-wall samples and firing
   /// counters for the scale-sweep report.
   [[nodiscard]] const sim::ShardedScheduler& scheduler() const noexcept {
     return schedule_;
@@ -265,7 +258,6 @@ class ShuffleService final : public net::ShuffleSink {
   std::size_t gossipLength_;
   sim::SimDuration period_;
   std::size_t shards_;
-  sim::PipelineOptions pipeline_;
   sim::Rng rng_;
   sim::WorkerPool* pool_;
   std::vector<std::vector<net::NodeIndex>> views_;  ///< each sorted ascending
@@ -280,11 +272,6 @@ class ShuffleService final : public net::ShuffleSink {
   std::vector<std::uint32_t> orderScratch_;
   std::vector<std::uint32_t> groupOf_;
   std::vector<std::uint32_t> groupCursor_;
-  /// Streaming-drain completion flags (one per group), grow-only.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> planDone_;
-  std::size_t planDoneCap_ = 0;
-  sim::WorkerPool::TaskFn planGroupFn_;
-  bool pipelineDrains_ = false;
   std::uint64_t drainPlanNs_ = 0;
   std::uint64_t drainCommitNs_ = 0;
   std::uint64_t completedShuffles_ = 0;

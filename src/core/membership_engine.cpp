@@ -29,13 +29,11 @@ void MembershipEngine::startImpl(bool arm) {
   if (arm) {
     discovery_.startParallel(sim_, config_.discoveryPeriod, config_.shards,
                              n, rng_.fork("discovery-jitter"), pool_,
-                             discoveryPlan, discoveryCommit,
-                             config_.pipeline);
+                             discoveryPlan, discoveryCommit);
   } else {
     discovery_.prepareParallel(sim_, config_.discoveryPeriod, config_.shards,
                                n, rng_.fork("discovery-jitter"), pool_,
-                               discoveryPlan, discoveryCommit,
-                               config_.pipeline);
+                               discoveryPlan, discoveryCommit);
   }
 
   // Refresh: every refresh period, re-validate both slivers (no-op for
@@ -50,18 +48,16 @@ void MembershipEngine::startImpl(bool arm) {
     if (arm) {
       refresh_.startParallel(sim_, config_.refreshPeriod, config_.shards, n,
                              rng_.fork("refresh-jitter"), pool_, refreshPlan,
-                             refreshCommit, config_.pipeline);
+                             refreshCommit);
     } else {
       refresh_.prepareParallel(sim_, config_.refreshPeriod, config_.shards,
                                n, rng_.fork("refresh-jitter"), pool_,
-                               refreshPlan, refreshCommit, config_.pipeline);
+                               refreshPlan, refreshCommit);
     }
   }
 
-  // laneSpan, not maxSlotPopulation: pipelined wheels address a doubled
-  // A/B lane space so an in-flight speculation never aliases the lanes
-  // being committed.
-  lanes_.resize(std::max(discovery_.laneSpan(), refresh_.laneSpan()));
+  lanes_.resize(std::max(discovery_.maxSlotPopulation(),
+                         refresh_.maxSlotPopulation()));
   if (feed_) {
     candidateLanes_.resize(lanes_.size());
     laneFeedCounts_.assign(lanes_.size(), 0);

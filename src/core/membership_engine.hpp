@@ -49,12 +49,6 @@ struct MembershipEngineConfig {
   /// Figure-10 baseline: adopt the raw coarse view instead of running
   /// predicate-driven Discovery; Refresh is a no-op in this mode.
   bool coarseViewOverlay = false;
-  /// Pipelined plan/commit dispatch for both wheels: overlap a slot's
-  /// serial commits with the next slot's plans when the wheel proves the
-  /// pair independent (see sim/sharded_scheduler.hpp). The caller must
-  /// supply a snapshotStable predicate matching its availability
-  /// backend's time granularity.
-  sim::PipelineOptions pipeline;
 };
 
 /// Engine-level counters (per-node counters live in NodeStats).

@@ -34,19 +34,6 @@ namespace {
   return static_cast<std::size_t>(value);
 }
 
-/// AVMEM_PIPELINE override for two-stage pipelined dispatch: 1 forces it
-/// on, 0 forces barrier mode (CI diffs the two for bit-identity). Same
-/// loud-rejection policy as AVMEM_THREADS.
-[[nodiscard]] std::optional<bool> pipelineFromEnv() {
-  const char* p = std::getenv("AVMEM_PIPELINE");
-  if (p == nullptr || *p == '\0') return std::nullopt;
-  if (p[0] == '0' && p[1] == '\0') return false;
-  if (p[0] == '1' && p[1] == '\0') return true;
-  std::cerr << "scenario: ignoring AVMEM_PIPELINE='" << p
-            << "' (want 0 or 1)\n";
-  return std::nullopt;
-}
-
 /// AVMEM_CHECKPOINT / AVMEM_CHECKPOINT_OUT overrides for warm-state
 /// checkpoint restore / save paths (snapshot/checkpoint.hpp). Any
 /// non-empty value is a path — no parsing to reject — so unlike the
@@ -79,9 +66,6 @@ void applyCommonTuning(Scenario& s, const ScenarioTuning& tuning) {
   if (tuning.seed != 0) s.config.seed = tuning.seed;
   if (const auto threads = threadsFromEnv()) {
     s.config.maintenanceThreads = *threads;
-  }
-  if (const auto pipeline = pipelineFromEnv()) {
-    s.config.pipelinedDispatch = *pipeline;
   }
   if (const auto in = checkpointPathFromEnv("AVMEM_CHECKPOINT")) {
     s.config.checkpointIn = *in;
@@ -291,14 +275,6 @@ Scenario makeScaleScenario(std::uint32_t hosts, std::uint64_t seed) {
   s.config.maintenanceThreads = 0;
   if (const auto threads = threadsFromEnv()) {
     s.config.maintenanceThreads = *threads;
-  }
-
-  // Pipelined dispatch rides the oracle backend's epoch-granular answers
-  // (see SimulationConfig::pipelinedDispatch); AVMEM_PIPELINE=0 restores
-  // barrier mode for A/B bit-identity checks.
-  s.config.pipelinedDispatch = true;
-  if (const auto pipeline = pipelineFromEnv()) {
-    s.config.pipelinedDispatch = *pipeline;
   }
 
   applyFaultPlanEnv(s.config);

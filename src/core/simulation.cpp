@@ -250,25 +250,6 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
     avmonSystem_->attachWire(network_.get());
   }
 
-  // Pipelined dispatch: speculating slot k+1's plans while slot k commits
-  // requires a witness that the availability answers the speculation read
-  // are the ones a barrier plan would have read. The oracle answers are a
-  // pure function of the trace epoch, so epoch equality between the
-  // launch instant and the target slot's fire time is that witness; the
-  // other backends stay in barrier mode — noisy answers flip at staleness
-  // buckets the witness does not track, and AVMON advances its frozen
-  // counters at epoch-fold events that would land between the speculation
-  // and its commit (and its fold shares the worker pool, which allows
-  // only one active batch).
-  sim::PipelineOptions pipeline;
-  pipeline.enabled = config.pipelinedDispatch &&
-                     config.backend == AvailabilityBackend::kOracle;
-  if (pipeline.enabled) {
-    pipeline.snapshotStable = [tracePtr](sim::SimTime at, sim::SimTime fire) {
-      return tracePtr->epochAt(at) == tracePtr->epochAt(fire);
-    };
-  }
-
   // The shuffle service shares the pool: its plan phase reads only the
   // node's own view, the churn oracle (concurrency-safe in every trace
   // backend), and counter-based RNG streams.
@@ -276,7 +257,6 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   if (shuffleConfig.shards == 0) {
     shuffleConfig.shards = config.maintenanceShards;
   }
-  shuffleConfig.pipeline = pipeline;
   shuffle_ = std::make_unique<avmon::ShuffleService>(
       *sim_, *network_, n, shuffleConfig, rng_.fork("shuffle"), pool_.get());
 
@@ -297,7 +277,6 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   engineConfig.refreshPeriod = config.protocol.refreshPeriod;
   engineConfig.shards = config.maintenanceShards;
   engineConfig.coarseViewOverlay = config.useCoarseViewOverlay;
-  engineConfig.pipeline = pipeline;
   auto* shufflePtr = shuffle_.get();
   MembershipEngine::FeedFn feedFn;
   MembershipEngine::PublishFn publishFn;

@@ -144,25 +144,14 @@ struct SimulationConfig {
   /// Scenario builders honor the AVMEM_THREADS environment override.
   std::size_t maintenanceThreads = 1;
 
-  /// Two-stage pipelined maintenance dispatch (docs/ARCHITECTURE.md
-  /// "Pipelined dispatch"): while one timing-wheel slot's commits run on
-  /// the main thread, the next slot's plan phase is speculated against
-  /// the frozen availability epoch. Only takes effect with the kOracle
-  /// backend (its answers are epoch-granular, so a snapshot-stability
-  /// witness exists); other backends silently run barrier mode. Results
-  /// are bit-identical either way. Scenario builders honor the
-  /// AVMEM_PIPELINE environment override (0/1).
-  bool pipelinedDispatch = false;
-
   /// Warm-state checkpointing (snapshot/checkpoint.hpp). When
   /// `checkpointIn` names a file, the first warmup() call restores the
   /// converged world from it instead of simulating the warm-up; when
   /// `checkpointOut` is nonempty, warmup() writes a checkpoint there after
   /// the warm-up completes. Both are empty by default. These are I/O
   /// plumbing, not world state: they are deliberately EXCLUDED from the
-  /// checkpoint config fingerprint (as are maintenanceThreads and
-  /// pipelinedDispatch — a checkpoint restores at any thread count and in
-  /// either dispatch mode, bit-identically). Scenario builders honor the
+  /// checkpoint config fingerprint (as is maintenanceThreads — a
+  /// checkpoint restores at any thread count, bit-identically). Scenario builders honor the
   /// AVMEM_CHECKPOINT / AVMEM_CHECKPOINT_OUT environment overrides.
   std::string checkpointIn;
   std::string checkpointOut;
@@ -268,7 +257,7 @@ class AvmemSimulation {
 
   /// Restore a checkpoint into this freshly-constructed system (it must
   /// not have been started). The checkpoint's config fingerprint must
-  /// match this system's config — thread count and dispatch mode aside —
+  /// match this system's config — thread count aside —
   /// or snapshot::CheckpointConfigError is thrown. After restore, running
   /// to any later sim-time is bit-identical to a straight-through run.
   void restoreCheckpoint(const std::string& path);

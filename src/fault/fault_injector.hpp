@@ -6,8 +6,8 @@
 // that lands inside an active, scope-matching loss stage burns one
 // counter of that wire kind's stream and derives its dice from
 // Rng::stream(plan.seed, kind, seq) — a pure function, so verdicts are
-// independent of thread count and dispatch mode (all consults happen in
-// serial event/commit context, in identical order either way). Outside
+// independent of thread count (all consults happen in serial
+// event/commit context, in identical order at every count). Outside
 // any active stage onWire() is a pure no-op that draws nothing and
 // advances nothing, which is what makes a plan with no active stages —
 // or a disabled injector — byte-identical to a faultless run.
@@ -15,10 +15,10 @@
 // Availability seam. Outage and flash-crowd stages do not touch the
 // wire; they compose over the trace as an OutageOverlayModel that
 // forces hash-selected hosts offline (or online) for the epochs their
-// windows cover. Epoch granularity keeps the pipelined-dispatch
-// stability witness valid; membership maintenance, the network's
-// online oracle, the candidate feed and the engines all see the same
-// overlaid world because they all query the same model.
+// windows cover. Epoch granularity keeps the overlay as epoch-pure as the
+// trace it wraps; membership maintenance, the network's online oracle,
+// the candidate feed and the engines all see the same overlaid world
+// because they all query the same model.
 //
 // State. The per-kind counters, injected-fault tallies and attack-sweep
 // counters are the injector's only mutable state; snapshot/ serializes
@@ -244,8 +244,8 @@ class FaultInjector {
 /// Availability model composing a plan's outage and flash-crowd windows
 /// over an inner trace. Forcing decisions are pure hashes of
 /// (plan.seed, window, host) — stateless and epoch-pure, so the overlay
-/// is as concurrent-read-safe as its inner model and the pipelined
-/// dispatch witness (epoch equality across a plan window) stays valid.
+/// is as concurrent-read-safe as its inner model and its answers are
+/// bit-identical at any thread count and across checkpoint/restore.
 ///
 /// fullAvailability() deliberately delegates to the inner model: the
 /// long-term availability PDF (and everything derived from it — ranges,

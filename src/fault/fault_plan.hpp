@@ -11,7 +11,7 @@
 //
 // Everything a plan contributes to a run is drawn from
 // Rng::stream(plan.seed, kind, seq) counter streams, so chaos runs stay
-// bit-identical at any thread count and in both dispatch modes. The
+// bit-identical at any thread count and across checkpoint/restore. The
 // plan's fingerprint() feeds the checkpoint config fingerprint: a
 // snapshot taken mid-campaign only restores into the same campaign.
 #pragma once
@@ -50,8 +50,8 @@ struct LossStage {
 /// Correlated regional outage: `fraction` of the hosts in `region` are
 /// forced offline for every trace epoch overlapping [fromUs, toUs).
 /// Epoch granularity is deliberate — onlineness may only change at
-/// epoch boundaries, which keeps the pipelined-dispatch stability
-/// witness (oracle epoch equality) valid under a campaign.
+/// epoch boundaries, exactly as in the underlying trace, so every reader
+/// sees one answer per epoch whatever the thread count or restore point.
 struct OutageStage {
   std::int64_t fromUs = 0;
   std::int64_t toUs = 0;

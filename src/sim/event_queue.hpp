@@ -78,23 +78,6 @@ class EventQueue {
     return false;
   }
 
-  /// True iff the earliest *live* event is exactly the one `h` tracks,
-  /// discarding cancelled heads on the way (as nextLiveTime does). This
-  /// is the pipelined dispatch fence: a scheduler may pre-plan the next
-  /// slot only when that slot's own timer is provably the next thing the
-  /// simulator will run — any foreign event at the head means arbitrary
-  /// state could change first, so the caller must fall back to barrier
-  /// mode.
-  [[nodiscard]] bool nextIs(const EventHandle& h) {
-    if (!h.pending()) return false;
-    while (!heap_.empty()) {
-      if (*heap_.front().alive) return heap_.front().alive == h.alive_;
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-    }
-    return false;
-  }
-
   /// Pop and return the earliest event, skipping cancelled ones.
   /// Returns false if the queue drained.
   bool popNext(SimTime& at, Callback& fn) {

@@ -24,25 +24,7 @@
 // single-threaded — and the commit callbacks then run serially in slot
 // order. Because plan callbacks are read-only against shared state (the
 // caller's contract), results are bit-identical to the serial schedule for
-// any thread count.
-//
-// Pipelined mode (PipelineOptions::enabled): the barrier leaves the main
-// thread idle during the plan join and the workers idle during the serial
-// commits. When slot k's firing can prove that slot k+1's timer is the
-// very next live event (Simulator::nextEventIs on the slot task's pending
-// handle) and that every time-dependent plan input is identical at both
-// instants (the caller's snapshotStable predicate — e.g. both firings fall
-// in one availability epoch), it launches slot k+1's plans on the workers
-// *before* running its own commits, into the opposite half of a
-// double-buffered A/B lane space (lane = set * maxSlotPopulation + j) so
-// in-flight plans never touch the lanes being committed. Slots partition
-// the member population, so commit(k) writes and plan(k+1) reads are
-// disjoint by construction; the handoff fence is pool.wait() before the
-// firing returns. Slot k+1's firing accepts the speculation only if
-// exactly one event (its own timer) executed since the launch — a commit
-// that scheduled an earlier event (e.g. a gossip delivery) invalidates it
-// and the slot replans in barrier mode, so results stay bit-identical to
-// the serial schedule in every case.
+// any thread count. Barrier mode is the only plan/commit dispatch.
 #pragma once
 
 #include <algorithm>
@@ -59,21 +41,6 @@
 #include "sim/worker_pool.hpp"
 
 namespace avmem::sim {
-
-/// Opt-in two-stage pipelined dispatch (see the header comment).
-struct PipelineOptions {
-  /// Master switch. With a multi-lane pool the next slot's plans overlap
-  /// this slot's commits; with one lane they run inline before the
-  /// commits — same A/B lane discipline and acceptance fence, zero
-  /// concurrency — so the determinism contract is exercised at every
-  /// thread count.
-  bool enabled = false;
-  /// Caller-supplied stability predicate: must return true only if every
-  /// time-dependent input a plan reads (availability lookups, online
-  /// state, ...) yields the same answer at both instants. Null means
-  /// always stable (pure plans).
-  std::function<bool(SimTime, SimTime)> snapshotStable;
-};
 
 /// K-slot timing wheel over a fixed member population.
 class ShardedScheduler {
@@ -126,30 +93,27 @@ class ShardedScheduler {
   void startParallel(Simulator& sim, SimDuration period,
                      std::size_t shardCount, std::size_t memberCount,
                      Rng jitter, WorkerPool* pool, PhaseFn plan,
-                     PhaseFn commit, PipelineOptions pipeline = {}) {
+                     PhaseFn commit) {
     fn_ = nullptr;
     plan_ = std::move(plan);
     commit_ = std::move(commit);
     pool_ = pool;
-    pipeline_ = std::move(pipeline);
     startSlots(sim, period, shardCount, memberCount, jitter,
                /*arm=*/true);
   }
 
   /// Warm-state restore support (snapshot/): identical to startParallel —
-  /// same clamping, same jitter-driven slot assignment, same successor
-  /// map — except that no slot timer is armed. The restore path then arms
+  /// same clamping, same jitter-driven slot assignment — except that no slot timer is armed. The restore path then arms
   /// each populated slot at its checkpointed next-fire time via armSlot(),
   /// interleaved with other owners' events in saved tie-break order.
   void prepareParallel(Simulator& sim, SimDuration period,
                        std::size_t shardCount, std::size_t memberCount,
                        Rng jitter, WorkerPool* pool, PhaseFn plan,
-                       PhaseFn commit, PipelineOptions pipeline = {}) {
+                       PhaseFn commit) {
     fn_ = nullptr;
     plan_ = std::move(plan);
     commit_ = std::move(commit);
     pool_ = pool;
-    pipeline_ = std::move(pipeline);
     startSlots(sim, period, shardCount, memberCount, jitter,
                /*arm=*/false);
   }
@@ -178,8 +142,6 @@ class ShardedScheduler {
     tasks_.clear();  // PeriodicTask cancels in its destructor
     slots_.clear();
     taskOfSlot_.clear();
-    nextSlot_.clear();
-    spec_.valid = false;
   }
 
   [[nodiscard]] bool running() const noexcept { return !tasks_.empty(); }
@@ -202,19 +164,10 @@ class ShardedScheduler {
     for (const auto& slot : slots_) maxSize = std::max(maxSize, slot.size());
     return maxSize;
   }
-  /// Lane-buffer capacity callers must actually allocate: the largest
-  /// slot population, doubled in pipelined mode because the in-flight
-  /// speculation plans into the opposite half of the A/B lane space.
-  [[nodiscard]] std::size_t laneSpan() const noexcept {
-    return maxSlotPopulation() * (pipeline_.enabled ? 2 : 1);
-  }
-
   /// Host wall-clock spent in barrier-mode plan phases (including the
   /// join) since start(). The plan share of maintenance is the part
   /// parallel dispatch scales; benches report it so the Amdahl picture
-  /// per workload is measured, not guessed. In pipelined mode this is the
-  /// *exposed* plan time — work hidden under commits is excluded (it is
-  /// reported as pipelineOverlapSeconds()).
+  /// per workload is measured, not guessed.
   [[nodiscard]] double planWallSeconds() const noexcept {
     return static_cast<double>(planWallNs_) * 1e-9;
   }
@@ -222,31 +175,22 @@ class ShardedScheduler {
   [[nodiscard]] double commitWallSeconds() const noexcept {
     return static_cast<double>(commitWallNs_) * 1e-9;
   }
-  /// Commit wall-clock during which a speculative plan batch was in
-  /// flight on the workers — the pipeline's hidden-work window.
-  [[nodiscard]] double pipelineOverlapSeconds() const noexcept {
-    return static_cast<double>(overlapWallNs_) * 1e-9;
-  }
-  /// Firings whose plans were accepted from a speculation (no plan phase
-  /// of their own) vs firings that planned at their own barrier.
-  [[nodiscard]] std::uint64_t pipelinedFirings() const noexcept {
-    return pipelinedFirings_;
-  }
+  /// Plan/commit firings since start().
   [[nodiscard]] std::uint64_t barrierFirings() const noexcept {
     return barrierFirings_;
   }
-  /// Speculations launched but invalidated before acceptance (an
-  /// intervening event, a cancelled schedule, ...) — wasted plan work.
+  // avbench's fixed per-layer schema reads these two; always 0.
+  [[nodiscard]] std::uint64_t pipelinedFirings() const noexcept { return 0; }
   [[nodiscard]] std::uint64_t discardedSpeculations() const noexcept {
-    return discardedSpeculations_;
+    return 0;
   }
-  /// Total member-plans executed by accepted firings (speculative or
-  /// barrier) — the numerator of plan nodes/s.
+  /// Total member-plans executed by plan/commit firings — the numerator
+  /// of plan nodes/s.
   [[nodiscard]] std::uint64_t plannedMembers() const noexcept {
     return plannedMembers_;
   }
-  /// Exposed plan wall per firing, in nanoseconds, in firing order —
-  /// benches derive the per-slot plan-wall p50/p99 from this.
+  /// Plan wall per firing, in nanoseconds, in firing order — benches
+  /// derive the per-slot plan-wall p50/p99 from this.
   [[nodiscard]] const std::vector<std::uint64_t>& planWallSamplesNs()
       const noexcept {
     return planSamplesNs_;
@@ -258,9 +202,6 @@ class ShardedScheduler {
     tasks_.clear();
     slots_.clear();
     taskOfSlot_.clear();
-    nextSlot_.clear();
-    spec_.valid = false;
-    activeSet_ = 0;
     sim_ = &sim;
     period_ = period;
     memberCount_ = memberCount;
@@ -294,21 +235,6 @@ class ShardedScheduler {
                                    (periodUs * s) / shards)));
       }
     }
-
-    // Successor map for speculation: the next populated slot after s in
-    // wheel order (wrapping), which is the slot whose timer fires next
-    // absent foreign events. A wheel with one populated slot maps it to
-    // itself — never pipelined, its members are not disjoint from
-    // themselves.
-    std::vector<std::size_t> populated;
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!slots_[s].empty()) populated.push_back(s);
-    }
-    nextSlot_.assign(shards, 0);
-    for (std::size_t i = 0; i < populated.size(); ++i) {
-      nextSlot_[populated[i]] = populated[(i + 1) % populated.size()];
-    }
-    laneStride_ = maxSlotPopulation();
   }
 
   void fireSlot(std::size_t s) {
@@ -325,103 +251,24 @@ class ShardedScheduler {
     };
     const auto t0 = HostClock::now();
 
-    // Accept or discard a pending speculative pre-plan for this slot.
-    // Acceptance requires that exactly one event — this slot's own timer
-    // — executed since the launch: then the snapshot the plans read was
-    // the post-commit state of the previous slot, and the lanes hold
-    // exactly what a barrier plan phase would now produce.
-    bool preplanned = false;
-    if (spec_.valid) {
-      spec_.valid = false;
-      if (spec_.slot == s &&
-          sim_->executedEvents() == spec_.executedAtLaunch + 1) {
-        activeSet_ = spec_.set;
-        preplanned = true;
-      } else {
-        ++discardedSpeculations_;
-      }
-    }
-
-    const std::size_t base = activeSet_ * laneStride_;
-    if (!preplanned) {
-      // Barrier mode: parallel read-only plans joined here.
-      if (pool_ != nullptr && pool_->threadCount() > 1 &&
-          members.size() > 1) {
-        pool_->run(members.size(), [this, &members, base](std::size_t j) {
-          plan_(members[j], base + j);
-        });
-      } else {
-        for (std::size_t j = 0; j < members.size(); ++j) {
-          plan_(members[j], base + j);
-        }
-      }
+    // Parallel read-only plans joined here.
+    if (pool_ != nullptr && pool_->threadCount() > 1 && members.size() > 1) {
+      pool_->run(members.size(),
+                 [this, &members](std::size_t j) { plan_(members[j], j); });
+    } else {
+      for (std::size_t j = 0; j < members.size(); ++j) plan_(members[j], j);
     }
     const auto t1 = HostClock::now();
 
-    // Launch the next slot's plans into the opposite lane set before
-    // committing, when the wheel proves the pair independent. With pool
-    // workers the batch runs concurrently with the commits below and is
-    // joined after them (the handoff fence); without workers it runs
-    // inline here, exercising the same lane discipline serially.
-    bool specInFlight = false;
-    if (pipeline_.enabled) specInFlight = launchSpeculation(s);
+    for (std::size_t j = 0; j < members.size(); ++j) commit_(members[j], j);
     const auto t2 = HostClock::now();
 
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      commit_(members[j], base + j);
-    }
-    const auto t3 = HostClock::now();
-    if (specInFlight) pool_->wait();
-    const auto t4 = HostClock::now();
-
-    // Exposed plan time: the barrier/acceptance window, the speculation
-    // launch (inline speculation plans land here), and the residual join
-    // after the commits. The commit window with a speculation in flight
-    // is the pipeline's hidden-work overlap.
-    const std::uint64_t planNs = ns(t0, t1) + ns(t1, t2) + ns(t3, t4);
+    const std::uint64_t planNs = ns(t0, t1);
     planWallNs_ += planNs;
-    commitWallNs_ += ns(t2, t3);
-    if (specInFlight) overlapWallNs_ += ns(t2, t3);
+    commitWallNs_ += ns(t1, t2);
     planSamplesNs_.push_back(planNs);
     plannedMembers_ += members.size();
-    if (preplanned) {
-      ++pipelinedFirings_;
-    } else {
-      ++barrierFirings_;
-    }
-  }
-
-  /// Try to pre-plan the slot that fires after `s`. Returns true iff an
-  /// asynchronous batch is in flight (caller must pool_->wait() after its
-  /// commits).
-  bool launchSpeculation(std::size_t s) {
-    if (laneStride_ == 0) return false;
-    const std::size_t target = nextSlot_[s];
-    if (target == s) return false;  // single populated slot
-    PeriodicTask* task = taskOfSlot_[target];
-    if (task == nullptr || !sim_->nextEventIs(task->pendingHandle())) {
-      return false;  // a foreign event runs first: barrier fallback
-    }
-    if (pipeline_.snapshotStable &&
-        !pipeline_.snapshotStable(sim_->now(), task->nextFireAt())) {
-      return false;  // plans would read different time-dependent inputs
-    }
-
-    const std::vector<std::uint32_t>& nm = slots_[target];
-    spec_.valid = true;
-    spec_.slot = target;
-    spec_.set = 1 - activeSet_;
-    spec_.executedAtLaunch = sim_->executedEvents();
-    const std::size_t nbase = spec_.set * laneStride_;
-    if (pool_ != nullptr && pool_->threadCount() > 1) {
-      specFn_ = [this, &nm, nbase](std::size_t j) {
-        plan_(nm[j], nbase + j);
-      };
-      pool_->begin(nm.size(), specFn_);
-      return true;
-    }
-    for (std::size_t j = 0; j < nm.size(); ++j) plan_(nm[j], nbase + j);
-    return false;
+    ++barrierFirings_;
   }
 
   std::vector<std::vector<std::uint32_t>> slots_;
@@ -435,26 +282,8 @@ class ShardedScheduler {
   std::size_t memberCount_ = 0;
   std::uint64_t planWallNs_ = 0;
   std::uint64_t commitWallNs_ = 0;
-
-  // Pipelined dispatch state. spec_ describes the single in-flight (or
-  // pending-acceptance) speculation; activeSet_ selects which half of the
-  // A/B lane space the current slot's plans/commits use.
-  PipelineOptions pipeline_;
   std::vector<PeriodicTask*> taskOfSlot_;
-  std::vector<std::size_t> nextSlot_;
-  std::size_t laneStride_ = 0;
-  std::uint32_t activeSet_ = 0;
-  struct Speculation {
-    bool valid = false;
-    std::size_t slot = 0;
-    std::uint32_t set = 0;
-    std::uint64_t executedAtLaunch = 0;
-  } spec_;
-  WorkerPool::TaskFn specFn_;  // must outlive begin()..wait()
-  std::uint64_t overlapWallNs_ = 0;
-  std::uint64_t pipelinedFirings_ = 0;
   std::uint64_t barrierFirings_ = 0;
-  std::uint64_t discardedSpeculations_ = 0;
   std::uint64_t plannedMembers_ = 0;
   std::vector<std::uint64_t> planSamplesNs_;
 };

@@ -69,12 +69,6 @@ class Simulator {
     }
   }
 
-  /// True iff the earliest live event in the queue is the one `h`
-  /// tracks (see EventQueue::nextIs) — the pipelined dispatch fence.
-  [[nodiscard]] bool nextEventIs(const EventHandle& h) {
-    return queue_.nextIs(h);
-  }
-
   [[nodiscard]] std::uint64_t executedEvents() const noexcept {
     return executed_;
   }
@@ -146,9 +140,8 @@ class PeriodicTask {
   [[nodiscard]] bool running() const noexcept { return sim_ != nullptr; }
 
   /// Handle of the pending next firing. Because fire() reschedules
-  /// before invoking `fn_`, this is valid even while `fn_` runs — which
-  /// is what lets one slot's firing ask the simulator whether another
-  /// slot's timer is the next live event (Simulator::nextEventIs).
+  /// before invoking `fn_`, this is valid even while `fn_` runs; the
+  /// checkpoint writer maps it to the event's queue sequence number.
   [[nodiscard]] const EventHandle& pendingHandle() const noexcept {
     return handle_;
   }

@@ -88,7 +88,6 @@ class WorkerPool {
       std::lock_guard<std::mutex> lock(mutex_);
       fn_ = &fn;
       taskCount_ = taskCount;
-      doneFlags_ = nullptr;
       next_.store(0, std::memory_order_relaxed);
       // Claim at most ~8 chunks per lane: big enough to amortize the
       // atomic, small enough to balance uneven task costs.
@@ -105,78 +104,7 @@ class WorkerPool {
     std::unique_lock<std::mutex> lock(mutex_);
     done_.wait(lock, [this] { return busyWorkers_ == 0; });
     fn_ = nullptr;
-    doneFlags_ = nullptr;
     if (firstError_) std::rethrow_exception(firstError_);
-  }
-
-  /// Begin an asynchronous batch: the workers run fn(0) .. fn(taskCount-1)
-  /// in the background while the calling thread does other (disjoint)
-  /// work, then joins with wait(). This is the pipelined-dispatch form of
-  /// run(): the caller overlaps serial commits with the next slot's plans
-  /// instead of idling at the barrier.
-  ///
-  /// With no workers (threads <= 1) the batch runs inline right here —
-  /// the overlap degenerates to plan-before-commit, which the pipelined
-  /// contract (plans disjoint from the concurrent serial work) makes
-  /// equivalent; inline task exceptions therefore throw from begin()
-  /// rather than wait().
-  ///
-  /// `fn` must stay alive until wait() returns. `done` (optional, length
-  /// >= taskCount) is set to 1 with release ordering as each task
-  /// finishes, so an ordered consumer can stream per-task results while
-  /// the batch is still in flight; on a task exception the remaining
-  /// flags are never set — poll asyncAbandoned() to escape. Not
-  /// reentrant, and at most one batch (run or begin) may be active.
-  void begin(std::size_t taskCount, const TaskFn& fn,
-             std::atomic<std::uint8_t>* done = nullptr) {
-    if (taskCount == 0) return;
-    abandoned_.store(false, std::memory_order_relaxed);
-    if (workers_.empty()) {
-      for (std::size_t i = 0; i < taskCount; ++i) {
-        fn(i);
-        if (done != nullptr) done[i].store(1, std::memory_order_release);
-      }
-      return;
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      fn_ = &fn;
-      taskCount_ = taskCount;
-      doneFlags_ = done;
-      next_.store(0, std::memory_order_relaxed);
-      chunk_ = taskCount / (threadCount_ * 8);
-      if (chunk_ == 0) chunk_ = 1;
-      busyWorkers_ = workers_.size();
-      firstError_ = nullptr;
-      ++generation_;
-      asyncActive_ = true;
-    }
-    wake_.notify_all();
-  }
-
-  /// Join the batch started by begin(): the calling thread helps drain
-  /// whatever is left, blocks until the workers finish, and rethrows the
-  /// first task exception. A no-op when no asynchronous batch is active
-  /// (including the inline-serial begin() case).
-  void wait() {
-    if (!asyncActive_) return;
-    drainTasks();  // help finish the residual after the caller's own work
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [this] { return busyWorkers_ == 0; });
-    asyncActive_ = false;
-    fn_ = nullptr;
-    doneFlags_ = nullptr;
-    if (firstError_) std::rethrow_exception(firstError_);
-  }
-
-  /// True once a task of the current asynchronous batch has thrown and
-  /// the rest of the batch was abandoned — consumers spinning on begin()'s
-  /// done flags must poll this to avoid waiting on flags that will never
-  /// be set (wait() still rethrows the error).
-  [[nodiscard]] bool asyncAbandoned() const noexcept {
-    return abandoned_.load(std::memory_order_acquire);
   }
 
  private:
@@ -204,7 +132,6 @@ class WorkerPool {
     const TaskFn& fn = *fn_;
     const std::size_t count = taskCount_;
     const std::size_t chunk = chunk_;
-    std::atomic<std::uint8_t>* const done = doneFlags_;
     for (;;) {
       const std::size_t begin =
           next_.fetch_add(chunk, std::memory_order_relaxed);
@@ -221,10 +148,8 @@ class WorkerPool {
             // lane's next claim misses.
             next_.store(count, std::memory_order_relaxed);
           }
-          abandoned_.store(true, std::memory_order_release);
           return;
         }
-        if (done != nullptr) done[i].store(1, std::memory_order_release);
       }
     }
   }
@@ -240,17 +165,13 @@ class WorkerPool {
   bool stop_ = false;
   std::exception_ptr firstError_;
 
-  // Batch state for the current run()/begin(); written under mutex_
-  // before the generation bump publishes it, read by workers after they
-  // observe the bump (the mutex orders both). asyncActive_ is touched
-  // only by the single begin()/wait() caller thread.
+  // Batch state for the current run(); written under mutex_ before the
+  // generation bump publishes it, read by workers after they observe the
+  // bump (the mutex orders both).
   const TaskFn* fn_ = nullptr;
   std::size_t taskCount_ = 0;
   std::size_t chunk_ = 1;
   std::atomic<std::size_t> next_{0};
-  std::atomic<std::uint8_t>* doneFlags_ = nullptr;
-  std::atomic<bool> abandoned_{false};
-  bool asyncActive_ = false;
 };
 
 }  // namespace avmem::sim

@@ -353,7 +353,7 @@ std::uint64_t configFingerprint(const SimulationConfig& config) {
   m.add(p.cushion);
   m.add(static_cast<std::uint64_t>(p.hashAlgorithm));
   m.add(p.hashSeed);
-  // Shuffle substrate (pipeline options excluded — dispatch-mode-free).
+  // Shuffle substrate.
   const avmon::ShuffleConfig& sh = config.shuffle;
   m.add(static_cast<std::uint64_t>(sh.viewSize));
   m.add(static_cast<std::uint64_t>(sh.gossipLength));
@@ -382,9 +382,9 @@ std::uint64_t configFingerprint(const SimulationConfig& config) {
   m.add(static_cast<std::uint64_t>(f.maxCandidates));
   m.add(f.thresholdSlack);
   m.add(f.epochPeriod);
-  // Remaining result-determining knobs. maintenanceThreads,
-  // pipelinedDispatch, and the checkpoint paths are deliberately absent:
-  // a checkpoint restores at any thread count, in either dispatch mode.
+  // Remaining result-determining knobs. maintenanceThreads and the
+  // checkpoint paths are deliberately absent: a checkpoint restores at any
+  // thread count.
   m.add(static_cast<std::uint64_t>(config.useCoarseViewOverlay ? 1 : 0));
   m.add(static_cast<std::uint64_t>(config.pdfBins));
   m.add(config.seed);

@@ -12,9 +12,10 @@
 // The correctness contract is strict: restoring a checkpoint taken at T
 // and running to T + delta is BIT-IDENTICAL (view digest, sliver digests,
 // engine/wire stats, anycast outcomes) to running straight through — at
-// any thread count and in both barrier and pipelined dispatch modes
-// (tests/core/parallel_engine_test.cpp RestoreEqualsRunThrough; the CI
-// checkpoint job diffs scale-sweep JSON across the boundary).
+// any thread count (tests/core/parallel_engine_test.cpp
+// RestoreEqualsRunThrough, which also restores a multi-thread donor's
+// checkpoint serially; the CI checkpoint job diffs scale-sweep JSON
+// across the boundary).
 //
 // How event-queue state survives (the part a naive design gets wrong):
 // std::function callbacks cannot serialize, so the checkpoint instead
@@ -32,19 +33,14 @@
 // cross-checked against the rebuilt wheels (mismatch = format error).
 //
 // What is deliberately NOT saved (and why that is sound):
-//  * pipelined-dispatch speculation state — a restored run barrier-replans
-//    at the next firing, which the dispatch invariant already proves
-//    bit-identical; only diagnostic counters (pipelined_firings, wall
-//    times) differ, and those are thread-variant anyway;
 //  * the anycast/multicast engines' RNGs — checkpoints are taken at
 //    maintenance-only instants (the save-side accounting enforces it), so
 //    both are pristine, exactly as in a fresh build;
 //  * MembershipEngine's jitter RNG — never advanced; forks are pure.
 //
 // Config compatibility: the header carries a fingerprint over every
-// result-determining config field. maintenanceThreads and
-// pipelinedDispatch are excluded — restore at any thread count, in either
-// mode — as are the checkpoint paths themselves. A mismatch throws
+// result-determining config field. maintenanceThreads is excluded —
+// restore at any thread count — as are the checkpoint paths themselves. A mismatch throws
 // CheckpointConfigError instead of silently computing something else.
 #pragma once
 

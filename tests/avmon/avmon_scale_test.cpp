@@ -2,7 +2,7 @@
 // scale-avmon scenario must (a) actually run the maintenance plan phase
 // in parallel — the AVMON service is the first paper backend to clear
 // the concurrentReadSafe() gate — (b) produce bit-identical results at
-// any thread count in both dispatch modes, and (c) survive the
+// any thread count, and (c) survive the
 // warm-state checkpoint round trip, AVMN section included.
 #include <gtest/gtest.h>
 
@@ -55,12 +55,9 @@ struct AvmonRunFingerprint {
   }
 };
 
-Scenario makeAvmonScenario(std::size_t threads, bool pipelined) {
+Scenario makeAvmonScenario(std::size_t threads) {
   Scenario s = core::makeScenario("scale-avmon-100k", {.fast = true});
   s.config.maintenanceThreads = threads;
-  // Pin explicitly so an AVMEM_PIPELINE in the test environment cannot
-  // change what this run measures.
-  s.config.pipelinedDispatch = pipelined;
   return s;
 }
 
@@ -85,8 +82,8 @@ AvmonRunFingerprint collectFingerprint(AvmemSimulation& system) {
   return fp;
 }
 
-AvmonRunFingerprint runAvmon(std::size_t threads, bool pipelined) {
-  Scenario s = makeAvmonScenario(threads, pipelined);
+AvmonRunFingerprint runAvmon(std::size_t threads) {
+  Scenario s = makeAvmonScenario(threads);
   AvmemSimulation system(s.config);
   system.warmup(sim::SimDuration::minutes(45));
   return collectFingerprint(system);
@@ -95,33 +92,27 @@ AvmonRunFingerprint runAvmon(std::size_t threads, bool pipelined) {
 TEST(AvmonScaleTest, BackendClearsTheParallelGate) {
   // The refactor's headline: kAvmon no longer clamps the plan phase to
   // one thread (frozen counters + pure-read query path).
-  Scenario s = makeAvmonScenario(8, /*pipelined=*/false);
+  Scenario s = makeAvmonScenario(8);
   AvmemSimulation system(s.config);
   EXPECT_EQ(system.maintenanceThreads(), 8u);
 }
 
-TEST(AvmonScaleTest, RunIsThreadAndModeInvariant) {
-  // The acceptance gate: {1, 2, 8} threads x {barrier, pipelined} all
-  // produce the serial barrier run bit for bit. (Pipelined dispatch
-  // degrades to barrier for non-oracle backends; asking for it must not
-  // change a single byte of the result either.)
-  const AvmonRunFingerprint serial = runAvmon(1, /*pipelined=*/false);
+TEST(AvmonScaleTest, RunIsThreadCountInvariant) {
+  // The acceptance gate: 2 and 8 threads both produce the serial run bit
+  // for bit.
+  const AvmonRunFingerprint serial = runAvmon(1);
   EXPECT_EQ(serial.effectiveThreads, 1u);
   ASSERT_GT(serial.discoveryRounds, 0u);
   ASSERT_GT(serial.advancedEpochs, 0u);
   ASSERT_GT(serial.pings.sent, 0u);
   ASSERT_GT(serial.materializedTargets, 0u);
 
-  for (const bool pipelined : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      if (!pipelined && threads == 1) continue;  // the baseline itself
-      SCOPED_TRACE("pipelined=" + std::to_string(pipelined) +
-                   " threads=" + std::to_string(threads));
-      AvmonRunFingerprint fp = runAvmon(threads, pipelined);
-      EXPECT_EQ(fp.effectiveThreads, threads);
-      fp.effectiveThreads = serial.effectiveThreads;
-      EXPECT_TRUE(fp == serial) << "diverged from the serial barrier run";
-    }
+  for (const std::size_t threads : {2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    AvmonRunFingerprint fp = runAvmon(threads);
+    EXPECT_EQ(fp.effectiveThreads, threads);
+    fp.effectiveThreads = serial.effectiveThreads;
+    EXPECT_TRUE(fp == serial) << "diverged from the serial run";
   }
 }
 
@@ -129,7 +120,7 @@ TEST(AvmonScaleTest, CheckpointRoundTripIsByteIdentical) {
   // Save -> restore into a fresh system -> re-save must reproduce the
   // bytes, AVMN section (fold cursor, ping ledger, materialized cells,
   // pending epoch-fold timer) included.
-  Scenario s = makeAvmonScenario(1, /*pipelined=*/false);
+  Scenario s = makeAvmonScenario(1);
   AvmemSimulation donor(s.config);
   donor.warmup(sim::SimDuration::minutes(45));
   ASSERT_GT(donor.avmonSystem()->materializedTargets(), 0u);
@@ -156,12 +147,12 @@ TEST(AvmonScaleTest, CheckpointRoundTripIsByteIdentical) {
 }
 
 TEST(AvmonScaleTest, RestoreEqualsRunThrough) {
-  // Restoring mid-run and continuing — at any thread count, either
-  // dispatch mode — must be bit-identical to the donor running straight
+  // Restoring mid-run and continuing — at any thread count — must be
+  // bit-identical to the donor running straight
   // through. This is the property that makes avmon checkpoints usable:
   // the fold timer re-arms at the saved instant and the catch-up path
   // starts from restored counters, not from epoch zero.
-  Scenario s = makeAvmonScenario(1, /*pipelined=*/false);
+  Scenario s = makeAvmonScenario(1);
   AvmemSimulation donor(s.config);
   donor.warmup(sim::SimDuration::minutes(45));
   std::ostringstream out(std::ios::binary);
@@ -174,21 +165,18 @@ TEST(AvmonScaleTest, RestoreEqualsRunThrough) {
   ASSERT_GT(straightThrough.advancedEpochs, 1u);
   ASSERT_GT(straightThrough.pings.sent, 0u);
 
-  for (const bool pipelined : {false, true}) {
-    for (const std::size_t threads : {1u, 8u}) {
-      SCOPED_TRACE("pipelined=" + std::to_string(pipelined) +
-                   " threads=" + std::to_string(threads));
-      Scenario rs = makeAvmonScenario(threads, pipelined);
-      AvmemSimulation restored(rs.config);
-      std::istringstream in(bytes, std::ios::binary);
-      restored.restoreCheckpoint(in);
-      restored.warmup(sim::SimDuration::minutes(45));
+  for (const std::size_t threads : {1u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Scenario rs = makeAvmonScenario(threads);
+    AvmemSimulation restored(rs.config);
+    std::istringstream in(bytes, std::ios::binary);
+    restored.restoreCheckpoint(in);
+    restored.warmup(sim::SimDuration::minutes(45));
 
-      AvmonRunFingerprint fp = collectFingerprint(restored);
-      fp.effectiveThreads = straightThrough.effectiveThreads;
-      EXPECT_TRUE(fp == straightThrough)
-          << "restored run diverged from the straight-through donor";
-    }
+    AvmonRunFingerprint fp = collectFingerprint(restored);
+    fp.effectiveThreads = straightThrough.effectiveThreads;
+    EXPECT_TRUE(fp == straightThrough)
+        << "restored run diverged from the straight-through donor";
   }
 }
 

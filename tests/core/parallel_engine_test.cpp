@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -108,13 +109,9 @@ RunFingerprint collectFingerprint(AvmemSimulation& system) {
   return fp;
 }
 
-RunFingerprint runScale(std::uint32_t hosts, std::size_t threads,
-                        bool pipelined = true) {
+RunFingerprint runScale(std::uint32_t hosts, std::size_t threads) {
   auto scenario = makeScaleScenario(hosts, /*seed=*/77);
   scenario.config.maintenanceThreads = threads;
-  // Pin explicitly so an AVMEM_PIPELINE in the test environment cannot
-  // change what this run measures.
-  scenario.config.pipelinedDispatch = pipelined;
 
   AvmemSimulation system(scenario.config);
   system.warmup(sim::SimDuration::minutes(30));
@@ -140,59 +137,51 @@ TEST(ParallelEngineTest, ScaleRunIsThreadCountInvariant) {
       << "threads=8 diverged from the serial run";
 }
 
-TEST(ParallelEngineTest, PipelinedDispatchIsBitIdenticalToBarrier) {
-  // The tentpole acceptance gate: two-stage pipelined dispatch (slot k+1
-  // plans speculated against the frozen epoch while slot k commits) must
-  // produce byte-identical runs to barrier mode at every thread count.
-  // ScaleRunIsThreadCountInvariant covers pipelined {1, 2, 8} against
-  // pipelined serial; this covers barrier {1, 2, 8} against the same
-  // pipelined serial fingerprint, closing the {mode} x {threads} matrix.
-  const RunFingerprint pipelined = runScale(10'000, 1, /*pipelined=*/true);
-  ASSERT_GT(pipelined.engine.discoveryRounds, 0u);
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    RunFingerprint barrier = runScale(10'000, threads, /*pipelined=*/false);
-    barrier.effectiveThreads = pipelined.effectiveThreads;
-    EXPECT_TRUE(barrier == pipelined)
-        << "barrier mode at threads=" << threads
-        << " diverged from the pipelined serial run";
-  }
-}
-
 TEST(ParallelEngineTest, RestoreEqualsRunThrough) {
   // The warm-state checkpoint acceptance gate (snapshot/checkpoint.hpp):
   // checkpoint a 10k-node world at the end of its warm-up, then restoring
-  // and running +30 sim-minutes — at ANY thread count, in EITHER dispatch
-  // mode — must be bit-identical to the donor running straight through.
-  // Everything observable is compared: digests, per-node counters, wire
-  // stats, and a post-window anycast batch (which proves the facade RNG
-  // survived the round trip too).
-  auto scenario = makeScaleScenario(10'000, /*seed=*/77);
-  scenario.config.maintenanceThreads = 1;
-  scenario.config.pipelinedDispatch = false;
+  // and running +30 sim-minutes — at ANY thread count, from a checkpoint
+  // saved at ANY thread count — must be bit-identical to the serial donor
+  // running straight through. Everything observable is compared: digests,
+  // per-node counters, wire stats, and a post-window anycast batch (which
+  // proves the facade RNG survived the round trip too).
+  const auto warmDonor = [](std::size_t threads) {
+    auto scenario = makeScaleScenario(10'000, /*seed=*/77);
+    scenario.config.maintenanceThreads = threads;
+    auto donor = std::make_unique<AvmemSimulation>(scenario.config);
+    donor->warmup(sim::SimDuration::minutes(30));
+    return donor;
+  };
+  const auto checkpointOf = [](const AvmemSimulation& donor) {
+    std::ostringstream checkpoint(std::ios::binary);
+    donor.saveCheckpoint(checkpoint);
+    return checkpoint.str();
+  };
 
-  AvmemSimulation donor(scenario.config);
-  donor.warmup(sim::SimDuration::minutes(30));
-  std::ostringstream checkpoint(std::ios::binary);
-  donor.saveCheckpoint(checkpoint);
-  const std::string bytes = checkpoint.str();
-  ASSERT_FALSE(bytes.empty());
-
-  donor.warmup(sim::SimDuration::minutes(30));
-  const RunFingerprint straightThrough = collectFingerprint(donor);
+  auto serialDonor = warmDonor(1);
+  const std::string serialBytes = checkpointOf(*serialDonor);
+  ASSERT_FALSE(serialBytes.empty());
+  serialDonor->warmup(sim::SimDuration::minutes(30));
+  const RunFingerprint straightThrough = collectFingerprint(*serialDonor);
   ASSERT_GT(straightThrough.engine.discoveryRounds, 0u);
   ASSERT_FALSE(straightThrough.anycasts.empty());
+  serialDonor.reset();
 
-  for (const bool pipelined : {false, true}) {
+  // An 8-thread donor's checkpoint must restore exactly like a serial
+  // one's: the plan fan-out leaves nothing thread-dependent in saved state.
+  const std::string parallelBytes = checkpointOf(*warmDonor(8));
+
+  const std::pair<std::size_t, const std::string*> donors[] = {
+      {1, &serialBytes}, {8, &parallelBytes}};
+  for (const auto& [donorThreads, bytes] : donors) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("pipelined=" + std::to_string(pipelined) +
-                   " threads=" + std::to_string(threads));
+      SCOPED_TRACE("donor threads=" + std::to_string(donorThreads) +
+                   " restore threads=" + std::to_string(threads));
       auto restoredScenario = makeScaleScenario(10'000, /*seed=*/77);
       restoredScenario.config.maintenanceThreads = threads;
-      restoredScenario.config.pipelinedDispatch = pipelined;
 
       AvmemSimulation restored(restoredScenario.config);
-      std::istringstream in(bytes, std::ios::binary);
+      std::istringstream in(*bytes, std::ios::binary);
       restored.restoreCheckpoint(in);
       restored.warmup(sim::SimDuration::minutes(30));
 

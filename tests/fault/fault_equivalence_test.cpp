@@ -3,9 +3,8 @@
 //
 //  * a plan with no active stages is statistically indistinguishable
 //    from no plan at all (the injector's no-draw guarantee end to end);
-//  * an ACTIVE campaign is bit-identical across thread counts and both
-//    dispatch modes (every fault decision comes from counter streams,
-//    never from scheduling);
+//  * an ACTIVE campaign is bit-identical across thread counts (every
+//    fault decision comes from counter streams, never from scheduling);
 //  * a checkpoint taken mid-campaign restores and continues to the same
 //    bytes as running straight through;
 //  * a checkpoint refuses to restore into a different (or absent)
@@ -125,36 +124,32 @@ TEST(FaultEquivalenceTest, NeverActivePlanMatchesPlanlessRun) {
   for (const std::uint64_t seq : saved.wireSeq) EXPECT_EQ(seq, 0u);
 }
 
-TEST(FaultEquivalenceTest, ActiveCampaignIsThreadAndModeInvariant) {
-  // The tentpole gate: one hostile campaign, six execution shapes, one
+TEST(FaultEquivalenceTest, ActiveCampaignIsThreadCountInvariant) {
+  // The tentpole gate: one hostile campaign, three thread counts, one
   // world. Any divergence means a fault decision leaked scheduling
   // state.
   Digest reference;
   bool haveReference = false;
-  for (const bool pipelined : {false, true}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " pipelined=" + std::to_string(pipelined));
-      SimulationConfig cfg = baseConfig();
-      cfg.faultPlan = parseFaultPlanText(kCampaign);
-      cfg.maintenanceThreads = threads;
-      cfg.pipelinedDispatch = pipelined;
-      AvmemSimulation s(cfg);
-      s.warmup(sim::SimDuration::minutes(48));
-      const Digest d = digestOf(s);
-      // The campaign must actually have fired — an accidentally-dormant
-      // plan would make this test pass vacuously.
-      EXPECT_GT(d.fault.injectedDrops, 0u);
-      EXPECT_GT(d.fault.duplicated, 0u);
-      EXPECT_GT(d.fault.delayed, 0u);
-      EXPECT_GT(d.fault.attackSweeps, 0u);
-      if (!haveReference) {
-        reference = d;
-        haveReference = true;
-      } else {
-        expectSameWorld(reference, d);
-      }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SimulationConfig cfg = baseConfig();
+    cfg.faultPlan = parseFaultPlanText(kCampaign);
+    cfg.maintenanceThreads = threads;
+    AvmemSimulation s(cfg);
+    s.warmup(sim::SimDuration::minutes(48));
+    const Digest d = digestOf(s);
+    // The campaign must actually have fired — an accidentally-dormant
+    // plan would make this test pass vacuously.
+    EXPECT_GT(d.fault.injectedDrops, 0u);
+    EXPECT_GT(d.fault.duplicated, 0u);
+    EXPECT_GT(d.fault.delayed, 0u);
+    EXPECT_GT(d.fault.attackSweeps, 0u);
+    if (!haveReference) {
+      reference = d;
+      haveReference = true;
+    } else {
+      expectSameWorld(reference, d);
     }
   }
 }

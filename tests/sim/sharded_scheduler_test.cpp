@@ -166,127 +166,6 @@ TEST(ShardedSchedulerTest, MaxSlotPopulationBoundsLaneBuffers) {
   EXPECT_LT(maxLane, sched.maxSlotPopulation());
 }
 
-// Record the (time, member) commit sequence of a plan/commit schedule with
-// pipelined dispatch on or off. The plan writes a member-derived value to
-// its lane; the commit checks it and poisons the lane, so a speculation
-// that aliased the committing lane set, or an accepted speculation whose
-// lanes were never planned, fails loudly.
-std::vector<std::pair<std::int64_t, std::uint32_t>> recordPipelined(
-    std::size_t threads, bool pipelined) {
-  Simulator sim;
-  WorkerPool pool(threads);
-  ShardedScheduler sched;
-  PipelineOptions pipe;
-  pipe.enabled = pipelined;
-  std::vector<std::uint64_t> lanes;
-  std::vector<std::pair<std::int64_t, std::uint32_t>> seq;
-  sched.startParallel(
-      sim, SimDuration::seconds(2), 6, 40, Rng(11), &pool,
-      [&lanes](std::uint32_t m, std::size_t lane) {
-        lanes[lane] = Rng::stream(5, m, 0).next();
-      },
-      [&](std::uint32_t m, std::size_t lane) {
-        EXPECT_EQ(lanes[lane], Rng::stream(5, m, 0).next());
-        lanes[lane] = 0xDEADDEADDEADDEADull;  // poison: reuse must re-plan
-        seq.emplace_back(sim.now().toMicros(), m);
-      },
-      pipe);
-  lanes.assign(sched.laneSpan(), 0);
-  sim.runUntil(SimTime::seconds(10));
-  if (pipelined) {
-    // This wheel has several populated slots and no foreign events, so
-    // speculation must actually engage.
-    EXPECT_GT(sched.pipelinedFirings(), 0u);
-  } else {
-    EXPECT_EQ(sched.pipelinedFirings(), 0u);
-  }
-  return seq;
-}
-
-TEST(ShardedSchedulerTest, PipelinedModeMatchesBarrierModeAnyThreadCount) {
-  const auto barrier = recordPipelined(1, false);
-  ASSERT_FALSE(barrier.empty());
-  EXPECT_EQ(recordPipelined(1, true), barrier);   // inline speculation
-  EXPECT_EQ(recordPipelined(2, true), barrier);   // async speculation
-  EXPECT_EQ(recordPipelined(8, true), barrier);
-}
-
-TEST(ShardedSchedulerTest, PipelinedSpeculationAlternatesLaneSets) {
-  Simulator sim;
-  ShardedScheduler sched;
-  PipelineOptions pipe;
-  pipe.enabled = true;
-  std::vector<std::size_t> commitLanes;
-  sched.startParallel(
-      sim, SimDuration::seconds(1), 8, 8, Rng(3), nullptr,
-      [](std::uint32_t, std::size_t) {},
-      [&commitLanes](std::uint32_t, std::size_t lane) {
-        commitLanes.push_back(lane);
-      },
-      pipe);
-  // Pipelined mode doubles the lane-buffer requirement (A/B sets).
-  EXPECT_EQ(sched.laneSpan(), 2 * sched.maxSlotPopulation());
-  sim.runUntil(SimTime::seconds(4));
-  EXPECT_GT(sched.pipelinedFirings(), 0u);
-  // Accepted speculations commit out of the opposite half of the lane
-  // space, so both halves must appear in the commit lane stream.
-  bool low = false;
-  bool high = false;
-  for (const std::size_t lane : commitLanes) {
-    (lane < sched.maxSlotPopulation() ? low : high) = true;
-  }
-  EXPECT_TRUE(low);
-  EXPECT_TRUE(high);
-}
-
-TEST(ShardedSchedulerTest, CommitScheduledEventDiscardsSpeculation) {
-  // A commit that schedules an event due before the next slot's timer
-  // (the shuffle wheel does exactly this) must invalidate the in-flight
-  // speculation: the accept fence counts the intervening event and the
-  // slot replans at its own barrier, keeping results exact.
-  Simulator sim;
-  ShardedScheduler sched;
-  PipelineOptions pipe;
-  pipe.enabled = true;
-  std::vector<std::uint64_t> lanes;
-  sched.startParallel(
-      sim, SimDuration::seconds(2), 6, 40, Rng(11), nullptr,
-      [&lanes](std::uint32_t m, std::size_t lane) {
-        lanes[lane] = Rng::stream(5, m, 0).next();
-      },
-      [&](std::uint32_t m, std::size_t lane) {
-        EXPECT_EQ(lanes[lane], Rng::stream(5, m, 0).next());
-        lanes[lane] = 0xDEADDEADDEADDEADull;
-        sim.schedule(SimDuration::micros(1), [] {});
-      },
-      pipe);
-  lanes.assign(sched.laneSpan(), 0);
-  sim.runUntil(SimTime::seconds(10));
-  EXPECT_GT(sched.discardedSpeculations(), 0u);
-  EXPECT_EQ(sched.pipelinedFirings(), 0u);
-  EXPECT_GT(sched.barrierFirings(), 0u);
-}
-
-TEST(ShardedSchedulerTest, UnstableSnapshotFallsBackToBarrier) {
-  Simulator sim;
-  ShardedScheduler sched;
-  PipelineOptions pipe;
-  pipe.enabled = true;
-  pipe.snapshotStable = [](SimTime, SimTime) { return false; };
-  int commits = 0;
-  sched.startParallel(
-      sim, SimDuration::seconds(1), 8, 16, Rng(7), nullptr,
-      [](std::uint32_t, std::size_t) {},
-      [&commits](std::uint32_t, std::size_t) { ++commits; },
-      pipe);
-  sim.runUntil(SimTime::seconds(5));
-  EXPECT_GT(commits, 0);
-  // Nothing is ever launched, so nothing can be discarded either.
-  EXPECT_EQ(sched.pipelinedFirings(), 0u);
-  EXPECT_EQ(sched.discardedSpeculations(), 0u);
-  EXPECT_GT(sched.barrierFirings(), 0u);
-}
-
 TEST(ShardedSchedulerTest, EmptyPopulationSchedulesNothing) {
   Simulator sim;
   ShardedScheduler sched;

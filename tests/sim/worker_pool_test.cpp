@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -112,73 +111,6 @@ TEST(WorkerPoolTest, ResultsIndependentOfThreadCount) {
   const auto serial = compute(1);
   EXPECT_EQ(compute(2), serial);
   EXPECT_EQ(compute(8), serial);
-}
-
-TEST(WorkerPoolTest, BeginWaitCompletesEveryTask) {
-  WorkerPool pool(4);
-  constexpr std::size_t kTasks = 257;
-  std::vector<std::uint64_t> out(kTasks, 0);
-  const WorkerPool::TaskFn fn = [&out](std::size_t i) { out[i] = i + 1; };
-  pool.begin(kTasks, fn);
-  pool.wait();
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(out[i], i + 1) << "task " << i;
-  }
-}
-
-TEST(WorkerPoolTest, BeginDoneFlagsSupportOrderedStreamingConsumer) {
-  WorkerPool pool(4);
-  constexpr std::size_t kTasks = 96;
-  std::vector<std::atomic<std::uint8_t>> done(kTasks);
-  for (auto& d : done) d.store(0, std::memory_order_relaxed);
-  std::vector<std::uint64_t> out(kTasks, 0);
-  const WorkerPool::TaskFn fn = [&out](std::size_t i) { out[i] = i * 3; };
-  pool.begin(kTasks, fn, done.data());
-  // Consume results in task order while the batch may still be running —
-  // the release store on each flag must publish that task's write.
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    while (done[i].load(std::memory_order_acquire) == 0) {
-      ASSERT_FALSE(pool.asyncAbandoned());
-      std::this_thread::yield();
-    }
-    ASSERT_EQ(out[i], i * 3) << "task " << i;
-  }
-  pool.wait();
-}
-
-TEST(WorkerPoolTest, BeginWaitPropagatesExceptionAndPoolSurvives) {
-  WorkerPool pool(4);
-  const WorkerPool::TaskFn fn = [](std::size_t i) {
-    if (i == 11) throw std::runtime_error("boom");
-  };
-  pool.begin(100, fn);
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  std::atomic<int> ran{0};
-  pool.run(10, [&ran](std::size_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(ran.load(), 10);
-}
-
-TEST(WorkerPoolTest, BeginRunsInlineWithoutWorkers) {
-  // threads <= 1 spawns no workers: begin() degrades to an inline serial
-  // loop (flags included) and wait() is a no-op.
-  WorkerPool pool(1);
-  std::vector<std::size_t> order;
-  std::vector<std::atomic<std::uint8_t>> done(4);
-  for (auto& d : done) d.store(0, std::memory_order_relaxed);
-  const WorkerPool::TaskFn fn = [&order](std::size_t i) {
-    order.push_back(i);
-  };
-  pool.begin(4, fn, done.data());
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
-  for (auto& d : done) EXPECT_EQ(d.load(), 1);
-  pool.wait();
-  // Inline task exceptions surface from begin() itself.
-  const WorkerPool::TaskFn boom = [](std::size_t) {
-    throw std::runtime_error("boom");
-  };
-  EXPECT_THROW(pool.begin(1, boom), std::runtime_error);
 }
 
 TEST(RngStreamTest, PureFunctionOfSeedMemberRound) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Selftest for check_thread_invariance.py's key-schema contract.
+"""Selftest for check_sim_equivalence.py's key-schema contract.
 
-Runs as a ctest entry (check_thread_invariance_selftest). The properties
+Runs as a ctest entry (check_sim_equivalence_selftest). The properties
 pinned down here are the ones CI leans on:
 
   * equal runs pass, including keys in the ignore list differing;
@@ -9,7 +9,7 @@ pinned down here are the ones CI leans on:
   * a missing invariant key fails (schema drift is loud);
   * an UNCLASSIFIED key fails — every new scale_sweep column must be
     sorted into INVARIANT_KEYS or IGNORED_KEYS by hand;
-  * restore_s / wall-clock / pipeline keys are in the ignore list, so a
+  * restore_s / wall-clock keys are in the ignore list, so a
     checkpoint-restored run diffs clean against a fresh warm-up.
 """
 import io
@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from check_thread_invariance import (  # noqa: E402
+from check_sim_equivalence import (  # noqa: E402
     CHAOS_IGNORED_KEYS,
     CHAOS_INVARIANT_KEYS,
     IGNORED_KEYS,
@@ -54,11 +54,8 @@ def point(**overrides):
         "commit_s": 0.5,
         "plan_share": 0.5,
         "plan_nodes_per_s": 1000.0,
-        "pipeline_overlap_s": 0.1,
         "plan_slot_p50_ms": 0.2,
         "plan_slot_p99_ms": 0.9,
-        "pipelined_firings": 10,
-        "discarded_speculations": 1,
         "maint_timers": 48,
         "completed_shuffles": 999,
         "view_digest": 0xDEADBEEF,
@@ -151,7 +148,6 @@ class SchemaCoverageTest(unittest.TestCase):
             restore_s=3.5,
             threads=8,
             events_per_s=0.0,
-            pipelined_firings=0,
         )
         failures, _ = run_check([fresh], [restored])
         self.assertEqual(failures, 0)

@@ -2,7 +2,7 @@
 """detlint: determinism & plan-purity static analysis for the AVMEM tree.
 
 Every guarantee the simulator makes — bit-identical runs at any thread
-count, in both dispatch modes, and across checkpoint/restore — rests on
+count and across checkpoint/restore — rests on
 contracts that used to live only in review comments and expensive runtime
 matrix jobs. detlint makes them static, enforced per commit:
 

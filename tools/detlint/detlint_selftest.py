@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Selftest for detlint's check contract, run as a ctest entry
-(detlint_selftest), mirroring tools/check_thread_invariance_test.py.
+(detlint_selftest), mirroring tools/check_sim_equivalence_test.py.
 
 The properties pinned down here are the ones CI leans on:
 
