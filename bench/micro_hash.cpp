@@ -54,7 +54,8 @@ hashing::PairHashAlgorithm algorithmArg(std::int64_t arg) {
 }
 
 // Arg: 0 = SHA-1 (paper default), 1 = MD5, 2 = kFast64 (scale mode).
-// The acceptance bar for scale mode is kFast64 >= 5x SHA-1 throughput.
+// Arg 0 runs whichever sha1Pair6 lane this CPU picks; BM_Sha1Pair6 below
+// times each lane on its own.
 void BM_PairHash(benchmark::State& state) {
   const hashing::PairHasher hasher(algorithmArg(state.range(0)));
   const std::array<std::uint8_t, 6> a{10, 0, 0, 1, 4, 210};
@@ -65,6 +66,36 @@ void BM_PairHash(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PairHash)->Arg(0)->Arg(1)->Arg(2);
+
+// The one-block SHA-1 pair kernel behind PairHasher's kSha1 case, one row
+// per lane. Arg: 0 = generic (the Sha1 class), 1 = SHA-NI (reported as an
+// error on CPUs without it). Inputs walk a 1442-id table so no pair is a
+// compile-time constant.
+void BM_Sha1Pair6(benchmark::State& state) {
+  const bool ni = state.range(0) == 1;
+  if (ni && !hashing::sha1_lanes::niSupported()) {
+    state.SkipWithError("CPU has no SHA-NI");
+    return;
+  }
+  const auto lane =
+      ni ? &hashing::sha1_lanes::pair6Ni : &hashing::sha1_lanes::pair6Generic;
+  std::vector<std::array<std::uint8_t, 6>> ids(1442);
+  sim::Rng rng(5);
+  for (auto& id : ids) {
+    for (auto& b : id) b = static_cast<std::uint8_t>(rng.next());
+  }
+  std::size_t i = 0;
+  std::size_t j = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lane(ids[i], ids[j]));
+    if (++j == ids.size()) {
+      j = 0;
+      if (++i == ids.size()) i = 0;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Sha1Pair6)->Arg(0)->Arg(1);
 
 // The raw mixer, without the PairHasher dispatch: what Discovery pays per
 // predicate evaluation in scale mode.

@@ -22,8 +22,9 @@
 //
 //  * Lazy monitor materialization. The monitor set of a target is built on
 //    first query — one O(N) hash scan through the batched kFast64 kernel
-//    (hash/fast64_batch.hpp) for seeded scale runs, or the scalar
-//    PairHasher for the paper's SHA-1 — then memoized behind an atomic
+//    (hash/fast64_batch.hpp) for seeded scale runs, or PairHasher for the
+//    paper's SHA-1, whose 6-byte ids take the one-block sha1Pair6 kernel
+//    (SHA-NI where the CPU has it) — then memoized behind an atomic
 //    ready flag with striped-mutex publication, so concurrent plan-phase
 //    queries materialize safely. The relation stays verifiable: isMonitor
 //    recomputes from the hash, never the table.

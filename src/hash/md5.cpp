@@ -111,19 +111,21 @@ void Md5::update(std::span<const std::uint8_t> data) noexcept {
 Md5Digest Md5::finish() noexcept {
   const std::uint64_t bitLen = totalBytes_ * 8;
 
-  const std::uint8_t terminator = 0x80;
-  update(std::span<const std::uint8_t>(&terminator, 1));
-  const std::uint8_t zero = 0x00;
-  while (bufferLen_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Pad in place: the 0x80 terminator, zeros up to 56 mod 64 (spilling
+  // into a second block when fewer than 8 bytes remain), then the length.
+  buffer_[bufferLen_++] = 0x80;
+  if (bufferLen_ > 56) {
+    std::memset(buffer_.data() + bufferLen_, 0, 64 - bufferLen_);
+    processBlock(buffer_.data());
+    bufferLen_ = 0;
   }
-
+  std::memset(buffer_.data() + bufferLen_, 0, 56 - bufferLen_);
   // Length is appended little-endian, unlike SHA-1.
-  std::uint8_t lenBytes[8];
   for (int i = 0; i < 8; ++i) {
-    lenBytes[i] = static_cast<std::uint8_t>(bitLen >> (8 * i));
+    buffer_[56 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(bitLen >> (8 * i));
   }
-  update(std::span<const std::uint8_t>(lenBytes, 8));
+  processBlock(buffer_.data());
 
   Md5Digest digest{};
   for (int i = 0; i < 4; ++i) {

@@ -70,6 +70,11 @@ class PairHasher {
         return normalizeU64(fast64Pair(seed_, a, b));
       case PairHashAlgorithm::kSha1:
       default: {
+        // NodeId wire encodings (every simulation caller) take the
+        // one-block kernel; any other length streams through Sha1.
+        if (a.size() == 6 && b.size() == 6) {
+          return normalizeU64(sha1Pair6(a.first<6>(), b.first<6>()));
+        }
         Sha1 h;
         h.update(a);
         h.update(b);

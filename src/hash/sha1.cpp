@@ -3,6 +3,14 @@
 #include <bit>
 #include <cstring>
 
+// The SHA-NI lane needs GCC/Clang target attributes on x86; everything else
+// compiles the generic lane only.
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define AVMEM_SHA1_NI_LANE 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace avmem::hashing {
 
 namespace {
@@ -10,6 +18,40 @@ namespace {
 constexpr std::uint32_t rotl(std::uint32_t v, int s) noexcept {
   return std::rotl(v, s);
 }
+
+#if defined(AVMEM_SHA1_NI_LANE)
+
+constexpr std::uint32_t be32(const std::uint8_t* p) noexcept {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
+// Rounds 20F..20F+19, as five groups g = 5F..5F+4 of four rounds. Each
+// group takes the next four schedule words (for g >= 4 derived from the
+// previous sixteen held in `m`, a ring of four quads), folds them into E
+// with sha1nexte, and runs four rounds of function F. `prev` is the ABCD
+// that entered the previous group, which sha1nexte turns into this group's
+// E.
+template <int F>
+__attribute__((target("sha,sse4.1"))) inline void sha1NiFiveGroups(
+    __m128i (&m)[4], __m128i& abcd, __m128i& prev) noexcept {
+  for (int j = 0; j < 5; ++j) {
+    const int g = 5 * F + j;
+    if (g == 0) continue;  // group 0 is seeded by the caller
+    __m128i& w = m[g % 4];
+    if (g >= 4) {
+      w = _mm_sha1msg2_epu32(
+          _mm_xor_si128(_mm_sha1msg1_epu32(w, m[(g + 1) % 4]),
+                        m[(g + 2) % 4]),
+          m[(g + 3) % 4]);
+    }
+    const __m128i e = _mm_sha1nexte_epu32(prev, w);
+    prev = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, e, F);
+  }
+}
+
+#endif
 
 }  // namespace
 
@@ -99,19 +141,20 @@ void Sha1::update(std::span<const std::uint8_t> data) noexcept {
 Sha1Digest Sha1::finish() noexcept {
   const std::uint64_t bitLen = totalBytes_ * 8;
 
-  // Append the mandatory 0x80 terminator then zero-pad to 56 mod 64.
-  const std::uint8_t terminator = 0x80;
-  update(std::span<const std::uint8_t>(&terminator, 1));
-  const std::uint8_t zero = 0x00;
-  while (bufferLen_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Pad in place: the 0x80 terminator, zeros up to 56 mod 64 (spilling
+  // into a second block when fewer than 8 bytes remain), then the length.
+  buffer_[bufferLen_++] = 0x80;
+  if (bufferLen_ > 56) {
+    std::memset(buffer_.data() + bufferLen_, 0, 64 - bufferLen_);
+    processBlock(buffer_.data());
+    bufferLen_ = 0;
   }
-
-  std::uint8_t lenBytes[8];
+  std::memset(buffer_.data() + bufferLen_, 0, 56 - bufferLen_);
   for (int i = 0; i < 8; ++i) {
-    lenBytes[i] = static_cast<std::uint8_t>(bitLen >> (56 - 8 * i));
+    buffer_[56 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(bitLen >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(lenBytes, 8));
+  processBlock(buffer_.data());
 
   Sha1Digest digest{};
   for (int i = 0; i < 5; ++i) {
@@ -133,6 +176,90 @@ Sha1Digest sha1(std::string_view data) noexcept {
   Sha1 h;
   h.update(data);
   return h.finish();
+}
+
+namespace sha1_lanes {
+
+std::uint64_t pair6Generic(std::span<const std::uint8_t, 6> a,
+                           std::span<const std::uint8_t, 6> b) noexcept {
+  Sha1 h;
+  h.update(a);
+  h.update(b);
+  const Sha1Digest d = h.finish();
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | d[static_cast<std::size_t>(i)];
+  return v;
+}
+
+#if defined(AVMEM_SHA1_NI_LANE)
+
+bool niSupported() noexcept {
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return sse41 && sha;
+}
+
+__attribute__((target("sha,sse4.1"))) std::uint64_t pair6Ni(
+    std::span<const std::uint8_t, 6> a,
+    std::span<const std::uint8_t, 6> b) noexcept {
+  // Lane 3 holds the first word of each quad (the sha1rnds4 convention).
+  const std::uint8_t mid[4] = {a[4], a[5], b[0], b[1]};
+  __m128i m[4] = {
+      _mm_set_epi32(static_cast<int>(be32(a.data())),
+                    static_cast<int>(be32(mid)),
+                    static_cast<int>(be32(b.data() + 2)),
+                    static_cast<int>(0x80000000u)),
+      _mm_setzero_si128(),
+      _mm_setzero_si128(),
+      _mm_set_epi32(0, 0, 0, 96),
+  };
+  const __m128i abcd0 =
+      _mm_set_epi32(0x67452301, static_cast<int>(0xEFCDAB89u),
+                    static_cast<int>(0x98BADCFEu), 0x10325476);
+  const __m128i e0 = _mm_set_epi32(static_cast<int>(0xC3D2E1F0u), 0, 0, 0);
+
+  // Group 0: E is the initial e plus w0..w3, no sha1nexte.
+  __m128i prev = abcd0;
+  __m128i abcd = _mm_sha1rnds4_epu32(abcd0, _mm_add_epi32(e0, m[0]), 0);
+  sha1NiFiveGroups<0>(m, abcd, prev);
+  sha1NiFiveGroups<1>(m, abcd, prev);
+  sha1NiFiveGroups<2>(m, abcd, prev);
+  sha1NiFiveGroups<3>(m, abcd, prev);
+
+  // H0 and H1 only: the final E feeds digest words 2..4, never read here.
+  abcd = _mm_add_epi32(abcd, abcd0);
+  const auto h0 = static_cast<std::uint32_t>(_mm_extract_epi32(abcd, 3));
+  const auto h1 = static_cast<std::uint32_t>(_mm_extract_epi32(abcd, 2));
+  return (std::uint64_t{h0} << 32) | h1;
+}
+
+#else
+
+bool niSupported() noexcept { return false; }
+
+std::uint64_t pair6Ni(std::span<const std::uint8_t, 6> a,
+                      std::span<const std::uint8_t, 6> b) noexcept {
+  return pair6Generic(a, b);
+}
+
+#endif
+
+}  // namespace sha1_lanes
+
+std::uint64_t sha1Pair6(std::span<const std::uint8_t, 6> a,
+                        std::span<const std::uint8_t, 6> b) noexcept {
+  using Lane = std::uint64_t (*)(std::span<const std::uint8_t, 6>,
+                                 std::span<const std::uint8_t, 6>) noexcept;
+  static const Lane lane = sha1_lanes::niSupported()
+                               ? &sha1_lanes::pair6Ni
+                               : &sha1_lanes::pair6Generic;
+  return lane(a, b);
 }
 
 std::string toHex(const Sha1Digest& digest) {

@@ -67,4 +67,37 @@ class Sha1 {
 /// Lower-case hexadecimal rendering of a digest (40 chars).
 [[nodiscard]] std::string toHex(const Sha1Digest& digest);
 
+/// The top 64 digest bits (bytes 0..7, big-endian) of SHA-1(a || b) for two
+/// 6-byte inputs: the pair hash H(id(x), id(y)) over NodeId wire encodings.
+/// The 12-byte message fits one pre-padded block (w0..w2 message,
+/// w3 = 0x80000000, w4..w14 = 0, w15 = 96), compressed once.
+///
+/// The lane is picked once from the CPU: SHA-NI where the CPU has it, the
+/// generic Sha1 class otherwise. Both return the same value for every input
+/// (tests/hash/sha1_pair_test.cpp), so the choice is invisible to callers.
+[[nodiscard]] std::uint64_t sha1Pair6(
+    std::span<const std::uint8_t, 6> a,
+    std::span<const std::uint8_t, 6> b) noexcept;
+
+/// The individual lanes behind sha1Pair6, for the lane-equivalence test and
+/// the micro-benchmark. Callers outside those use sha1Pair6.
+namespace sha1_lanes {
+
+/// True when this CPU runs the SHA-NI lane (CPUID leaf 7 EBX bit 29 plus
+/// SSE4.1). Always false on non-x86 builds.
+[[nodiscard]] bool niSupported() noexcept;
+
+/// The fallback lane: the streaming Sha1 class.
+[[nodiscard]] std::uint64_t pair6Generic(
+    std::span<const std::uint8_t, 6> a,
+    std::span<const std::uint8_t, 6> b) noexcept;
+
+/// The SHA-NI lane. Call only when niSupported(); on non-x86 builds it
+/// forwards to pair6Generic.
+[[nodiscard]] std::uint64_t pair6Ni(
+    std::span<const std::uint8_t, 6> a,
+    std::span<const std::uint8_t, 6> b) noexcept;
+
+}  // namespace sha1_lanes
+
 }  // namespace avmem::hashing

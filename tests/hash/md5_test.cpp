@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace avmem::hashing {
 namespace {
@@ -44,13 +45,28 @@ TEST(Md5Test, ResetRestoresEmptyState) {
 }
 
 TEST(Md5Test, PaddingBoundaries) {
-  // 55/56/64-byte messages exercise the final-block padding paths.
-  EXPECT_EQ(toHex(md5(std::string(55, 'x'))),
-            "04364420e25c512fd958a70738aa8f72");
-  EXPECT_EQ(toHex(md5(std::string(56, 'x'))),
-            "668a72d5ba17f08e62dabcafad6db14b");
-  EXPECT_EQ(toHex(md5(std::string(64, 'x'))),
-            "c1bb4f81d892b2d57947682aeb252456");
+  // Messages of 55/56 and 119/120 bytes sit on either side of the point
+  // where 0x80 + length no longer fit the final block; 63/64 end on a
+  // block edge. Reference digests from Python's hashlib.md5.
+  const std::pair<std::size_t, const char*> kCases[] = {
+      {55, "04364420e25c512fd958a70738aa8f72"},
+      {56, "668a72d5ba17f08e62dabcafad6db14b"},
+      {63, "7dc2ca208106a2f703567bdff99d8981"},
+      {64, "c1bb4f81d892b2d57947682aeb252456"},
+      {119, "ab347a5f68c8a443cfcddc633f12c24f"},
+      {120, "fb98667f98096de92620b64f46e1c5b5"},
+  };
+  for (const auto& [n, hex] : kCases) {
+    const std::string msg(n, 'x');
+    EXPECT_EQ(toHex(md5(msg)), hex) << n << " bytes";
+    // reset() keeps the old buffer bytes; padding must overwrite them.
+    Md5 h;
+    h.update(std::string(127, '\xFF'));
+    (void)h.finish();
+    h.reset();
+    h.update(msg);
+    EXPECT_EQ(toHex(h.finish()), hex) << n << " bytes after reset";
+  }
 }
 
 }  // namespace

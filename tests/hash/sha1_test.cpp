@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace avmem::hashing {
@@ -69,17 +70,28 @@ TEST(Sha1Test, ResetRestoresEmptyState) {
 }
 
 TEST(Sha1Test, LengthPaddingBoundaries) {
-  // Messages of 55, 56, 63, 64 bytes exercise the padding edge cases
-  // (payload + 0x80 + length fitting / not fitting the final block).
-  // Reference digests computed with coreutils sha1sum.
-  const std::string m55(55, 'x');
-  const std::string m56(56, 'x');
-  const std::string m63(63, 'x');
-  const std::string m64(64, 'x');
-  EXPECT_EQ(toHex(sha1(m55)), "cef734ba81a024479e09eb5a75b6ddae62e6abf1");
-  EXPECT_EQ(toHex(sha1(m56)), "901305367c259952f4e7af8323f480d59f81335b");
-  EXPECT_EQ(toHex(sha1(m63)), "0ddc4e0cccd9a12850deb5abb0853a4425559fec");
-  EXPECT_EQ(toHex(sha1(m64)), "bb2fa3ee7afb9f54c6dfb5d021f14b1ffe40c163");
+  // Messages of 55/56 and 119/120 bytes sit on either side of the point
+  // where 0x80 + length no longer fit the final block; 63/64 end on a
+  // block edge. Reference digests from Python's hashlib.sha1.
+  const std::pair<std::size_t, const char*> kCases[] = {
+      {55, "cef734ba81a024479e09eb5a75b6ddae62e6abf1"},
+      {56, "901305367c259952f4e7af8323f480d59f81335b"},
+      {63, "0ddc4e0cccd9a12850deb5abb0853a4425559fec"},
+      {64, "bb2fa3ee7afb9f54c6dfb5d021f14b1ffe40c163"},
+      {119, "4300320394f7ee239bcdce7d3b8bcee173a0cd5c"},
+      {120, "ceb2821639c4b6dcb10bce0e522ca2e608ce056d"},
+  };
+  for (const auto& [n, hex] : kCases) {
+    const std::string msg(n, 'x');
+    EXPECT_EQ(toHex(sha1(msg)), hex) << n << " bytes";
+    // reset() keeps the old buffer bytes; padding must overwrite them.
+    Sha1 h;
+    h.update(std::string(127, '\xFF'));
+    (void)h.finish();
+    h.reset();
+    h.update(msg);
+    EXPECT_EQ(toHex(h.finish()), hex) << n << " bytes after reset";
+  }
 }
 
 }  // namespace
