@@ -68,9 +68,9 @@ void BM_PairHash(benchmark::State& state) {
 BENCHMARK(BM_PairHash)->Arg(0)->Arg(1)->Arg(2);
 
 // The one-block SHA-1 pair kernel behind PairHasher's kSha1 case, one row
-// per lane. Arg: 0 = generic (the Sha1 class), 1 = SHA-NI (reported as an
-// error on CPUs without it). Inputs walk a 1442-id table so no pair is a
-// compile-time constant.
+// per lane. Arg: 0 = generic (the scalar one-block kernel), 1 = SHA-NI
+// (reported as an error on CPUs without it). Inputs walk a 1442-id table
+// so no pair is a compile-time constant.
 void BM_Sha1Pair6(benchmark::State& state) {
   const bool ni = state.range(0) == 1;
   if (ni && !hashing::sha1_lanes::niSupported()) {
@@ -172,31 +172,6 @@ void BM_Fast64BatchSpeedup(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * kRun));
 }
 BENCHMARK(BM_Fast64BatchSpeedup);
-
-void BM_CachedPairHash(benchmark::State& state) {
-  hashing::CachingPairHasher cache;
-  // Pre-warm a realistic working set (every pair a 1442-node world's
-  // discovery would evaluate against one node).
-  std::vector<std::array<std::uint8_t, 6>> ids;
-  sim::Rng rng(4);
-  for (int i = 0; i < 1442; ++i) {
-    ids.push_back({static_cast<std::uint8_t>(rng.next()),
-                   static_cast<std::uint8_t>(rng.next()),
-                   static_cast<std::uint8_t>(rng.next()),
-                   static_cast<std::uint8_t>(rng.next()),
-                   static_cast<std::uint8_t>(rng.next()),
-                   static_cast<std::uint8_t>(rng.next())});
-  }
-  for (std::uint64_t i = 1; i < ids.size(); ++i) {
-    (void)cache.hash(i, ids[0], ids[i]);
-  }
-  std::uint64_t k = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.hash(k, ids[0], ids[k]));
-    k = (k % (ids.size() - 1)) + 1;
-  }
-}
-BENCHMARK(BM_CachedPairHash);
 
 }  // namespace
 

@@ -273,10 +273,6 @@ std::optional<double> AvmonSystem::monitorEstimate(NodeIndex m,
   return static_cast<double>(cell.up) / static_cast<double>(cell.samples);
 }
 
-bool AvmonSystem::monitorOnline(NodeIndex m) const {
-  return trace_.onlineAt(m, sim_.now());
-}
-
 AvmonSystem::SavedState AvmonSystem::saveState() const {
   SavedState s;
   s.advancedEpochs = advancedEpochs_.load(std::memory_order_acquire);
@@ -317,11 +313,15 @@ std::optional<double> AvmonAvailabilityService::query(NodeIndex querier,
                                                       NodeIndex target) {
   const AvmonSystem::TargetCell& cell = system_.ensureCell(target);
   if (cell.monitors.empty()) return std::nullopt;
+  // One epoch lookup per query: onlineAt(m, now) is
+  // onlineInEpoch(m, epochAt(now)) for every monitor m.
+  const trace::AvailabilityModel& trace = system_.trace_;
+  const std::size_t epoch = trace.epochAt(system_.sim_.now());
   double up = 0.0;
   double samples = 0.0;
   for (std::size_t j = 0; j < cell.monitors.size(); ++j) {
     const NodeIndex m = cell.monitors[j];
-    if (m != querier && !system_.monitorOnline(m)) continue;
+    if (m != querier && !trace.onlineInEpoch(m, epoch)) continue;
     if (cell.samples[j] == 0) continue;
     up += cell.up[j];
     samples += cell.samples[j];

@@ -156,9 +156,6 @@ class AvmonSystem {
   [[nodiscard]] EstimateCell monitorCounters(NodeIndex m,
                                              NodeIndex target) const;
 
-  /// Is monitor `m` online right now (reachable by a querier)?
-  [[nodiscard]] bool monitorOnline(NodeIndex m) const;
-
   [[nodiscard]] std::size_t hostCount() const noexcept { return ids_.size(); }
 
   /// Epoch boundaries folded into the counters so far (== the nextEpoch
@@ -216,8 +213,8 @@ class AvmonSystem {
   void restoreState(const SavedState& s);
 
  private:
-  /// The facade reads cells directly (no per-monitor binary search on the
-  /// hot query path).
+  /// The facade reads cells, the trace and the clock directly (no
+  /// per-monitor binary search or epoch lookup on the hot query path).
   friend class AvmonAvailabilityService;
 
   /// One materialized target: monitor list (ascending) plus flat SoA

@@ -27,7 +27,7 @@ struct ProtocolContext {
   avmon::AvailabilityService& availability;
   const AvmemPredicate& predicate;
   const std::vector<NodeId>& ids;
-  hashing::CachingPairHasher& pairHash;
+  hashing::PairHasher pairHash;
   ProtocolConfig config;
   /// Precomputed fast64 absorb tails of every id (idTails[i] =
   /// fast64Tail6(ids[i])), filled by the simulation harness when the pair
@@ -39,9 +39,9 @@ struct ProtocolContext {
   /// the general absorb path.
   std::vector<std::uint64_t> idTails{};
 
-  /// H(id(a), id(b)) through the shared memoizing hasher.
+  /// H(id(a), id(b)): a pure function, safe from any plan thread.
   [[nodiscard]] double hashOf(NodeIndex a, NodeIndex b) const {
-    return pairHash.hash(orderedPairKey(a, b), ids[a].bytes(), ids[b].bytes());
+    return pairHash(ids[a].bytes(), ids[b].bytes());
   }
 
   /// True when the batched kFast64 lane may replace hashOf().

@@ -86,8 +86,8 @@ struct CandidateFeedConfig {
 ///
 /// One instance serves the whole population. `publish` may only be called
 /// from the serial commit phase; `drawCandidates` is const, reads only the
-/// frozen snapshot plus concurrency-safe shared services (pair hash,
-/// predicate), and may run concurrently for any set of distinct nodes.
+/// frozen snapshot plus pure shared functions (pair hash, predicate), and
+/// may run concurrently for any set of distinct nodes.
 class CandidateFeed {
  public:
   CandidateFeed(const CandidateFeedConfig& config, std::size_t nodeCount,

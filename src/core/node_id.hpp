@@ -65,11 +65,4 @@ struct NodeId {
   return ids;
 }
 
-/// A 64-bit key uniquely identifying the ordered pair (a, b) of dense
-/// indices, for pair-hash memoization.
-[[nodiscard]] constexpr std::uint64_t orderedPairKey(NodeIndex a,
-                                                     NodeIndex b) noexcept {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
 }  // namespace avmem::core

@@ -85,7 +85,7 @@ class ScenarioRegistry {
 /// availability, kFast64 pair hash, 1-day streaming Markov churn
 /// (O(hosts) memory — nothing materialized), compact high-churn views,
 /// auto-sharded maintenance, plan-phase threads on every core
-/// (AVMEM_THREADS overrides; paper-* scenarios stay serial).
+/// (AVMEM_THREADS overrides; paper-* scenarios default to serial).
 [[nodiscard]] Scenario makeScaleScenario(std::uint32_t hosts,
                                          std::uint64_t seed = 20070101);
 

@@ -206,12 +206,12 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
     }
   }
 
-  pairHash_ = std::make_unique<hashing::CachingPairHasher>(
-      config.protocol.hashAlgorithm, config.protocol.hashSeed);
-
   ctx_ = std::make_unique<ProtocolContext>(ProtocolContext{
-      *sim_, *service_, *predicate_, ids_, *pairHash_, config.protocol});
-  if (pairHash_->algorithm() == hashing::PairHashAlgorithm::kFast64) {
+      *sim_, *service_, *predicate_, ids_,
+      hashing::PairHasher(config.protocol.hashAlgorithm,
+                          config.protocol.hashSeed),
+      config.protocol});
+  if (config.protocol.hashAlgorithm == hashing::PairHashAlgorithm::kFast64) {
     // Precompute every identifier's 6-byte absorb tail so the plan-phase
     // hot loops can use the batched hash lane (hash/fast64_batch.hpp).
     ctx_->idTails.reserve(n);
@@ -226,16 +226,15 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   }
 
   // Parallel shard dispatch: the maintenance plan phase may fan out
-  // across a worker pool, but only when every shared read on that path is
-  // concurrency-safe — the service and hasher declare their capability,
-  // and anything else clamps back to serial. The clamp never changes
-  // results (plan/commit is bit-identical at any thread count), only how
-  // many cores the warm-up uses.
+  // across a worker pool, but only when the availability service declares
+  // its query path concurrency-safe (the pair hash is a pure function on
+  // every backend); a service that does not clamps back to serial. The
+  // clamp never changes results (plan/commit is bit-identical at any
+  // thread count), only how many cores the warm-up uses.
   std::size_t threads = config.maintenanceThreads == 0
                             ? sim::WorkerPool::defaultThreadCount()
                             : config.maintenanceThreads;
-  if (threads > 1 &&
-      (!service_->concurrentReadSafe() || !pairHash_->concurrentSafe())) {
+  if (threads > 1 && !service_->concurrentReadSafe()) {
     threads = 1;
   }
   if (threads > 1) {
@@ -261,10 +260,9 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
       *sim_, *network_, n, shuffleConfig, rng_.fork("shuffle"), pool_.get());
 
   // Availability-bucketed rendezvous candidate feed: the second Discovery
-  // candidate seam. Draws read only the frozen directory snapshot plus
-  // the pair hash and predicate, so the plan phase may call them
-  // concurrently whenever the engine's other read paths already qualify
-  // (the hasher gate above covers the feed's only shared service).
+  // candidate seam. Draws read only the frozen directory snapshot, the
+  // pure pair hash and the predicate, so the plan phase may call them
+  // concurrently at any thread count; the feed adds no gate of its own.
   if (config.candidateFeed.enabled && !config.useCoarseViewOverlay) {
     feed_ = std::make_unique<CandidateFeed>(
         config.candidateFeed, n, *ctx_, rng_.fork("candidate-feed").next());

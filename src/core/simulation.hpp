@@ -137,10 +137,11 @@ struct SimulationConfig {
   /// Worker threads for the maintenance plan phase (parallel shard
   /// dispatch; see docs/ARCHITECTURE.md "Parallel dispatch"). 1 = fully
   /// serial — the paper-fidelity default; 0 = auto
-  /// (hardware_concurrency). Counts above 1 require concurrency-safe
-  /// read paths — an oracle/noisy/AVMON availability service and the
-  /// cache-bypassing kFast64 pair hash — and are clamped to 1 otherwise
-  /// (results are identical either way; only wall-clock changes).
+  /// (hardware_concurrency). Counts above 1 require a concurrency-safe
+  /// availability service — oracle, noisy or AVMON — and are clamped to 1
+  /// for the aged and centralized ones (results are identical either way;
+  /// only wall-clock changes). Every pair hash backend is a pure function
+  /// and plans on any number of threads.
   /// Scenario builders honor the AVMEM_THREADS environment override.
   std::size_t maintenanceThreads = 1;
 
@@ -391,7 +392,6 @@ class AvmemSimulation {
 
   std::unique_ptr<avmon::ShuffleService> shuffle_;
   std::unique_ptr<AvmemPredicate> predicate_;
-  std::unique_ptr<hashing::CachingPairHasher> pairHash_;
   std::unique_ptr<ProtocolContext> ctx_;
   std::vector<AvmemNode> nodes_;
   std::unique_ptr<sim::WorkerPool> pool_;

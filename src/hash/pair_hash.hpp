@@ -1,5 +1,5 @@
 // The consistent pair hash H(id(x), id(y)) at the heart of the AVMEM
-// predicate (paper eq. 1), plus a per-node caching wrapper.
+// predicate (paper eq. 1).
 //
 // H must be (a) fixed and well-known, so that any third party can verify a
 // membership claim, and (b) order-sensitive: the relation M(x, y) is
@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 
 #include "hash/fast64.hpp"
 #include "hash/md5.hpp"
@@ -49,6 +48,11 @@ enum class PairHashAlgorithm : std::uint8_t {
 /// no external inputs — this is what makes the AVMEM predicate *consistent*.
 /// The seed only participates in kFast64; the digest backends stay seedless
 /// so paper-figure runs are unaffected by it.
+///
+/// A PairHasher is a value with no mutable state, so any number of threads
+/// may call it at once. Nothing is memoized: a 6+6-byte SHA-1 pair is one
+/// compression (sha1Pair6), and in a paper-1442 run a shared memo map's
+/// probes cost more than the compressions they saved while holding ~27 MB.
 class PairHasher {
  public:
   explicit PairHasher(PairHashAlgorithm algorithm = PairHashAlgorithm::kSha1,
@@ -91,65 +95,6 @@ class PairHasher {
  private:
   PairHashAlgorithm algorithm_;
   std::uint64_t seed_;
-};
-
-/// Memoizing wrapper keyed by a caller-supplied 64-bit pair key.
-///
-/// Discovery re-evaluates the predicate for the same (x, y) pairs every
-/// protocol period; because H is consistent, cached values never go stale.
-/// Digest backends amortize their compression through the cache. kFast64 is
-/// cheaper than the hash-map probe itself, so it bypasses the cache — at
-/// million-node scale the map would also hold O(N * degree) entries for no
-/// benefit.
-class CachingPairHasher {
- public:
-  explicit CachingPairHasher(
-      PairHashAlgorithm algorithm = PairHashAlgorithm::kSha1,
-      std::uint64_t seed = kFast64DefaultSeed) noexcept
-      : hasher_(algorithm, seed) {}
-
-  /// H(a, b), memoized under `pairKey` (digest backends only). The caller
-  /// guarantees that `pairKey` uniquely identifies the (a, b) pair.
-  [[nodiscard]] double hash(std::uint64_t pairKey,
-                            std::span<const std::uint8_t> a,
-                            std::span<const std::uint8_t> b) {
-    if (hasher_.algorithm() == PairHashAlgorithm::kFast64) {
-      return hasher_(a, b);
-    }
-    if (const auto it = cache_.find(pairKey); it != cache_.end()) {
-      return it->second;
-    }
-    const double v = hasher_(a, b);
-    cache_.emplace(pairKey, v);
-    return v;
-  }
-
-  [[nodiscard]] PairHashAlgorithm algorithm() const noexcept {
-    return hasher_.algorithm();
-  }
-  /// The kFast64 seed (ignored by digest backends) — batch kernels
-  /// (hash/fast64_batch.hpp) need it to reproduce hash() exactly.
-  [[nodiscard]] std::uint64_t seed() const noexcept { return hasher_.seed(); }
-
-  /// True when hash() may be called concurrently: kFast64 bypasses the
-  /// memo map entirely, so there is no shared mutable state on its path.
-  /// Digest backends mutate the cache and must stay on a single thread;
-  /// the parallel maintenance engine checks this and plans serially for
-  /// them (correctness never depends on the flag, only parallelism).
-  [[nodiscard]] bool concurrentSafe() const noexcept {
-    return hasher_.algorithm() == PairHashAlgorithm::kFast64;
-  }
-
-  [[nodiscard]] std::size_t cacheSize() const noexcept {
-    return cache_.size();
-  }
-
-  void clear() noexcept { cache_.clear(); }
-
- private:
-  PairHasher hasher_;
-  // detlint: allow(unordered-state) memoization cache hit by find/emplace only; values are pure functions of the key, so lookup order is immaterial and iteration never happens
-  std::unordered_map<std::uint64_t, double> cache_;
 };
 
 }  // namespace avmem::hashing

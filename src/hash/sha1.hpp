@@ -72,9 +72,10 @@ class Sha1 {
 /// The 12-byte message fits one pre-padded block (w0..w2 message,
 /// w3 = 0x80000000, w4..w14 = 0, w15 = 96), compressed once.
 ///
-/// The lane is picked once from the CPU: SHA-NI where the CPU has it, the
-/// generic Sha1 class otherwise. Both return the same value for every input
-/// (tests/hash/sha1_pair_test.cpp), so the choice is invisible to callers.
+/// The lane is picked once from the CPU: SHA-NI where the CPU has it, a
+/// scalar one-block kernel otherwise. Both return the same value for every
+/// input (tests/hash/sha1_pair_test.cpp), so the choice is invisible to
+/// callers.
 [[nodiscard]] std::uint64_t sha1Pair6(
     std::span<const std::uint8_t, 6> a,
     std::span<const std::uint8_t, 6> b) noexcept;
@@ -87,7 +88,8 @@ namespace sha1_lanes {
 /// SSE4.1). Always false on non-x86 builds.
 [[nodiscard]] bool niSupported() noexcept;
 
-/// The fallback lane: the streaming Sha1 class.
+/// The fallback lane: a scalar compression of the one pre-padded block,
+/// with a 16-word ring schedule and one loop per round function.
 [[nodiscard]] std::uint64_t pair6Generic(
     std::span<const std::uint8_t, 6> a,
     std::span<const std::uint8_t, 6> b) noexcept;

@@ -875,6 +875,13 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
               "not active");
         }
         avState.advancedEpochs = c.u64();
+        // The fold cursor never passes the last epoch (AvmonSystem::start);
+        // a larger one would make the next materialization's catch-up read
+        // past the trace.
+        if (avState.advancedEpochs >= sim.trace_->epochCount()) {
+          throw CheckpointFormatError(
+              "checkpoint avmon: fold cursor past the trace's last epoch");
+        }
         avState.pings.sent = c.u64();
         avState.pings.delivered = c.u64();
         avState.pings.lostToFaults = c.u64();
@@ -888,8 +895,17 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
               "checkpoint avmon: cell count exceeds population");
         }
         avState.cells.resize(static_cast<std::size_t>(count));
-        for (auto& cell : avState.cells) {
+        for (std::size_t i = 0; i < avState.cells.size(); ++i) {
+          auto& cell = avState.cells[i];
           cell.target = c.u32();
+          // The writer emits distinct in-range targets in ascending order;
+          // a duplicate would silently replace the earlier cell's counters.
+          if (cell.target >= n ||
+              (i > 0 && cell.target <= avState.cells[i - 1].target)) {
+            throw CheckpointFormatError(
+                "checkpoint avmon: cell targets out of range or not "
+                "strictly ascending");
+          }
           cell.samples = c.raw<std::uint32_t>();
           cell.up = c.raw<std::uint32_t>();
         }

@@ -53,16 +53,5 @@ TEST(MakeNodeIdsTest, DifferentSeedsDifferentPorts) {
   EXPECT_LT(same, 20);
 }
 
-TEST(OrderedPairKeyTest, DirectionalAndUnique) {
-  EXPECT_NE(orderedPairKey(1, 2), orderedPairKey(2, 1));
-  std::set<std::uint64_t> keys;
-  for (net::NodeIndex a = 0; a < 40; ++a) {
-    for (net::NodeIndex b = 0; b < 40; ++b) {
-      keys.insert(orderedPairKey(a, b));
-    }
-  }
-  EXPECT_EQ(keys.size(), 1600u);
-}
-
 }  // namespace
 }  // namespace avmem::core

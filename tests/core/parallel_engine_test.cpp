@@ -193,10 +193,44 @@ TEST(ParallelEngineTest, RestoreEqualsRunThrough) {
   }
 }
 
-TEST(ParallelEngineTest, UnsafeBackendsClampToSerial) {
-  // Paper-mode backends (AVMON service, SHA-1 memoized hash) have mutable
-  // query paths; asking for threads must clamp to 1 rather than race.
+TEST(ParallelEngineTest, PaperWorldIsThreadCountInvariant) {
+  // The paper's setup (AVMON service, SHA-1 pair hash) plans in parallel:
+  // the hash is a pure function and AVMON queries read frozen counters,
+  // while monitor cells materialize on whichever worker asks first. Four
+  // threads must reproduce the serial run, AVMON traffic and the
+  // materialized set included.
+  auto runPaper = [](std::size_t threads) {
+    auto scenario = makeScenario("paper-default", {.fast = true});
+    scenario.config.maintenanceThreads = threads;
+    AvmemSimulation system(scenario.config);
+    system.warmup(scenario.warmup);
+    RunFingerprint fp = collectFingerprint(system);
+    const avmon::AvmonSystem* avmon = system.avmonSystem();
+    return std::tuple(fp, avmon->pingStats(), avmon->materializedTargets());
+  };
+
+  const auto [serial, serialPings, serialTargets] = runPaper(1);
+  EXPECT_EQ(serial.effectiveThreads, 1u);
+  ASSERT_GT(serial.engine.discoveryRounds, 0u);
+  ASSERT_GT(serialPings.sent, 0u);
+  ASSERT_GT(serialTargets, 0u);
+
+  auto [four, fourPings, fourTargets] = runPaper(4);
+  EXPECT_EQ(four.effectiveThreads, 4u);
+  four.effectiveThreads = serial.effectiveThreads;
+  EXPECT_TRUE(four == serial) << "threads=4 diverged from the serial run";
+  EXPECT_EQ(fourPings.sent, serialPings.sent);
+  EXPECT_EQ(fourPings.delivered, serialPings.delivered);
+  EXPECT_EQ(fourPings.lostToFaults, serialPings.lostToFaults);
+  EXPECT_EQ(fourPings.bytes, serialPings.bytes);
+  EXPECT_EQ(fourTargets, serialTargets);
+}
+
+TEST(ParallelEngineTest, UnsafeServiceClampsToSerial) {
+  // The aged service mutates per-query estimator state, so it declares
+  // itself unsafe and asking for threads must clamp to 1 rather than race.
   auto scenario = makeScenario("paper-default", {.fast = true});
+  scenario.config.backend = AvailabilityBackend::kAged;
   scenario.config.maintenanceThreads = 8;
   AvmemSimulation system(scenario.config);
   EXPECT_EQ(system.maintenanceThreads(), 1u);

@@ -45,8 +45,8 @@ struct ManualWorld {
         oracle(trace, sim),
         predicate(std::move(pred)),
         ids(makeNodeIds(trace.hostCount(), 77)),
-        pairHash(cfg.hashAlgorithm),
-        ctx{sim, oracle, predicate, ids, pairHash, cfg} {
+        ctx{sim, oracle, predicate, ids,
+            hashing::PairHasher(cfg.hashAlgorithm), cfg} {
     for (net::NodeIndex i = 0; i < trace.hostCount(); ++i) {
       nodes.emplace_back(i, ctx);
     }
@@ -64,7 +64,6 @@ struct ManualWorld {
   avmon::OracleAvailabilityService oracle;
   AvmemPredicate predicate;
   std::vector<NodeId> ids;
-  hashing::CachingPairHasher pairHash;
   ProtocolContext ctx;
   std::vector<AvmemNode> nodes;
 };

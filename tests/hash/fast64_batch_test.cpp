@@ -53,8 +53,8 @@ TEST(Fast64BatchTest, RawMatchesFast64PairBitForBit) {
 }
 
 TEST(Fast64BatchTest, OneMatchesPairHasher) {
-  // one() is what the kernels substitute for PairHasher::operator() /
-  // CachingPairHasher::hash on the kFast64 backend.
+  // one() is what the kernels substitute for PairHasher::operator() on
+  // the kFast64 backend.
   const std::uint64_t seed = 42;
   const PairHasher hasher(PairHashAlgorithm::kFast64, seed);
   sim::Rng rng(11);

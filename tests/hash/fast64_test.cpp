@@ -92,20 +92,6 @@ TEST(Fast64Test, UniformOnUnitInterval) {
   }
 }
 
-TEST(Fast64Test, CachingHasherBypassesTheCache) {
-  CachingPairHasher cache(PairHashAlgorithm::kFast64, 5);
-  const std::array<std::uint8_t, 6> a{1, 2, 3, 4, 5, 6};
-  const std::array<std::uint8_t, 6> b{6, 5, 4, 3, 2, 1};
-  const double direct = PairHasher(PairHashAlgorithm::kFast64, 5)(a, b);
-  EXPECT_DOUBLE_EQ(cache.hash(1, a, b), direct);
-  EXPECT_DOUBLE_EQ(cache.hash(1, a, b), direct);
-  EXPECT_EQ(cache.cacheSize(), 0u);  // the mixer is cheaper than the map
-
-  CachingPairHasher sha(PairHashAlgorithm::kSha1);
-  (void)sha.hash(1, a, b);
-  EXPECT_EQ(sha.cacheSize(), 1u);  // digests still memoize
-}
-
 TEST(Fast64Test, DigestBackendsIgnoreTheSeed) {
   const std::array<std::uint8_t, 6> a{1, 2, 3, 4, 5, 6};
   const std::array<std::uint8_t, 6> b{9, 8, 7, 6, 5, 4};

@@ -99,27 +99,5 @@ TEST(PairHashTest, Md5BackendDiffersButIsConsistent) {
   EXPECT_DOUBLE_EQ(md(a, b), md2(a, b));
 }
 
-TEST(CachingPairHasherTest, CachedValueMatchesAndSticks) {
-  CachingPairHasher cache;
-  PairHasher plain;
-  const auto a = idBytes(0x0A000001, 1000);
-  const auto b = idBytes(0x0A000002, 2000);
-  const double direct = plain(a, b);
-  EXPECT_DOUBLE_EQ(cache.hash(1, a, b), direct);
-  EXPECT_EQ(cache.cacheSize(), 1u);
-  // Second call hits the cache (same key), same value.
-  EXPECT_DOUBLE_EQ(cache.hash(1, a, b), direct);
-  EXPECT_EQ(cache.cacheSize(), 1u);
-}
-
-TEST(CachingPairHasherTest, ClearEmptiesCache) {
-  CachingPairHasher cache;
-  const auto a = idBytes(1, 1);
-  const auto b = idBytes(2, 2);
-  (void)cache.hash(42, a, b);
-  cache.clear();
-  EXPECT_EQ(cache.cacheSize(), 0u);
-}
-
 }  // namespace
 }  // namespace avmem::hashing

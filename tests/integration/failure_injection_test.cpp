@@ -59,7 +59,7 @@ TEST(FailureInjectionTest, NodeWithNoEstimateIsNeitherDiscoveredNorVerified) {
   for (net::NodeIndex i = 0; i < 40; ++i) h.add(tr.fullAvailability(i));
   AvmemPredicate pred = makeRandomOverlayPredicate(
       AvailabilityPdf(std::move(h), 20.0), 1.0);
-  hashing::CachingPairHasher hasher;
+  hashing::PairHasher hasher;
   ProtocolConfig pcfg;
   ProtocolContext ctx{sim, flaky, pred, ids, hasher, pcfg};
   AvmemNode node(0, ctx);
@@ -97,7 +97,7 @@ TEST(FailureInjectionTest, InflatedAvailabilityClaimsDoNotStick) {
   AvmemPredicate pred(std::make_shared<ConstantFractionSub>(1.0),
                       std::make_shared<ConstantFractionSub>(0.0), 0.1,
                       AvailabilityPdf(std::move(h), 30.0));
-  hashing::CachingPairHasher hasher;
+  hashing::PairHasher hasher;
   ProtocolConfig pcfg;
   ProtocolContext ctx{sim, flaky, pred, ids, hasher, pcfg};
 

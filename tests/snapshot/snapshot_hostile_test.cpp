@@ -10,6 +10,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -50,9 +51,10 @@ const std::string& goodBytes() {
   return bytes;
 }
 
-void expectRestoreThrows(const std::string& bytes,
-                         void (*check)(const CheckpointError&)) {
-  AvmemSimulation victim(donorScenario().config);
+void expectRestoreThrows(
+    const std::string& bytes, void (*check)(const CheckpointError&),
+    const core::SimulationConfig& config = donorScenario().config) {
+  AvmemSimulation victim(config);
   std::istringstream in(bytes, std::ios::binary);
   try {
     victim.restoreCheckpoint(in);
@@ -66,11 +68,16 @@ void expectRestoreThrows(const std::string& bytes,
 }
 
 template <typename Expected>
-void expectRestoreError(const std::string& bytes) {
-  expectRestoreThrows(bytes, [](const CheckpointError& e) {
-    EXPECT_NE(dynamic_cast<const Expected*>(&e), nullptr)
-        << "wrong error type: " << e.what();
-  });
+void expectRestoreError(
+    const std::string& bytes,
+    const core::SimulationConfig& config = donorScenario().config) {
+  expectRestoreThrows(
+      bytes,
+      [](const CheckpointError& e) {
+        EXPECT_NE(dynamic_cast<const Expected*>(&e), nullptr)
+            << "wrong error type: " << e.what();
+      },
+      config);
 }
 
 /// A section frame located inside the raw byte string.
@@ -125,6 +132,68 @@ std::vector<std::pair<std::uint32_t, std::string>> sectionsOf(
                      bytes.substr(f.payloadStart, f.payloadLen));
   }
   return out;
+}
+
+/// The donor world on the AVMON backend (kFast64 monitor relation), so
+/// its checkpoint carries an AVMN section with materialized cells.
+Scenario avmonDonorScenario() {
+  Scenario s = donorScenario();
+  s.config.backend = core::AvailabilityBackend::kAvmon;
+  s.config.avmon.hashAlgorithm = hashing::PairHashAlgorithm::kFast64;
+  s.config.avmon.hashSeed = 5;
+  return s;
+}
+
+const std::string& goodAvmonBytes() {
+  static const std::string bytes = [] {
+    AvmemSimulation donor(avmonDonorScenario().config);
+    donor.warmup(sim::SimDuration::minutes(10));
+    std::ostringstream out(std::ios::binary);
+    donor.saveCheckpoint(out);
+    return out.str();
+  }();
+  return bytes;
+}
+
+/// AVMN payload layout: fold cursor (u64), four ping counters (u64), task
+/// running (u8), fire-at (i64), seq (u64), cell count (u64), then the
+/// cells — u32 target plus two length-prefixed u32 arrays each.
+constexpr std::size_t kAvmnRunningOffset = 8 + 4 * 8;
+constexpr std::size_t kAvmnCellsOffset = kAvmnRunningOffset + 1 + 8 + 8 + 8;
+
+/// The cells of an AVMN payload, one string each.
+std::vector<std::string> avmnCells(const std::string& payload) {
+  std::uint64_t count = 0;
+  std::memcpy(&count, payload.data() + kAvmnCellsOffset - 8, 8);
+  std::vector<std::string> cells;
+  std::size_t pos = kAvmnCellsOffset;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::size_t end = pos + 4;
+    for (int array = 0; array < 2; ++array) {
+      std::uint64_t len = 0;
+      std::memcpy(&len, payload.data() + end, 8);
+      end += 8 + 4 * static_cast<std::size_t>(len);
+    }
+    cells.push_back(payload.substr(pos, end - pos));
+    pos = end;
+  }
+  return cells;
+}
+
+/// The AVMON donor checkpoint with its AVMN payload run through `mutate`,
+/// re-framed behind valid CRCs.
+template <typename Mutate>
+std::string mutateAvmn(Mutate mutate) {
+  const std::string& good = goodAvmonBytes();
+  auto sections = sectionsOf(good);
+  bool found = false;
+  for (auto& [id, payload] : sections) {
+    if (id != fourcc('A', 'V', 'M', 'N')) continue;
+    found = true;
+    mutate(payload);
+  }
+  EXPECT_TRUE(found) << "donor checkpoint has no AVMN section";
+  return reframe(good.substr(0, kHeaderBytes), sections);
 }
 
 TEST(SnapshotHostileTest, EmptyAndGarbageStreams) {
@@ -246,6 +315,64 @@ TEST(SnapshotHostileTest, LyingNodeCountBehindValidCrc) {
   }
   expectRestoreError<CheckpointFormatError>(
       reframe(good.substr(0, kHeaderBytes), sections));
+}
+
+TEST(SnapshotHostileTest, AvmonCellsOutOfOrderBehindValidCrc) {
+  // The writer emits each materialized target once, ascending. A repeated
+  // target would silently overwrite the earlier cell's counters.
+  const core::SimulationConfig config = avmonDonorScenario().config;
+  const std::size_t hosts = config.trace.hosts;
+  const auto withCells = [](auto edit) {
+    return mutateAvmn([&](std::string& payload) {
+      std::vector<std::string> cells = avmnCells(payload);
+      ASSERT_GE(cells.size(), 2u);
+      edit(cells);
+      payload.resize(kAvmnCellsOffset);
+      for (const std::string& cell : cells) payload += cell;
+    });
+  };
+  {
+    // Split and re-joined unchanged, the donor still restores: each
+    // mutation below is the only fault in its file.
+    AvmemSimulation victim(config);
+    std::istringstream in(withCells([](std::vector<std::string>&) {}),
+                          std::ios::binary);
+    EXPECT_NO_THROW(victim.restoreCheckpoint(in));
+  }
+  {
+    SCOPED_TRACE("duplicate target");
+    expectRestoreError<CheckpointFormatError>(
+        withCells([](std::vector<std::string>& c) { c[1] = c[0]; }), config);
+  }
+  {
+    SCOPED_TRACE("descending targets");
+    expectRestoreError<CheckpointFormatError>(
+        withCells([](std::vector<std::string>& c) { std::swap(c[0], c[1]); }),
+        config);
+  }
+  {
+    SCOPED_TRACE("target past the population");
+    expectRestoreError<CheckpointFormatError>(
+        withCells([hosts](std::vector<std::string>& c) {
+          const auto target = static_cast<std::uint32_t>(hosts);
+          std::memcpy(c.back().data(), &target, 4);
+        }),
+        config);
+  }
+}
+
+TEST(SnapshotHostileTest, AvmonFoldCursorPastTraceBehindValidCrc) {
+  // With the fold task stopped, the timer re-arm never looks at the
+  // cursor; one at or past the trace's epoch count would only fail
+  // mid-run, when a new target's catch-up loop reads past the last epoch.
+  const core::SimulationConfig config = avmonDonorScenario().config;
+  const std::uint64_t epochs = AvmemSimulation(config).trace().epochCount();
+  expectRestoreError<CheckpointFormatError>(
+      mutateAvmn([epochs](std::string& payload) {
+        std::memcpy(payload.data(), &epochs, 8);
+        payload[kAvmnRunningOffset] = 0;
+      }),
+      config);
 }
 
 TEST(SnapshotHostileTest, ConfigFingerprintMismatch) {
