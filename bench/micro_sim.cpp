@@ -1,8 +1,12 @@
-// Micro-benchmarks: discrete-event engine throughput.
+// Micro-benchmarks: discrete-event engine throughput and the worker
+// pool's fork/join cost.
 #include <benchmark/benchmark.h>
 
-#include "sim/simulator.hpp"
+#include <vector>
+
 #include "sim/random.hpp"
+#include "sim/simulator.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace {
 
@@ -74,6 +78,27 @@ void BM_RngStreams(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngStreams);
+
+void BM_PoolRun(benchmark::State& state) {
+  // Back-to-back run() calls of trivial tasks on a pool of every hardware
+  // thread: what one plan batch pays for fan-out and join, beyond its
+  // work. Slot firings and shuffle delivery batches are mostly 4-15 tasks.
+  const auto tasks = static_cast<std::size_t>(state.range(0));
+  sim::WorkerPool pool(sim::WorkerPool::defaultThreadCount());
+  std::vector<std::size_t> out(tasks);
+  const sim::WorkerPool::TaskFn write = [&out](std::size_t i) {
+    out[i] = i;
+    benchmark::DoNotOptimize(out[i]);
+  };
+  for (auto _ : state) {
+    pool.run(tasks, write);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tasks));
+}
+BENCHMARK(BM_PoolRun)->Arg(2)->Arg(8)->Arg(40)->UseRealTime();
 
 }  // namespace
 

@@ -18,8 +18,10 @@ namespace {
 constexpr std::uint64_t kLegRequestDelivery = 0;
 constexpr std::uint64_t kLegReplyDelivery = 1;
 
-/// Delivery-batch group fan-out only pays off past a few groups (the pool
-/// barrier costs about as much as planning one tiny group).
+/// Delivery-batch group fan-out only pays off past a few groups: a
+/// back-to-back pool handoff of two trivial tasks costs 0.7–1.0 µs
+/// (`BM_PoolRun/2` in bench/micro_sim.cpp, 4 lanes, 4-vCPU Xeon), and a
+/// batch that finds the workers parked pays a wakeup on top.
 constexpr std::size_t kMinGroupsForFanOut = 4;
 
 }  // namespace

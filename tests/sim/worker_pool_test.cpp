@@ -1,13 +1,19 @@
 // The maintenance worker pool: every task exactly once, barrier semantics,
-// reuse across batches, and exception propagation.
+// reuse across batches, and exception propagation — on both wait paths
+// (workers spinning between back-to-back batches, and parked after an
+// idle gap longer than the spin bound).
 #include "sim/worker_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -95,6 +101,28 @@ TEST(WorkerPoolTest, PropagatesTaskException) {
   EXPECT_EQ(ran.load(), 10);
 }
 
+TEST(WorkerPoolTest, ExceptionAbandonsTheRestAndRunsNothingTwice) {
+  // Chunked claims (4 lanes, 10k tasks): the throwing lane closes the
+  // claim word; chunks other lanes already hold still finish. No task may
+  // run twice, and the join must still see the whole batch retired.
+  WorkerPool pool(4);
+  constexpr std::size_t kTasks = 10'000;
+  for (std::size_t round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> hits(kTasks);
+    const std::size_t thrower = round * 487 % kTasks;
+    EXPECT_THROW(pool.run(kTasks,
+                          [&hits, thrower](std::size_t i) {
+                            hits[i].fetch_add(1, std::memory_order_relaxed);
+                            if (i == thrower) throw std::runtime_error("x");
+                          }),
+                 std::runtime_error);
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      ASSERT_LE(hits[i].load(), 1) << "round " << round << " task " << i;
+    }
+    EXPECT_EQ(hits[thrower].load(), 1);
+  }
+}
+
 TEST(WorkerPoolTest, ResultsIndependentOfThreadCount) {
   // The plan-phase contract in miniature: each task derives its own
   // counter-based stream and writes only its own slot, so any thread
@@ -111,6 +139,104 @@ TEST(WorkerPoolTest, ResultsIndependentOfThreadCount) {
   const auto serial = compute(1);
   EXPECT_EQ(compute(2), serial);
   EXPECT_EQ(compute(8), serial);
+}
+
+/// Lanes that fit the host's hardware threads, so the pool spins between
+/// batches (at least 2, so there is a worker to hand off to).
+std::size_t spinningLanes() {
+  return std::max<std::size_t>(
+      2, std::min<std::size_t>(4, WorkerPool::defaultThreadCount()));
+}
+
+/// Longer than the pool's spin bound, so waiting workers park.
+constexpr auto kIdleGap = std::chrono::milliseconds(5);
+
+/// Runs one batch of `n` tasks (n <= 16) that write plain, unsynchronized
+/// slots, and checks after run() returns that each task ran exactly once
+/// and that its writes are visible. A task run twice on two lanes is a
+/// data race the thread sanitizer reports.
+void runCheckedBatch(WorkerPool& pool, std::uint64_t batch, std::size_t n) {
+  std::uint64_t out[16] = {};
+  int hits[16] = {};
+  pool.run(n, [&out, &hits, batch](std::size_t i) {
+    out[i] = batch * 16 + i;
+    ++hits[i];
+  });
+  for (std::size_t i = 0; i < 16; ++i) {
+    ASSERT_EQ(hits[i], i < n ? 1 : 0) << "batch " << batch << " task " << i;
+    ASSERT_EQ(out[i], i < n ? batch * 16 + i : 0)
+        << "batch " << batch << " task " << i;
+  }
+}
+
+TEST(WorkerPoolTest, BackToBackSmallBatchesSpinPath) {
+  // The plan phase's shape: many small batches with no gap, so workers
+  // are still spinning when the next one is published.
+  WorkerPool pool(spinningLanes());
+  constexpr std::uint64_t kBatches = 100'000;
+  for (std::uint64_t b = 0; b < kBatches; ++b) {
+    runCheckedBatch(pool, b, 2 + b % 8);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(WorkerPoolTest, IdleGapsParkAndWake) {
+  // Each gap outlasts the spin bound: every batch wakes parked workers,
+  // and the caller may park for the join.
+  WorkerPool pool(spinningLanes());
+  for (std::uint64_t b = 0; b < 20; ++b) {
+    std::this_thread::sleep_for(kIdleGap);
+    runCheckedBatch(pool, b, 2 + b % 8);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(WorkerPoolTest, ExceptionWhileWorkersHotKeepsPool) {
+  WorkerPool pool(spinningLanes());
+  for (std::uint64_t round = 0; round < 200; ++round) {
+    runCheckedBatch(pool, round, 9);  // workers hot
+    if (HasFatalFailure()) return;
+    EXPECT_THROW(pool.run(9,
+                          [round](std::size_t i) {
+                            if (i == round % 9) throw std::runtime_error("x");
+                          }),
+                 std::runtime_error);
+    runCheckedBatch(pool, round, 2 + round % 8);  // the next batch runs
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(WorkerPoolTest, DestroysSpinningAndParkedWorkers) {
+  for (int i = 0; i < 50; ++i) {
+    // Straight after a batch: workers are still spinning.
+    auto hot = std::make_unique<WorkerPool>(spinningLanes());
+    runCheckedBatch(*hot, 1, 8);
+    hot.reset();
+  }
+  for (int i = 0; i < 5; ++i) {
+    // After an idle gap: workers are parked.
+    auto idle = std::make_unique<WorkerPool>(spinningLanes());
+    runCheckedBatch(*idle, 1, 8);
+    std::this_thread::sleep_for(kIdleGap);
+    idle.reset();
+  }
+  for (int i = 0; i < 200; ++i) {
+    // Never used, destroyed at once: some workers start only after the
+    // destructor asked them to stop.
+    WorkerPool unused(spinningLanes());
+  }
+}
+
+TEST(WorkerPoolTest, OversubscribedPoolParksAndStaysCorrect) {
+  // More lanes than hardware threads: the pool never spins, every wait
+  // parks at once.
+  WorkerPool pool(4 * WorkerPool::defaultThreadCount());
+  for (std::uint64_t b = 0; b < 2'000; ++b) {
+    runCheckedBatch(pool, b, 2 + b % 15);
+    if (HasFatalFailure()) return;
+  }
+  std::this_thread::sleep_for(kIdleGap);
+  runCheckedBatch(pool, 0, 16);
 }
 
 TEST(RngStreamTest, PureFunctionOfSeedMemberRound) {
