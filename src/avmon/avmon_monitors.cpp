@@ -281,7 +281,8 @@ AvmonSystem::SavedState AvmonSystem::saveState() const {
   for (NodeIndex t = 0; t < n; ++t) {
     if (ready_[t].load(std::memory_order_acquire) == 0) continue;
     const TargetCell& cell = *cells_[t];
-    s.cells.push_back(SavedState::Cell{t, cell.samples, cell.up});
+    s.cells.push_back(
+        SavedState::Cell{.target = t, .samples = cell.samples, .up = cell.up});
   }
   return s;
 }

@@ -7,6 +7,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -220,16 +221,17 @@ class AvmemNode {
   /// availabilities; the horizontal sliver is cleared.
   void adoptCoarseView(std::span<const NodeIndex> view);
 
-  /// Warm-state restore (snapshot/): install checkpointed protocol state
-  /// wholesale. Slivers arrive through SliverList::restore so timestamps
-  /// and entry order survive exactly; counters resume from their saved
-  /// values so post-restore stats equal a straight-through run's.
-  void restoreState(double selfAv, SliverList hs, SliverList vs,
-                    const NodeStats& stats) {
-    selfAv_ = selfAv;
-    hs_ = std::move(hs);
-    vs_ = std::move(vs);
-    stats_ = stats;
+  /// Checkpointing (snapshot/): the protocol state a warm restore carries
+  /// — self-estimate, counters and both slivers. A restore fills a staged
+  /// node through the mutable overload and move-assigns it over the live
+  /// one only after the whole checkpoint has validated, so counters resume
+  /// from their saved values and post-restore stats equal a
+  /// straight-through run's.
+  [[nodiscard]] auto persistedState() const noexcept {
+    return std::tie(selfAv_, stats_, hs_, vs_);
+  }
+  [[nodiscard]] auto persistedState() noexcept {
+    return std::tie(selfAv_, stats_, hs_, vs_);
   }
 
   /// Drop a neighbor known to be unreachable (failure feedback from

@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
-#include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -141,32 +141,18 @@ class SliverList {
     refreshedAt_.clear();
   }
 
-  // Remaining flat-array views, for checkpointing (snapshot/): upsert()
-  // stamps `now`, so a faithful restore must install the original
-  // timestamps wholesale instead of replaying inserts.
-  [[nodiscard]] std::span<const sim::SimTime> addedTimes() const noexcept {
-    return addedAt_;
+  /// The four parallel arrays, for checkpointing (snapshot/): upsert()
+  /// stamps `now`, so a faithful restore installs the original timestamps
+  /// wholesale instead of replaying inserts, and keeps entry order exactly
+  /// (swap-with-back removal makes order a function of operation history,
+  /// so a restored list must match it element-for-element to stay
+  /// bit-identical going forward). A restore that fills them through the
+  /// mutable overload must leave them equally long.
+  [[nodiscard]] auto persistedArrays() const noexcept {
+    return std::tie(peers_, avs_, addedAt_, refreshedAt_);
   }
-  [[nodiscard]] std::span<const sim::SimTime> refreshedTimes()
-      const noexcept {
-    return refreshedAt_;
-  }
-
-  /// Warm-state restore (snapshot/): replace the whole list, timestamps
-  /// included, preserving entry order exactly (swap-with-back removal
-  /// makes order a function of operation history, so a restored list must
-  /// match it element-for-element to stay bit-identical going forward).
-  void restore(std::vector<NodeIndex> peers, std::vector<double> avs,
-               std::vector<sim::SimTime> addedAt,
-               std::vector<sim::SimTime> refreshedAt) {
-    if (peers.size() != avs.size() || peers.size() != addedAt.size() ||
-        peers.size() != refreshedAt.size()) {
-      throw std::invalid_argument("SliverList::restore: ragged arrays");
-    }
-    peers_ = std::move(peers);
-    avs_ = std::move(avs);
-    addedAt_ = std::move(addedAt);
-    refreshedAt_ = std::move(refreshedAt);
+  [[nodiscard]] auto persistedArrays() noexcept {
+    return std::tie(peers_, avs_, addedAt_, refreshedAt_);
   }
 
  private:

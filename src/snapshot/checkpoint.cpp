@@ -1,12 +1,22 @@
-// The checkpoint orchestrator: walks every state owner's saveState /
-// restoreState pair through the CheckpointAccess friend seam and frames
-// the result with snapshot_io. See checkpoint.hpp for the contract.
+// The checkpoint orchestrator. Each section and each record in it has one
+// persist function that lists its fields once; a Writer archive runs it to
+// save and a Reader archive runs it to restore, so the two paths cannot
+// drift apart. A single section table drives both. State reaches the
+// sections through the owners' SavedState structs and the CheckpointAccess
+// friend seam, and snapshot_io frames the result. See checkpoint.hpp for
+// the contract.
 #include "snapshot/checkpoint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <set>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,22 +30,6 @@ namespace {
 
 using core::AvmemSimulation;
 using core::SimulationConfig;
-
-// Section tags. A reader skips tags it does not know; adding a section is
-// forward-compatible, changing an existing section's layout bumps
-// kFormatVersion.
-constexpr std::uint32_t kSecSim = fourcc('S', 'I', 'M', 'U');
-constexpr std::uint32_t kSecNodes = fourcc('N', 'O', 'D', 'S');
-constexpr std::uint32_t kSecEngine = fourcc('E', 'N', 'G', 'S');
-constexpr std::uint32_t kSecWheels = fourcc('W', 'H', 'L', 'S');
-constexpr std::uint32_t kSecShuffle = fourcc('S', 'H', 'F', 'V');
-constexpr std::uint32_t kSecChannel = fourcc('C', 'H', 'A', 'N');
-constexpr std::uint32_t kSecFeed = fourcc('F', 'E', 'E', 'D');
-constexpr std::uint32_t kSecNetwork = fourcc('N', 'E', 'T', 'W');
-constexpr std::uint32_t kSecRng = fourcc('S', 'R', 'N', 'G');
-constexpr std::uint32_t kSecMarkov = fourcc('M', 'R', 'K', 'V');
-constexpr std::uint32_t kSecFault = fourcc('F', 'A', 'L', 'T');
-constexpr std::uint32_t kSecAvmon = fourcc('A', 'V', 'M', 'N');
 
 // SimTime arrays are serialized as raw memory; keep that honest.
 static_assert(std::is_trivially_copyable_v<sim::SimTime> &&
@@ -65,119 +59,121 @@ struct Mixer {
   }
 };
 
-// --- shared layouts ---------------------------------------------------------
+// --- archives ---------------------------------------------------------------
+//
+// Every record and section has ONE persist function, a template over the
+// archive that visits its fields in on-disk order. Writer appends each field
+// to a section payload; Reader parses it back out of a CRC-verified payload
+// into staging state, enforcing the hostile-input bounds as it goes. Writer
+// sees the state const (Io<Writer, T> is const T), so saving cannot mutate
+// the world it saves.
 
-void writeRngState(SectionWriter& sec,
-                   const std::array<std::uint64_t, 4>& s) {
-  for (const std::uint64_t w : s) sec.u64(w);
-}
+template <class Ar, class T>
+using Io = std::conditional_t<Ar::kLoading, T, const T>;
 
-std::array<std::uint64_t, 4> readRngState(Cursor& c) {
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& w : s) w = c.u64();
-  return s;
-}
+/// A field persisted as its in-memory bytes must have no padding (those
+/// bytes are indeterminate) and must not be an enum (enumeration() checks
+/// an enum's range on restore).
+template <class T>
+constexpr bool kPlainField =
+    !std::is_enum_v<T> && (std::has_unique_object_representations_v<T> ||
+                           std::is_floating_point_v<T>);
 
-void writeSliver(SectionWriter& sec, const core::SliverList& sl) {
-  sec.raw<net::NodeIndex>(sl.peers());
-  sec.raw<double>(sl.cachedAvs());
-  sec.raw<sim::SimTime>(sl.addedTimes());
-  sec.raw<sim::SimTime>(sl.refreshedTimes());
-}
+// The ways a restore bounds an element count before allocating for it.
+/// The count must equal the staging container's size, set from the
+/// target system beforehand (a population or bucket count).
+struct SameSize {
+  const char* what;
+};
+/// At most `most` elements.
+struct AtMost {
+  std::size_t most;
+  const char* what;
+};
+/// Records of `recordBytes` each must fit in the rest of the payload.
+struct Fits {
+  std::size_t recordBytes;
+  const char* what;
+};
 
-core::SliverList readSliver(Cursor& c) {
-  auto peers = c.raw<net::NodeIndex>();
-  auto avs = c.raw<double>();
-  auto added = c.raw<sim::SimTime>();
-  auto refreshed = c.raw<sim::SimTime>();
-  if (avs.size() != peers.size() || added.size() != peers.size() ||
-      refreshed.size() != peers.size()) {
-    throw CheckpointFormatError("checkpoint sliver: ragged arrays");
+class Writer {
+ public:
+  static constexpr bool kLoading = false;
+  explicit Writer(SectionWriter& sec) : sec_(sec) {}
+
+  template <class... T>
+  void operator()(const T&... fields) {
+    static_assert((kPlainField<T> && ...));
+    (sec_.pod(fields), ...);
   }
-  core::SliverList sl;
-  sl.restore(std::move(peers), std::move(avs), std::move(added),
-             std::move(refreshed));
-  return sl;
-}
-
-void writeNodeStats(SectionWriter& sec, const core::NodeStats& st) {
-  sec.u64(st.discoveryRounds);
-  sec.u64(st.refreshRounds);
-  sec.u64(st.neighborsDiscovered);
-  sec.u64(st.neighborsEvicted);
-  sec.u64(st.availabilityQueries);
-  sec.u64(st.verificationQueries);
-  sec.u64(st.messagesVerified);
-  sec.u64(st.messagesRejected);
-}
-
-core::NodeStats readNodeStats(Cursor& c) {
-  core::NodeStats st;
-  st.discoveryRounds = c.u64();
-  st.refreshRounds = c.u64();
-  st.neighborsDiscovered = c.u64();
-  st.neighborsEvicted = c.u64();
-  st.availabilityQueries = c.u64();
-  st.verificationQueries = c.u64();
-  st.messagesVerified = c.u64();
-  st.messagesRejected = c.u64();
-  return st;
-}
-
-/// ShuffleMsg goes field-by-field: the struct has padding, and padding
-/// bytes are indeterminate — serializing them would break the round-trip
-/// byte-identity property (and leak uninitialized memory into the file).
-void writeShuffleMsg(SectionWriter& sec, const net::ShuffleMsg& m) {
-  sec.u8(static_cast<std::uint8_t>(m.kind));
-  sec.u32(m.src);
-  sec.u32(m.dst);
-  sec.u32(m.payloadOffset);
-  sec.u32(m.payloadCount);
-  sec.u32(m.echoOffset);
-  sec.u32(m.echoCount);
-  sec.u64(m.seq);
-  sec.u64(m.order);
-  sec.i64(m.dueUs);
-  sec.i64(m.rawDueUs);
-}
-
-net::ShuffleMsg readShuffleMsg(Cursor& c) {
-  net::ShuffleMsg m{};
-  const std::uint8_t kind = c.u8();
-  if (kind > static_cast<std::uint8_t>(net::ShuffleMsg::Kind::kTimeout)) {
-    throw CheckpointFormatError("checkpoint channel: unknown message kind");
+  /// An enum as its underlying integer; `last` bounds the reader.
+  template <class E>
+  void enumeration(const E& value, E /*last*/, const char* /*what*/) {
+    sec_.pod(value);
   }
-  m.kind = static_cast<net::ShuffleMsg::Kind>(kind);
-  m.src = c.u32();
-  m.dst = c.u32();
-  m.payloadOffset = c.u32();
-  m.payloadCount = c.u32();
-  m.echoOffset = c.u32();
-  m.echoCount = c.u32();
-  m.seq = c.u64();
-  m.order = c.u64();
-  m.dueUs = c.i64();
-  m.rawDueUs = c.i64();
-  return m;
-}
-
-void writeBuckets(SectionWriter& sec,
-                  const std::vector<std::vector<net::NodeIndex>>& buckets) {
-  sec.u64(buckets.size());
-  for (const auto& b : buckets) sec.raw<net::NodeIndex>(b);
-}
-
-std::vector<std::vector<net::NodeIndex>> readBuckets(Cursor& c,
-                                                     std::size_t expect) {
-  const std::uint64_t count = c.u64();
-  if (count != expect) {
-    throw CheckpointFormatError("checkpoint feed: bucket count mismatch");
+  /// Length-prefixed bulk array (the memcpy path).
+  template <class T>
+  void array(const std::vector<T>& values) {
+    sec_.raw<T>(values);
   }
-  std::vector<std::vector<net::NodeIndex>> buckets(
-      static_cast<std::size_t>(count));
-  for (auto& b : buckets) b = c.raw<net::NodeIndex>();
-  return buckets;
-}
+  /// u64 element count; the caller persists the elements.
+  template <class V, class Bound>
+  void count(const V& values, Bound /*bound*/) {
+    sec_.pod<std::uint64_t>(values.size());
+  }
+  /// Restore-side validation; the writer trusts its own state.
+  void check(bool /*ok*/, const char* /*what*/) {}
+
+ private:
+  SectionWriter& sec_;
+};
+
+class Reader {
+ public:
+  static constexpr bool kLoading = true;
+  explicit Reader(Cursor& cursor) : c_(cursor) {}
+
+  template <class... T>
+  void operator()(T&... fields) {
+    static_assert((kPlainField<T> && ...));
+    ((fields = c_.pod<T>()), ...);
+  }
+  template <class E>
+  void enumeration(E& value, E last, const char* what) {
+    using U = std::underlying_type_t<E>;
+    const U raw = c_.pod<U>();
+    check(raw <= static_cast<U>(last), what);
+    value = static_cast<E>(raw);
+  }
+  template <class T>
+  void array(std::vector<T>& values) {
+    values = c_.raw<T>();
+  }
+  template <class V>
+  void count(V& values, SameSize bound) {
+    check(c_.pod<std::uint64_t>() == values.size(), bound.what);
+  }
+  template <class V>
+  void count(V& values, AtMost bound) {
+    const auto n = c_.pod<std::uint64_t>();
+    check(n <= bound.most, bound.what);
+    values.resize(static_cast<std::size_t>(n));
+  }
+  template <class V>
+  void count(V& values, Fits bound) {
+    const auto n = c_.pod<std::uint64_t>();
+    check(n <= c_.remaining() / bound.recordBytes, bound.what);
+    values.resize(static_cast<std::size_t>(n));
+  }
+  void check(bool ok, const char* what) {
+    if (!ok) throw CheckpointFormatError(what);
+  }
+
+ private:
+  Cursor& c_;
+};
+
+// --- records ----------------------------------------------------------------
 
 /// One saved armed wheel slot. `seq` is a queue tie-break key: raw while
 /// collecting, then normalized to a dense rank (see rankSavedEvents)
@@ -187,6 +183,305 @@ struct SlotRecord {
   std::int64_t fireAtUs = 0;
   std::uint64_t seq = 0;
 };
+constexpr std::size_t kSlotRecordBytes = 4 + 8 + 8;
+
+/// One saved periodic timer outside the wheels (an attacker campaign
+/// stage, the AVMON epoch fold): whether it runs, and if so when it next
+/// fires and its tie-break rank.
+struct TimerRecord {
+  std::uint8_t running = 0;
+  std::int64_t fireAtUs = 0;
+  std::uint64_t seq = 0;
+};
+/// A FALT record: the stage's timer plus its completed sweep count.
+constexpr std::size_t kAttackRecordBytes = 1 + 8 + 8 + 8;
+
+/// A CHAN heap entry, field by field.
+constexpr std::size_t kShuffleMsgBytes = 1 + 6 * 4 + 2 * 8 + 2 * 8;
+
+template <class Ar>
+void persist(Ar& ar, Io<Ar, SlotRecord>& r) {
+  ar(r.slot, r.fireAtUs, r.seq);
+}
+
+template <class Ar>
+void persist(Ar& ar, Io<Ar, TimerRecord>& t) {
+  ar(t.running, t.fireAtUs, t.seq);
+}
+
+/// ShuffleMsg goes field by field: the struct has padding, and padding
+/// bytes are indeterminate — serializing them would break the round-trip
+/// byte-identity property (and leak uninitialized memory into the file).
+template <class Ar>
+void persist(Ar& ar, Io<Ar, net::ShuffleMsg>& m) {
+  ar.enumeration(m.kind, net::ShuffleMsg::Kind::kTimeout,
+                 "checkpoint channel: unknown message kind");
+  ar(m.src, m.dst, m.payloadOffset, m.payloadCount, m.echoOffset,
+     m.echoCount, m.seq, m.order, m.dueUs, m.rawDueUs);
+}
+
+/// The SoA sliver arrays, raw.
+template <class Ar>
+void persist(Ar& ar, Io<Ar, core::SliverList>& sl) {
+  auto [peers, avs, added, refreshed] = sl.persistedArrays();
+  ar.array(peers);
+  ar.array(avs);
+  ar.array(added);
+  ar.array(refreshed);
+  ar.check(avs.size() == peers.size() && added.size() == peers.size() &&
+               refreshed.size() == peers.size(),
+           "checkpoint sliver: ragged arrays");
+}
+
+template <class Ar>
+void persist(Ar& ar, Io<Ar, core::AvmemNode>& node) {
+  auto [selfAv, st, hs, vs] = node.persistedState();
+  ar(selfAv, st.discoveryRounds, st.refreshRounds, st.neighborsDiscovered,
+     st.neighborsEvicted, st.availabilityQueries, st.verificationQueries,
+     st.messagesVerified, st.messagesRejected);
+  persist(ar, hs);
+  persist(ar, vs);
+}
+
+// --- sections ---------------------------------------------------------------
+
+/// What the target system has, read from it on both paths: it decides
+/// which sections exist and bounds what a restore accepts.
+struct Context {
+  std::size_t hosts = 0;
+  std::size_t traceEpochs = 0;
+  bool hasFeed = false;
+  bool hasFault = false;
+  bool hasAvmon = false;
+  bool hasMarkov = false;
+};
+
+/// Everything a checkpoint carries. save() gathers it from the live world;
+/// restore() parses into it, validates, and only then installs it.
+template <class Ar>
+struct World {
+  Context ctx;
+  // SIMU: the clock and the executed-event count.
+  std::int64_t nowUs = 0;
+  std::uint64_t executed = 0;
+  // NODS: the live nodes on save, staged ones on restore.
+  std::span<Io<Ar, core::AvmemNode>> nodes;
+  // ENGS
+  core::MembershipEngineStats engine;
+  // WHLS: the discovery, refresh and shuffle wheels' armed slots.
+  std::array<std::vector<SlotRecord>, 3> wheels;
+  // SHFV + CHAN (the channel's armed wake is channel.scheduledWakeUs).
+  avmon::ShuffleService::SavedState shuffle;
+  std::uint64_t wakeSeq = 0;
+  // FEED
+  core::CandidateFeed::SavedState feed;
+  std::uint64_t sealSeq = 0;
+  // NETW
+  net::Network::SavedState network;
+  // FALT: one timer per attack stage, beside fault.attackSweepsDone.
+  fault::FaultInjector::SavedState fault;
+  std::vector<TimerRecord> attackTimers;
+  // AVMN
+  avmon::AvmonSystem::SavedState avmon;
+  TimerRecord avmonTimer;
+  // SRNG
+  std::array<std::uint64_t, 4> facadeRng{};
+  // MRKV
+  std::vector<std::uint64_t> markovCursors;
+};
+
+/// SIMU: restoring `executed` keeps the scale-sweep `events` column
+/// comparable across the restore boundary (a thread-invariance key).
+template <class Ar>
+void persistSimu(Ar& ar, World<Ar>& w) {
+  ar(w.nowUs, w.executed);
+}
+
+/// NODS: per-node protocol state.
+template <class Ar>
+void persistNods(Ar& ar, World<Ar>& w) {
+  ar.count(w.nodes, SameSize{"checkpoint nodes: population mismatch"});
+  for (auto& node : w.nodes) persist(ar, node);
+}
+
+/// ENGS: engine counters.
+template <class Ar>
+void persistEngs(Ar& ar, World<Ar>& w) {
+  auto& e = w.engine;
+  ar(e.discoveryRounds, e.refreshRounds, e.skippedOffline, e.feedCandidates);
+}
+
+/// WHLS: fire times and tie-break ranks only; slot *membership* is
+/// reproduced from RNG state on restore and cross-checked against these
+/// records.
+template <class Ar>
+void persistWhls(Ar& ar, World<Ar>& w) {
+  for (auto& wheel : w.wheels) {
+    ar.count(wheel, Fits{kSlotRecordBytes,
+                         "checkpoint wheel: slot count exceeds payload"});
+    for (auto& rec : wheel) persist(ar, rec);
+  }
+}
+
+/// SHFV: coarse views, rounds, stream seeds and the post-bootstrap RNG.
+template <class Ar>
+void persistShfv(Ar& ar, World<Ar>& w) {
+  auto& s = w.shuffle;
+  ar.count(s.views, SameSize{"checkpoint views: population mismatch"});
+  for (auto& view : s.views) ar.array(view);
+  ar.array(s.rounds);
+  ar(s.completedShuffles, s.planSeed, s.wireSeed, s.rngState);
+}
+
+/// CHAN: every in-flight shuffle leg (heap array order preserved — pops
+/// depend on the layout), the arena, ack bookkeeping, the armed wake
+/// (instant + tie-break rank) and the wire RNG.
+template <class Ar>
+void persistChan(Ar& ar, World<Ar>& w) {
+  auto& ch = w.shuffle.channel;
+  ar.count(ch.heap, Fits{kShuffleMsgBytes,
+                         "checkpoint channel: heap length exceeds payload"});
+  for (auto& msg : ch.heap) persist(ar, msg);
+  ar.array(ch.arena);
+  ar(ch.liveEntries);
+  ar.array(ch.awaitingAck);
+  ar(ch.nextSeq, ch.nextOrder, ch.scheduledWakeUs, w.wakeSeq, ch.rngState);
+}
+
+/// FEED: both directory sides plus the seal timer.
+template <class Ar>
+void persistFeed(Ar& ar, World<Ar>& w) {
+  auto& f = w.feed;
+  ar.count(f.frozenBuckets,
+           SameSize{"checkpoint feed: bucket count mismatch"});
+  for (auto& bucket : f.frozenBuckets) ar.array(bucket);
+  ar(f.frozenPopulation);
+  ar.count(f.buildingBuckets,
+           SameSize{"checkpoint feed: bucket count mismatch"});
+  for (auto& bucket : f.buildingBuckets) ar.array(bucket);
+  ar(f.buildingPopulation);
+  ar.array(f.publishedInEpoch);
+  ar.check(f.publishedInEpoch.size() == w.ctx.hosts,
+           "checkpoint feed: population mismatch");
+  ar(f.sealedEpochs, f.sealNextFireAtUs, w.sealSeq);
+}
+
+/// NETW: wire counters and the latency RNG.
+template <class Ar>
+void persistNetw(Ar& ar, World<Ar>& w) {
+  auto& st = w.network.stats;
+  ar(st.sent, st.delivered, st.rejected, st.droppedOffline, st.acksSent,
+     st.ackTimeouts, st.bytesSent, st.duplicated, st.injectedDrops,
+     w.network.rngState);
+}
+
+/// FALT: the fault injector's counter streams, tallies, and attacker
+/// campaign timers. The campaign itself is not serialized — the config
+/// fingerprint already pins it.
+template <class Ar>
+void persistFalt(Ar& ar, World<Ar>& w) {
+  auto& f = w.fault;
+  ar(f.wireSeq, f.stats.injectedDrops, f.stats.duplicated, f.stats.delayed,
+     f.stats.attackSweeps, f.stats.attackTargets, f.stats.attackAccepted);
+  ar.count(w.attackTimers,
+           Fits{kAttackRecordBytes,
+                "checkpoint fault: attack count exceeds payload"});
+  if constexpr (Ar::kLoading) {
+    f.attackSweepsDone.resize(w.attackTimers.size());
+  }
+  for (std::size_t i = 0; i < w.attackTimers.size(); ++i) {
+    persist(ar, w.attackTimers[i]);
+    ar(f.attackSweepsDone[i]);
+  }
+}
+
+/// AVMN: the fold cursor, ping accounting, the epoch-task timer, and the
+/// materialized counter cells (monitor lists are a pure hash, rebuilt and
+/// cross-checked on restore).
+template <class Ar>
+void persistAvmn(Ar& ar, World<Ar>& w) {
+  auto& s = w.avmon;
+  ar(s.advancedEpochs);
+  // The fold cursor never passes the last epoch (AvmonSystem::start); a
+  // larger one would make the next materialization's catch-up read past
+  // the trace.
+  ar.check(s.advancedEpochs < w.ctx.traceEpochs,
+           "checkpoint avmon: fold cursor past the trace's last epoch");
+  ar(s.pings.sent, s.pings.delivered, s.pings.lostToFaults, s.pings.bytes);
+  persist(ar, w.avmonTimer);
+  ar.count(s.cells, AtMost{w.ctx.hosts,
+                           "checkpoint avmon: cell count exceeds population"});
+  for (std::size_t i = 0; i < s.cells.size(); ++i) {
+    auto& cell = s.cells[i];
+    ar(cell.target);
+    // The writer emits distinct in-range targets in ascending order; a
+    // duplicate would silently replace the earlier cell's counters.
+    ar.check(cell.target < w.ctx.hosts &&
+                 (i == 0 || cell.target > s.cells[i - 1].target),
+             "checkpoint avmon: cell targets out of range or not strictly "
+             "ascending");
+    ar.array(cell.samples);
+    ar.array(cell.up);
+  }
+}
+
+/// SRNG: the facade RNG (pickInitiator draws) — restoring it keeps
+/// post-restore anycast batches identical to a straight-through run.
+template <class Ar>
+void persistSrng(Ar& ar, World<Ar>& w) {
+  ar(w.facadeRng);
+}
+
+/// MRKV: the Markov trace's per-host cursors. Pure caches — omitting them
+/// changes no answer — but restoring them makes the first post-restore
+/// epoch O(1) per host instead of a block replay.
+template <class Ar>
+void persistMrkv(Ar& ar, World<Ar>& w) {
+  ar.array(w.markovCursors);
+  ar.check(w.markovCursors.size() == w.ctx.hosts,
+           "checkpoint markov: cursor count mismatch");
+}
+
+/// One checkpoint section. A section with an `owner` exists iff that
+/// owner is active in the system; restore requires every section that
+/// exists to be present, unless it is optional (a pure cache).
+template <class Ar>
+struct Section {
+  std::uint32_t tag;
+  bool Context::*owner;  ///< nullptr: every system has it
+  bool optional;
+  void (*persist)(Ar&, World<Ar>&);
+};
+
+/// The format, in file order. A reader skips tags it does not know; adding
+/// a section is forward-compatible, changing an existing section's layout
+/// bumps kFormatVersion.
+template <class Ar>
+constexpr Section<Ar> kSections[] = {
+    {fourcc('S', 'I', 'M', 'U'), nullptr, false, persistSimu<Ar>},
+    {fourcc('N', 'O', 'D', 'S'), nullptr, false, persistNods<Ar>},
+    {fourcc('E', 'N', 'G', 'S'), nullptr, false, persistEngs<Ar>},
+    {fourcc('W', 'H', 'L', 'S'), nullptr, false, persistWhls<Ar>},
+    {fourcc('S', 'H', 'F', 'V'), nullptr, false, persistShfv<Ar>},
+    {fourcc('C', 'H', 'A', 'N'), nullptr, false, persistChan<Ar>},
+    {fourcc('F', 'E', 'E', 'D'), &Context::hasFeed, false, persistFeed<Ar>},
+    {fourcc('N', 'E', 'T', 'W'), nullptr, false, persistNetw<Ar>},
+    {fourcc('F', 'A', 'L', 'T'), &Context::hasFault, false, persistFalt<Ar>},
+    {fourcc('A', 'V', 'M', 'N'), &Context::hasAvmon, false, persistAvmn<Ar>},
+    {fourcc('S', 'R', 'N', 'G'), nullptr, false, persistSrng<Ar>},
+    {fourcc('M', 'R', 'K', 'V'), &Context::hasMarkov, true, persistMrkv<Ar>},
+};
+
+template <class Ar>
+bool exists(const Section<Ar>& s, const Context& ctx) {
+  return s.owner == nullptr || ctx.*(s.owner);
+}
+
+std::string tagName(std::uint32_t tag) {
+  return std::string(reinterpret_cast<const char*>(&tag), sizeof tag);
+}
+
+// --- event bookkeeping ------------------------------------------------------
 
 std::vector<SlotRecord> collectWheel(const sim::Simulator& simlr,
                                      const sim::ShardedScheduler& wheel,
@@ -208,12 +503,45 @@ std::vector<SlotRecord> collectWheel(const sim::Simulator& simlr,
   return recs;
 }
 
-void writeWheel(SectionWriter& sec, const std::vector<SlotRecord>& recs) {
-  sec.u64(recs.size());
-  for (const SlotRecord& r : recs) {
-    sec.u32(r.slot);
-    sec.i64(r.fireAtUs);
-    sec.u64(r.seq);
+/// One event the gathered world re-arms on restore: its fire time and the
+/// record field holding its queue tie-break seq.
+struct SavedEvent {
+  std::int64_t atUs;
+  std::uint64_t* seq;
+};
+
+std::vector<SavedEvent> savedEvents(World<Writer>& w) {
+  std::vector<SavedEvent> events;
+  for (auto& wheel : w.wheels) {
+    for (SlotRecord& r : wheel) events.push_back({r.fireAtUs, &r.seq});
+  }
+  const std::int64_t wakeUs = w.shuffle.channel.scheduledWakeUs;
+  if (wakeUs != net::ShuffleChannel::kNoWakeSaved) {
+    events.push_back({wakeUs, &w.wakeSeq});
+  }
+  if (w.ctx.hasFeed) events.push_back({w.feed.sealNextFireAtUs, &w.sealSeq});
+  for (TimerRecord& t : w.attackTimers) {
+    if (t.running != 0) events.push_back({t.fireAtUs, &t.seq});
+  }
+  if (w.avmonTimer.running != 0) {
+    events.push_back({w.avmonTimer.fireAtUs, &w.avmonTimer.seq});
+  }
+  return events;
+}
+
+/// Save-time gate: the format captures maintenance-quiescent worlds only.
+/// Every live event must be one the gathered world re-arms on restore;
+/// anything else (an anycast timeout, a multicast horizon, a test's ad-hoc
+/// timer) cannot be reconstructed from state and must fail loudly.
+void verifyEventAccounting(const sim::Simulator& simulator,
+                           std::size_t accounted) {
+  const std::size_t live = simulator.liveEventCount();
+  if (live != accounted) {
+    throw CheckpointUnsupportedError(
+        "checkpoint: " + std::to_string(live) + " live events but only " +
+        std::to_string(accounted) +
+        " accounted maintenance timers — an unfinished management "
+        "operation (anycast/multicast) cannot be checkpointed");
   }
 }
 
@@ -224,62 +552,12 @@ void writeWheel(SectionWriter& sec, const std::vector<SlotRecord>& recs) {
 /// serialization canonical: a restored world re-saves byte-identically,
 /// because its fresh queue hands out seqs 0..k-1 in precisely this order
 /// (the roundtrip property test pins this down).
-void rankSavedEvents(std::vector<std::uint64_t*> seqs,
-                     const std::vector<std::int64_t>& ats) {
-  std::vector<std::size_t> idx(seqs.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return ats[a] != ats[b] ? ats[a] < ats[b] : *seqs[a] < *seqs[b];
-  });
-  std::vector<std::uint64_t> ranks(seqs.size());
-  for (std::size_t r = 0; r < idx.size(); ++r) ranks[idx[r]] = r;
-  for (std::size_t i = 0; i < seqs.size(); ++i) *seqs[i] = ranks[i];
-}
-
-std::vector<SlotRecord> readWheel(Cursor& c) {
-  const std::uint64_t count = c.u64();
-  if (count > c.remaining() / (sizeof(std::uint32_t) +
-                               sizeof(std::int64_t) +
-                               sizeof(std::uint64_t))) {
-    throw CheckpointFormatError(
-        "checkpoint wheel: slot count exceeds payload");
-  }
-  std::vector<SlotRecord> recs(static_cast<std::size_t>(count));
-  for (SlotRecord& r : recs) {
-    r.slot = c.u32();
-    r.fireAtUs = c.i64();
-    r.seq = c.u64();
-  }
-  return recs;
-}
-
-/// Save-time gate: the format captures maintenance-quiescent worlds only.
-/// Every live event must be one of the known re-armable owners; anything
-/// else (an anycast timeout, a multicast horizon, a test's ad-hoc timer)
-/// cannot be reconstructed from state and must fail loudly.
-void verifyEventAccounting(const sim::Simulator& simulator,
-                           const core::MembershipEngine& engine,
-                           const avmon::ShuffleService& shuffle,
-                           bool hasFeed, std::size_t attackTimers,
-                           bool avmonTask) {
-  std::size_t accounted = engine.discoveryScheduler().activeShardCount() +
-                          engine.refreshScheduler().activeShardCount() +
-                          shuffle.scheduler().activeShardCount();
-  if (shuffle.channel().scheduledWakeMicros() !=
-      net::ShuffleChannel::kNoWakeSaved) {
-    ++accounted;
-  }
-  if (hasFeed) ++accounted;  // the periodic seal task
-  accounted += attackTimers;  // running attacker-campaign timers (FALT)
-  if (avmonTask) ++accounted;  // the AVMON epoch-fold timer (AVMN)
-  const std::size_t live = simulator.liveEventCount();
-  if (live != accounted) {
-    throw CheckpointUnsupportedError(
-        "checkpoint: " + std::to_string(live) + " live events but only " +
-        std::to_string(accounted) +
-        " accounted maintenance timers — an unfinished management "
-        "operation (anycast/multicast) cannot be checkpointed");
-  }
+void rankSavedEvents(std::vector<SavedEvent> events) {
+  std::sort(events.begin(), events.end(),
+            [](const SavedEvent& a, const SavedEvent& b) {
+              return a.atUs != b.atUs ? a.atUs < b.atUs : *a.seq < *b.seq;
+            });
+  for (std::size_t r = 0; r < events.size(); ++r) *events[r].seq = r;
 }
 
 /// Tie-break seq of a pending event, required live.
@@ -293,6 +571,15 @@ std::uint64_t liveSeqOf(const sim::Simulator& simulator,
   return seq;
 }
 
+/// A running periodic task's next firing, its raw tie-break seq pending
+/// rankSavedEvents.
+TimerRecord timerOf(const sim::Simulator& simulator,
+                    const sim::PeriodicTask& task, const char* what) {
+  if (!task.running()) return {};
+  return {1, task.nextFireAt().toMicros(),
+          liveSeqOf(simulator, task.pendingHandle(), what)};
+}
+
 /// One deferred re-arm, executed in ascending (fireAt, savedSeq) order so
 /// the fresh event queue reproduces every same-instant tie outcome.
 struct ArmRequest {
@@ -301,23 +588,23 @@ struct ArmRequest {
   std::function<void()> arm;
 };
 
-/// The simulation's availability model may be wrapped in a fault-plan
-/// outage overlay; backend-specific state (the Markov cursor cache)
-/// lives on the inner model either way.
-trace::AvailabilityModel* unwrapOverlay(trace::AvailabilityModel* m) {
+/// The Markov churn model behind the simulation's availability model,
+/// which may be wrapped in a fault-plan outage overlay; null for other
+/// backends.
+trace::MarkovChurnModel* markovOf(trace::AvailabilityModel* m) {
   if (auto* ov = dynamic_cast<fault::OutageOverlayModel*>(m)) {
-    return &ov->inner();
+    m = &ov->inner();
   }
-  return m;
+  return dynamic_cast<trace::MarkovChurnModel*>(m);
 }
 
-/// One saved attacker-campaign timer (FALT section).
-struct AttackRecord {
-  std::uint8_t running = 0;
-  std::int64_t fireAtUs = 0;
-  std::uint64_t seq = 0;       ///< tie-break rank (see rankSavedEvents)
-  std::uint64_t sweepsDone = 0;
-};
+/// A simulation's Context, from the parts only the CheckpointAccess friend
+/// seam can reach.
+Context contextOf(std::size_t hosts, trace::AvailabilityModel* trace,
+                  bool hasFeed, bool hasFault, bool hasAvmon) {
+  return {hosts,          trace->epochCount(), hasFeed,
+          hasFault,       hasAvmon,            markovOf(trace) != nullptr};
+}
 
 }  // namespace
 
@@ -411,100 +698,47 @@ void CheckpointAccess::save(const AvmemSimulation& sim, std::ostream& out) {
         "per-query estimator state the format does not capture (the avmon "
         "overlay checkpoints via its AVMN section as of v3)");
   }
-  std::size_t runningAttackTimers = 0;
-  for (const auto& task : sim.attackTasks_) {
-    if (task->running()) ++runningAttackTimers;
+  World<Writer> w;
+  w.ctx = contextOf(sim.nodes_.size(), sim.trace_.get(), sim.feed_ != nullptr,
+                    sim.fault_ != nullptr, sim.avmonSystem_ != nullptr);
+  w.nowUs = sim.sim_->now().toMicros();
+  w.executed = sim.sim_->executedEvents();
+  w.nodes = sim.nodes_;
+  w.engine = sim.engine_->stats();
+  w.wheels = {
+      collectWheel(*sim.sim_, sim.engine_->discoveryScheduler(), "discovery"),
+      collectWheel(*sim.sim_, sim.engine_->refreshScheduler(), "refresh"),
+      collectWheel(*sim.sim_, sim.shuffle_->scheduler(), "shuffle")};
+  w.shuffle = sim.shuffle_->saveState();
+  if (w.shuffle.channel.scheduledWakeUs !=
+      net::ShuffleChannel::kNoWakeSaved) {
+    w.wakeSeq = liveSeqOf(*sim.sim_, sim.shuffle_->channel().wakeHandle(),
+                          "channel wake");
   }
-  const bool avmonTaskRunning = sim.avmonSystem_ != nullptr &&
-                                sim.avmonSystem_->epochTask().running();
-  verifyEventAccounting(*sim.sim_, *sim.engine_, *sim.shuffle_,
-                        sim.feed_ != nullptr, runningAttackTimers,
-                        avmonTaskRunning);
-
-  // Gather every saved event's (fire time, raw queue seq) up front, then
-  // normalize the seqs to dense ranks so the file is canonical (see
-  // rankSavedEvents).
-  std::vector<SlotRecord> discRecs =
-      collectWheel(*sim.sim_, sim.engine_->discoveryScheduler(), "discovery");
-  std::vector<SlotRecord> refreshRecs =
-      collectWheel(*sim.sim_, sim.engine_->refreshScheduler(), "refresh");
-  std::vector<SlotRecord> shuffleRecs =
-      collectWheel(*sim.sim_, sim.shuffle_->scheduler(), "shuffle");
-
-  const avmon::ShuffleService::SavedState shf = sim.shuffle_->saveState();
-  const bool haveWake =
-      shf.channel.scheduledWakeUs != net::ShuffleChannel::kNoWakeSaved;
-  std::uint64_t wakeSeq =
-      haveWake ? liveSeqOf(*sim.sim_, sim.shuffle_->channel().wakeHandle(),
-                           "channel wake")
-               : 0;
-
-  core::CandidateFeed::SavedState fs;
-  std::uint64_t sealSeq = 0;
   if (sim.feed_ != nullptr) {
-    fs = sim.feed_->saveState();
-    sealSeq = liveSeqOf(*sim.sim_, sim.feed_->sealTask().pendingHandle(),
-                        "feed seal");
+    w.feed = sim.feed_->saveState();
+    w.sealSeq = liveSeqOf(*sim.sim_, sim.feed_->sealTask().pendingHandle(),
+                          "feed seal");
   }
-
-  avmon::AvmonSystem::SavedState avState;
-  std::int64_t avFireAtUs = 0;
-  std::uint64_t avSeq = 0;
-  if (sim.avmonSystem_ != nullptr) {
-    avState = sim.avmonSystem_->saveState();
-    if (avmonTaskRunning) {
-      const sim::PeriodicTask& task = sim.avmonSystem_->epochTask();
-      avFireAtUs = task.nextFireAt().toMicros();
-      avSeq = liveSeqOf(*sim.sim_, task.pendingHandle(), "avmon epoch fold");
-    }
-  }
-
-  fault::FaultInjector::SavedState faultState;
-  std::vector<AttackRecord> attackRecs;
+  w.network = sim.network_->saveState();
   if (sim.fault_ != nullptr) {
-    faultState = sim.fault_->saveState();
-    attackRecs.resize(sim.attackTasks_.size());
-    for (std::size_t i = 0; i < sim.attackTasks_.size(); ++i) {
-      AttackRecord& rec = attackRecs[i];
-      rec.sweepsDone = faultState.attackSweepsDone[i];
-      const sim::PeriodicTask& task = *sim.attackTasks_[i];
-      if (task.running()) {
-        rec.running = 1;
-        rec.fireAtUs = task.nextFireAt().toMicros();
-        rec.seq = liveSeqOf(*sim.sim_, task.pendingHandle(),
-                            "attack campaign");
-      }
+    w.fault = sim.fault_->saveState();
+    for (const auto& task : sim.attackTasks_) {
+      w.attackTimers.push_back(timerOf(*sim.sim_, *task, "attack campaign"));
     }
   }
-
-  {
-    std::vector<std::uint64_t*> seqs;
-    std::vector<std::int64_t> ats;
-    for (auto* recs : {&discRecs, &refreshRecs, &shuffleRecs}) {
-      for (SlotRecord& r : *recs) {
-        seqs.push_back(&r.seq);
-        ats.push_back(r.fireAtUs);
-      }
-    }
-    if (haveWake) {
-      seqs.push_back(&wakeSeq);
-      ats.push_back(shf.channel.scheduledWakeUs);
-    }
-    if (sim.feed_ != nullptr) {
-      seqs.push_back(&sealSeq);
-      ats.push_back(fs.sealNextFireAtUs);
-    }
-    for (AttackRecord& rec : attackRecs) {
-      if (rec.running == 0) continue;
-      seqs.push_back(&rec.seq);
-      ats.push_back(rec.fireAtUs);
-    }
-    if (avmonTaskRunning) {
-      seqs.push_back(&avSeq);
-      ats.push_back(avFireAtUs);
-    }
-    rankSavedEvents(std::move(seqs), ats);
+  if (sim.avmonSystem_ != nullptr) {
+    w.avmon = sim.avmonSystem_->saveState();
+    w.avmonTimer = timerOf(*sim.sim_, sim.avmonSystem_->epochTask(),
+                           "avmon epoch fold");
   }
+  w.facadeRng = sim.rng_.saveState();
+  if (w.ctx.hasMarkov) {
+    w.markovCursors = markovOf(sim.trace_.get())->saveCursors();
+  }
+  std::vector<SavedEvent> events = savedEvents(w);
+  verifyEventAccounting(*sim.sim_, events.size());
+  rankSavedEvents(std::move(events));
 
   CheckpointWriter writer(out);
   FileHeader header;
@@ -515,161 +749,13 @@ void CheckpointAccess::save(const AvmemSimulation& sim, std::ostream& out) {
   writer.writeHeader(header);
 
   SectionWriter sec;
-
-  // SIMU: the clock and the executed-event count. Restoring `executed`
-  // keeps the scale-sweep `events` column comparable across the restore
-  // boundary (it is one of the thread-invariance keys).
-  sec.clear();
-  sec.i64(sim.sim_->now().toMicros());
-  sec.u64(sim.sim_->executedEvents());
-  writer.writeSection(kSecSim, sec);
-
-  // NODS: per-node protocol state, SoA sliver arrays raw.
-  sec.clear();
-  sec.u64(sim.nodes_.size());
-  for (const core::AvmemNode& node : sim.nodes_) {
-    sec.f64(node.selfAvailability());
-    writeNodeStats(sec, node.stats());
-    writeSliver(sec, node.horizontalSliver());
-    writeSliver(sec, node.verticalSliver());
-  }
-  writer.writeSection(kSecNodes, sec);
-
-  // ENGS: engine counters.
-  sec.clear();
-  const core::MembershipEngineStats& es = sim.engine_->stats();
-  sec.u64(es.discoveryRounds);
-  sec.u64(es.refreshRounds);
-  sec.u64(es.skippedOffline);
-  sec.u64(es.feedCandidates);
-  writer.writeSection(kSecEngine, sec);
-
-  // WHLS: the three timing wheels' armed slots — fire times and tie-break
-  // ranks only; slot *membership* is reproduced from RNG state on restore
-  // and cross-checked against these records.
-  sec.clear();
-  writeWheel(sec, discRecs);
-  writeWheel(sec, refreshRecs);
-  writeWheel(sec, shuffleRecs);
-  writer.writeSection(kSecWheels, sec);
-
-  // SHFV: coarse views + rounds + stream seeds + the post-bootstrap RNG.
-  sec.clear();
-  sec.u64(shf.views.size());
-  for (const auto& view : shf.views) sec.raw<net::NodeIndex>(view);
-  sec.raw<std::uint32_t>(shf.rounds);
-  sec.u64(shf.completedShuffles);
-  sec.u64(shf.planSeed);
-  sec.u64(shf.wireSeed);
-  writeRngState(sec, shf.rngState);
-  writer.writeSection(kSecShuffle, sec);
-
-  // CHAN: every in-flight shuffle leg (heap array order preserved — pops
-  // depend on the layout), the arena, ack bookkeeping, the wire RNG, and
-  // the armed wake (instant + tie-break seq).
-  sec.clear();
-  const net::ShuffleChannel::SavedState& ch = shf.channel;
-  sec.u64(ch.heap.size());
-  for (const net::ShuffleMsg& msg : ch.heap) writeShuffleMsg(sec, msg);
-  sec.raw<net::NodeIndex>(ch.arena);
-  sec.u64(ch.liveEntries);
-  sec.raw<std::uint64_t>(ch.awaitingAck);
-  sec.u64(ch.nextSeq);
-  sec.u64(ch.nextOrder);
-  sec.i64(ch.scheduledWakeUs);
-  sec.u64(wakeSeq);
-  writeRngState(sec, ch.rngState);
-  writer.writeSection(kSecChannel, sec);
-
-  // FEED: both directory sides + the seal timer (iff the feed exists).
-  if (sim.feed_ != nullptr) {
+  for (const Section<Writer>& s : kSections<Writer>) {
+    if (!exists(s, w.ctx)) continue;
     sec.clear();
-    writeBuckets(sec, fs.frozenBuckets);
-    sec.u64(fs.frozenPopulation);
-    writeBuckets(sec, fs.buildingBuckets);
-    sec.u64(fs.buildingPopulation);
-    sec.raw<std::uint32_t>(fs.publishedInEpoch);
-    sec.u64(fs.sealedEpochs);
-    sec.i64(fs.sealNextFireAtUs);
-    sec.u64(sealSeq);
-    writer.writeSection(kSecFeed, sec);
+    Writer ar(sec);
+    s.persist(ar, w);
+    writer.writeSection(s.tag, sec);
   }
-
-  // NETW: wire counters + the latency RNG.
-  sec.clear();
-  const net::Network::SavedState ns = sim.network_->saveState();
-  sec.u64(ns.stats.sent);
-  sec.u64(ns.stats.delivered);
-  sec.u64(ns.stats.rejected);
-  sec.u64(ns.stats.droppedOffline);
-  sec.u64(ns.stats.acksSent);
-  sec.u64(ns.stats.ackTimeouts);
-  sec.u64(ns.stats.bytesSent);
-  sec.u64(ns.stats.duplicated);
-  sec.u64(ns.stats.injectedDrops);
-  writeRngState(sec, ns.rngState);
-  writer.writeSection(kSecNetwork, sec);
-
-  // FALT: the fault injector's counter streams, tallies, and attacker
-  // campaign timers (iff a plan is active). The campaign itself is not
-  // serialized — the config fingerprint already pins it.
-  if (sim.fault_ != nullptr) {
-    sec.clear();
-    for (const std::uint64_t s : faultState.wireSeq) sec.u64(s);
-    sec.u64(faultState.stats.injectedDrops);
-    sec.u64(faultState.stats.duplicated);
-    sec.u64(faultState.stats.delayed);
-    sec.u64(faultState.stats.attackSweeps);
-    sec.u64(faultState.stats.attackTargets);
-    sec.u64(faultState.stats.attackAccepted);
-    sec.u64(attackRecs.size());
-    for (const AttackRecord& rec : attackRecs) {
-      sec.u8(rec.running);
-      sec.i64(rec.fireAtUs);
-      sec.u64(rec.seq);
-      sec.u64(rec.sweepsDone);
-    }
-    writer.writeSection(kSecFault, sec);
-  }
-
-  // AVMN: the avmon overlay — fold cursor, ping accounting, epoch-task
-  // timer, and the materialized counter cells (monitor lists are a pure
-  // hash, rebuilt and cross-checked on restore).
-  if (sim.avmonSystem_ != nullptr) {
-    sec.clear();
-    sec.u64(avState.advancedEpochs);
-    sec.u64(avState.pings.sent);
-    sec.u64(avState.pings.delivered);
-    sec.u64(avState.pings.lostToFaults);
-    sec.u64(avState.pings.bytes);
-    sec.u8(avmonTaskRunning ? 1 : 0);
-    sec.i64(avFireAtUs);
-    sec.u64(avSeq);
-    sec.u64(avState.cells.size());
-    for (const avmon::AvmonSystem::SavedState::Cell& cell : avState.cells) {
-      sec.u32(cell.target);
-      sec.raw<std::uint32_t>(cell.samples);
-      sec.raw<std::uint32_t>(cell.up);
-    }
-    writer.writeSection(kSecAvmon, sec);
-  }
-
-  // SRNG: the facade RNG (pickInitiator draws) — restoring it keeps
-  // post-restore anycast batches identical to a straight-through run.
-  sec.clear();
-  writeRngState(sec, sim.rng_.saveState());
-  writer.writeSection(kSecRng, sec);
-
-  // MRKV: the Markov trace's per-host cursors. Pure caches — omitting
-  // them changes no answer — but restoring them makes the first
-  // post-restore epoch O(1) per host instead of a block replay.
-  if (const auto* markov = dynamic_cast<const trace::MarkovChurnModel*>(
-          unwrapOverlay(sim.trace_.get()))) {
-    sec.clear();
-    sec.raw<std::uint64_t>(markov->saveCursors());
-    writer.writeSection(kSecMarkov, sec);
-  }
-
   writer.finish();
 }
 
@@ -686,8 +772,8 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
   if (header.fingerprint != configFingerprint(sim.config_)) {
     throw CheckpointConfigError(
         "checkpoint: config fingerprint mismatch — the checkpoint was "
-        "taken under a different configuration (thread count and dispatch "
-        "mode aside, every knob must match)");
+        "taken under a different configuration (thread count aside, "
+        "every knob must match)");
   }
   const std::size_t n = sim.nodes_.size();
   if (header.hosts != n) {
@@ -696,287 +782,76 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
 
   // --- parse every section into staging state (skipping unknown tags) ---
 
-  struct NodeRecord {
-    double selfAv = 0.0;
-    core::NodeStats stats;
-    core::SliverList hs;
-    core::SliverList vs;
-  };
+  World<Reader> w;
+  w.ctx = contextOf(sim.nodes_.size(), sim.trace_.get(), sim.feed_ != nullptr,
+                    sim.fault_ != nullptr, sim.avmonSystem_ != nullptr);
+  std::vector<core::AvmemNode> nodes;
+  nodes.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    nodes.emplace_back(static_cast<net::NodeIndex>(i), *sim.ctx_);
+  }
+  w.nodes = nodes;
+  w.shuffle.views.resize(n);
+  if (w.ctx.hasFeed) {
+    w.feed.frozenBuckets.resize(sim.feed_->bucketCount());
+    w.feed.buildingBuckets.resize(sim.feed_->bucketCount());
+  }
 
-  bool haveSim = false, haveNodes = false, haveEngine = false,
-       haveWheels = false, haveShuffle = false, haveChannel = false,
-       haveFeed = false, haveNetwork = false, haveRng = false;
-  std::int64_t nowUs = 0;
-  std::uint64_t executed = 0;
-  std::vector<NodeRecord> nodeRecords;
-  core::MembershipEngineStats engineStats;
-  std::vector<SlotRecord> discSlots, refreshSlots, shuffleSlots;
-  avmon::ShuffleService::SavedState shf;
-  std::uint64_t wakeSeq = 0;
-  core::CandidateFeed::SavedState feedState;
-  std::uint64_t sealSeq = 0;
-  net::Network::SavedState netState;
-  std::array<std::uint64_t, 4> facadeRng{};
-  std::vector<std::uint64_t> markovCursors;
-  bool haveMarkov = false;
-  fault::FaultInjector::SavedState faultState;
-  std::vector<AttackRecord> attackRecs;
-  bool haveFault = false;
-  avmon::AvmonSystem::SavedState avState;
-  std::uint8_t avRunning = 0;
-  std::int64_t avFireAtUs = 0;
-  std::uint64_t avSeq = 0;
-  bool haveAvmon = false;
-
+  std::set<std::uint32_t> seen;
   std::uint32_t id = 0;
   std::vector<std::uint8_t> payload;
   while (reader.nextSection(id, payload)) {
+    const auto* s = std::find_if(
+        std::begin(kSections<Reader>), std::end(kSections<Reader>),
+        [id](const Section<Reader>& sec) { return sec.tag == id; });
+    if (s == std::end(kSections<Reader>)) continue;  // forward compatibility
+    if (!seen.insert(id).second) {
+      throw CheckpointFormatError("checkpoint: section " + tagName(id) +
+                                  " appears twice");
+    }
+    if (!exists(*s, w.ctx) && !s->optional) {
+      throw CheckpointFormatError("checkpoint: section " + tagName(id) +
+                                  " present but its owner is not active "
+                                  "under this configuration");
+    }
     Cursor c(payload.data(), payload.size());
-    switch (id) {
-      case kSecSim: {
-        nowUs = c.i64();
-        executed = c.u64();
-        haveSim = true;
-        break;
-      }
-      case kSecNodes: {
-        const std::uint64_t count = c.u64();
-        if (count != n) {
-          throw CheckpointFormatError(
-              "checkpoint nodes: population mismatch");
-        }
-        nodeRecords.resize(n);
-        for (NodeRecord& r : nodeRecords) {
-          r.selfAv = c.f64();
-          r.stats = readNodeStats(c);
-          r.hs = readSliver(c);
-          r.vs = readSliver(c);
-        }
-        haveNodes = true;
-        break;
-      }
-      case kSecEngine: {
-        engineStats.discoveryRounds = c.u64();
-        engineStats.refreshRounds = c.u64();
-        engineStats.skippedOffline = c.u64();
-        engineStats.feedCandidates = c.u64();
-        haveEngine = true;
-        break;
-      }
-      case kSecWheels: {
-        discSlots = readWheel(c);
-        refreshSlots = readWheel(c);
-        shuffleSlots = readWheel(c);
-        haveWheels = true;
-        break;
-      }
-      case kSecShuffle: {
-        const std::uint64_t count = c.u64();
-        if (count != n) {
-          throw CheckpointFormatError(
-              "checkpoint views: population mismatch");
-        }
-        shf.views.resize(n);
-        for (auto& view : shf.views) view = c.raw<net::NodeIndex>();
-        shf.rounds = c.raw<std::uint32_t>();
-        shf.completedShuffles = c.u64();
-        shf.planSeed = c.u64();
-        shf.wireSeed = c.u64();
-        shf.rngState = readRngState(c);
-        haveShuffle = true;
-        break;
-      }
-      case kSecChannel: {
-        const std::uint64_t count = c.u64();
-        constexpr std::size_t kMsgBytes = 1 + 6 * 4 + 2 * 8 + 2 * 8;
-        if (count > c.remaining() / kMsgBytes) {
-          throw CheckpointFormatError(
-              "checkpoint channel: heap length exceeds payload");
-        }
-        shf.channel.heap.resize(static_cast<std::size_t>(count));
-        for (net::ShuffleMsg& msg : shf.channel.heap) {
-          msg = readShuffleMsg(c);
-        }
-        shf.channel.arena = c.raw<net::NodeIndex>();
-        shf.channel.liveEntries = c.u64();
-        shf.channel.awaitingAck = c.raw<std::uint64_t>();
-        shf.channel.nextSeq = c.u64();
-        shf.channel.nextOrder = c.u64();
-        shf.channel.scheduledWakeUs = c.i64();
-        wakeSeq = c.u64();
-        shf.channel.rngState = readRngState(c);
-        haveChannel = true;
-        break;
-      }
-      case kSecFeed: {
-        if (sim.feed_ == nullptr) {
-          throw CheckpointFormatError(
-              "checkpoint: feed section present but the feed is disabled");
-        }
-        const std::size_t buckets = sim.feed_->bucketCount();
-        feedState.frozenBuckets = readBuckets(c, buckets);
-        feedState.frozenPopulation = c.u64();
-        feedState.buildingBuckets = readBuckets(c, buckets);
-        feedState.buildingPopulation = c.u64();
-        feedState.publishedInEpoch = c.raw<std::uint32_t>();
-        if (feedState.publishedInEpoch.size() != n) {
-          throw CheckpointFormatError(
-              "checkpoint feed: population mismatch");
-        }
-        feedState.sealedEpochs = c.u64();
-        feedState.sealNextFireAtUs = c.i64();
-        sealSeq = c.u64();
-        haveFeed = true;
-        break;
-      }
-      case kSecNetwork: {
-        netState.stats.sent = c.u64();
-        netState.stats.delivered = c.u64();
-        netState.stats.rejected = c.u64();
-        netState.stats.droppedOffline = c.u64();
-        netState.stats.acksSent = c.u64();
-        netState.stats.ackTimeouts = c.u64();
-        netState.stats.bytesSent = c.u64();
-        netState.stats.duplicated = c.u64();
-        netState.stats.injectedDrops = c.u64();
-        netState.rngState = readRngState(c);
-        haveNetwork = true;
-        break;
-      }
-      case kSecFault: {
-        for (std::uint64_t& s : faultState.wireSeq) s = c.u64();
-        faultState.stats.injectedDrops = c.u64();
-        faultState.stats.duplicated = c.u64();
-        faultState.stats.delayed = c.u64();
-        faultState.stats.attackSweeps = c.u64();
-        faultState.stats.attackTargets = c.u64();
-        faultState.stats.attackAccepted = c.u64();
-        const std::uint64_t count = c.u64();
-        constexpr std::size_t kRecBytes = 1 + 8 + 8 + 8;
-        if (count > c.remaining() / kRecBytes) {
-          throw CheckpointFormatError(
-              "checkpoint fault: attack count exceeds payload");
-        }
-        attackRecs.resize(static_cast<std::size_t>(count));
-        for (AttackRecord& rec : attackRecs) {
-          rec.running = c.u8();
-          rec.fireAtUs = c.i64();
-          rec.seq = c.u64();
-          rec.sweepsDone = c.u64();
-          faultState.attackSweepsDone.push_back(rec.sweepsDone);
-        }
-        haveFault = true;
-        break;
-      }
-      case kSecAvmon: {
-        if (sim.avmonSystem_ == nullptr) {
-          throw CheckpointFormatError(
-              "checkpoint: AVMN section present but the avmon backend is "
-              "not active");
-        }
-        avState.advancedEpochs = c.u64();
-        // The fold cursor never passes the last epoch (AvmonSystem::start);
-        // a larger one would make the next materialization's catch-up read
-        // past the trace.
-        if (avState.advancedEpochs >= sim.trace_->epochCount()) {
-          throw CheckpointFormatError(
-              "checkpoint avmon: fold cursor past the trace's last epoch");
-        }
-        avState.pings.sent = c.u64();
-        avState.pings.delivered = c.u64();
-        avState.pings.lostToFaults = c.u64();
-        avState.pings.bytes = c.u64();
-        avRunning = c.u8();
-        avFireAtUs = c.i64();
-        avSeq = c.u64();
-        const std::uint64_t count = c.u64();
-        if (count > n) {
-          throw CheckpointFormatError(
-              "checkpoint avmon: cell count exceeds population");
-        }
-        avState.cells.resize(static_cast<std::size_t>(count));
-        for (std::size_t i = 0; i < avState.cells.size(); ++i) {
-          auto& cell = avState.cells[i];
-          cell.target = c.u32();
-          // The writer emits distinct in-range targets in ascending order;
-          // a duplicate would silently replace the earlier cell's counters.
-          if (cell.target >= n ||
-              (i > 0 && cell.target <= avState.cells[i - 1].target)) {
-            throw CheckpointFormatError(
-                "checkpoint avmon: cell targets out of range or not "
-                "strictly ascending");
-          }
-          cell.samples = c.raw<std::uint32_t>();
-          cell.up = c.raw<std::uint32_t>();
-        }
-        haveAvmon = true;
-        break;
-      }
-      case kSecRng: {
-        facadeRng = readRngState(c);
-        haveRng = true;
-        break;
-      }
-      case kSecMarkov: {
-        markovCursors = c.raw<std::uint64_t>();
-        haveMarkov = true;
-        break;
-      }
-      default:
-        break;  // unknown section: skip (forward compatibility)
+    Reader ar(c);
+    s->persist(ar, w);
+    if (!c.atEnd()) {
+      throw CheckpointFormatError("checkpoint: section " + tagName(id) +
+                                  " has unread trailing bytes");
     }
   }
 
-  if (!haveSim || !haveNodes || !haveEngine || !haveWheels ||
-      !haveShuffle || !haveChannel || !haveNetwork || !haveRng) {
-    throw CheckpointFormatError(
-        "checkpoint: missing a mandatory section");
-  }
-  if ((sim.feed_ != nullptr) != haveFeed) {
-    throw CheckpointFormatError(
-        "checkpoint: feed enabled but no feed section saved");
+  for (const Section<Reader>& s : kSections<Reader>) {
+    if (exists(s, w.ctx) && !s.optional && !seen.contains(s.tag)) {
+      throw CheckpointFormatError("checkpoint: missing section " +
+                                  tagName(s.tag));
+    }
   }
   // The fingerprint already pins the campaign, so a mismatch here means
   // a corrupt or hand-edited file, not a config drift.
-  if ((sim.fault_ != nullptr) != haveFault) {
-    throw CheckpointFormatError(
-        "checkpoint: fault plan active but no FALT section saved (or "
-        "vice versa)");
-  }
-  if (haveFault && attackRecs.size() != sim.attackTasks_.size()) {
+  if (w.ctx.hasFault && w.attackTimers.size() != sim.attackTasks_.size()) {
     throw CheckpointFormatError(
         "checkpoint fault: attack stage count mismatch");
-  }
-  if ((sim.avmonSystem_ != nullptr) != haveAvmon) {
-    throw CheckpointFormatError(
-        "checkpoint: avmon backend active but no AVMN section saved (or "
-        "vice versa)");
   }
 
   // --- install state (no events scheduled yet) ---
 
   sim.started_ = true;
-  sim.sim_->restoreClock(sim::SimTime::micros(nowUs), executed);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    NodeRecord& r = nodeRecords[i];
-    sim.nodes_[i].restoreState(r.selfAv, std::move(r.hs), std::move(r.vs),
-                               r.stats);
-  }
-
+  sim.sim_->restoreClock(sim::SimTime::micros(w.nowUs), w.executed);
+  for (std::size_t i = 0; i < n; ++i) sim.nodes_[i] = std::move(nodes[i]);
   sim.engine_->prepareResume();
-  sim.engine_->restoreStats(engineStats);
-  sim.shuffle_->restoreState(std::move(shf));
-  const std::int64_t sealFireAtUs = feedState.sealNextFireAtUs;
-  if (sim.feed_ != nullptr) sim.feed_->restoreState(std::move(feedState));
-  sim.network_->restoreState(netState);
-  sim.rng_ = sim::Rng::fromState(facadeRng);
-  if (sim.fault_ != nullptr) sim.fault_->restoreState(faultState);
-  if (sim.avmonSystem_ != nullptr) sim.avmonSystem_->restoreState(avState);
-  if (auto* markov = dynamic_cast<trace::MarkovChurnModel*>(
-          unwrapOverlay(sim.trace_.get()));
-      markov != nullptr && haveMarkov) {
-    markov->restoreCursors(markovCursors);
+  sim.engine_->restoreStats(w.engine);
+  sim.shuffle_->restoreState(std::move(w.shuffle));
+  const std::int64_t sealFireAtUs = w.feed.sealNextFireAtUs;
+  if (sim.feed_ != nullptr) sim.feed_->restoreState(std::move(w.feed));
+  sim.network_->restoreState(w.network);
+  sim.rng_ = sim::Rng::fromState(w.facadeRng);
+  if (sim.fault_ != nullptr) sim.fault_->restoreState(w.fault);
+  if (sim.avmonSystem_ != nullptr) sim.avmonSystem_->restoreState(w.avmon);
+  if (w.ctx.hasMarkov && seen.contains(fourcc('M', 'R', 'K', 'V'))) {
+    markovOf(sim.trace_.get())->restoreCursors(w.markovCursors);
   }
 
   // --- re-arm every saved event in (fireAt, saved tie-break seq) order ---
@@ -988,8 +863,8 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
   // straight-through run.
 
   std::vector<ArmRequest> arms;
-  auto collectWheel = [&](sim::ShardedScheduler& wheel,
-                          std::vector<SlotRecord>& recs, const char* name) {
+  auto armWheel = [&](sim::ShardedScheduler& wheel,
+                      const std::vector<SlotRecord>& recs, const char* name) {
     if (recs.size() != wheel.activeShardCount()) {
       throw CheckpointFormatError(
           std::string("checkpoint: ") + name +
@@ -1009,29 +884,28 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
                       }});
     }
   };
-  collectWheel(sim.engine_->discoveryWheel(), discSlots, "discovery");
-  collectWheel(sim.engine_->refreshWheel(), refreshSlots, "refresh");
-  collectWheel(sim.shuffle_->wheel(), shuffleSlots, "shuffle");
+  armWheel(sim.engine_->discoveryWheel(), w.wheels[0], "discovery");
+  armWheel(sim.engine_->refreshWheel(), w.wheels[1], "refresh");
+  armWheel(sim.shuffle_->wheel(), w.wheels[2], "shuffle");
 
   net::ShuffleChannel& channel = sim.shuffle_->channel();
   if (channel.scheduledWakeMicros() != net::ShuffleChannel::kNoWakeSaved) {
-    arms.push_back({channel.scheduledWakeMicros(), wakeSeq,
+    arms.push_back({channel.scheduledWakeMicros(), w.wakeSeq,
                     [&channel] { channel.armWake(); }});
   }
   if (sim.feed_ != nullptr) {
-    const std::int64_t sealAt = sealFireAtUs;
     arms.push_back(
-        {sealAt, sealSeq, [&sim, sealAt] {
+        {sealFireAtUs, w.sealSeq, [&sim, sealFireAtUs] {
            sim.feed_->armSeal(*sim.sim_,
                               sim.config_.protocol.discoveryPeriod,
-                              sim::SimTime::micros(sealAt));
+                              sim::SimTime::micros(sealFireAtUs));
          }});
   }
-  for (std::size_t i = 0; i < attackRecs.size(); ++i) {
-    const AttackRecord& rec = attackRecs[i];
-    if (rec.running == 0) continue;  // stage window already closed
+  for (std::size_t i = 0; i < w.attackTimers.size(); ++i) {
+    const TimerRecord& t = w.attackTimers[i];
+    if (t.running == 0) continue;  // stage window already closed
     arms.push_back(
-        {rec.fireAtUs, rec.seq, [&sim, i, at = rec.fireAtUs] {
+        {t.fireAtUs, t.seq, [&sim, i, at = t.fireAtUs] {
            sim.attackTasks_[i]->start(
                *sim.sim_, sim::SimTime::micros(at),
                sim::SimDuration::micros(
@@ -1040,8 +914,9 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
          }});
   }
 
-  if (avRunning != 0) {
-    arms.push_back({avFireAtUs, avSeq, [&sim, at = avFireAtUs] {
+  if (w.avmonTimer.running != 0) {
+    arms.push_back({w.avmonTimer.fireAtUs, w.avmonTimer.seq,
+                    [&sim, at = w.avmonTimer.fireAtUs] {
                       // start() recomputes the next boundary from the
                       // restored fold cursor; it must land exactly where
                       // the saved timer was armed.

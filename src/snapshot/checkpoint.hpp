@@ -40,8 +40,9 @@
 //
 // Config compatibility: the header carries a fingerprint over every
 // result-determining config field. maintenanceThreads is excluded —
-// restore at any thread count — as are the checkpoint paths themselves. A mismatch throws
-// CheckpointConfigError instead of silently computing something else.
+// restore at any thread count — as are the checkpoint paths themselves.
+// A mismatch throws CheckpointConfigError instead of silently computing
+// something else.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +58,8 @@ class AvmemSimulation;
 namespace avmem::snapshot {
 
 /// 64-bit fingerprint over every config field that determines simulation
-/// results, in a fixed field order. Exclusions (thread count, dispatch
-/// mode, checkpoint paths) are the fields a restore is allowed to vary.
+/// results, in a fixed field order. Exclusions (thread count, checkpoint
+/// and fault-plan paths) are the fields a restore is allowed to vary.
 [[nodiscard]] std::uint64_t configFingerprint(
     const core::SimulationConfig& config);
 

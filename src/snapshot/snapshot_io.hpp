@@ -128,18 +128,19 @@ struct FileHeader {
 /// section frame are only known once the payload is complete.
 class SectionWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) { pod(v); }
-  void u64(std::uint64_t v) { pod(v); }
-  void i64(std::int64_t v) { pod(v); }
-  void f64(double v) { pod(v); }
+  /// One field as its in-memory bytes (the width is the field's type).
+  template <typename T>
+  void pod(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    append(&v, sizeof(T));
+  }
 
   /// Length-prefixed bulk array of a trivially-copyable element type:
   /// u64 count + raw bytes. The memcpy path every large table uses.
   template <typename T>
   void raw(std::span<const T> values) {
     static_assert(std::is_trivially_copyable_v<T>);
-    u64(values.size());
+    pod<std::uint64_t>(values.size());
     append(values.data(), values.size() * sizeof(T));
   }
 
@@ -149,11 +150,6 @@ class SectionWriter {
   void clear() noexcept { buf_.clear(); }
 
  private:
-  template <typename T>
-  void pod(T v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    append(&v, sizeof(T));
-  }
   void append(const void* data, std::size_t len) {
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + len);
@@ -190,18 +186,21 @@ class Cursor {
   explicit Cursor(std::span<const std::uint8_t> payload)
       : Cursor(payload.data(), payload.size()) {}
 
-  [[nodiscard]] std::uint8_t u8() { return take<std::uint8_t>(); }
-  [[nodiscard]] std::uint32_t u32() { return take<std::uint32_t>(); }
-  [[nodiscard]] std::uint64_t u64() { return take<std::uint64_t>(); }
-  [[nodiscard]] std::int64_t i64() { return take<std::int64_t>(); }
-  [[nodiscard]] double f64() { return take<double>(); }
+  /// Inverse of SectionWriter::pod.
+  template <typename T>
+  [[nodiscard]] T pod() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    T v;
+    copy(&v, sizeof(T));
+    return v;
+  }
 
   /// Inverse of SectionWriter::raw — the element count is validated
   /// against the remaining payload before anything is allocated.
   template <typename T>
   [[nodiscard]] std::vector<T> raw() {
     static_assert(std::is_trivially_copyable_v<T>);
-    const std::uint64_t count = u64();
+    const auto count = pod<std::uint64_t>();
     if (count > remaining() / sizeof(T)) {
       throw CheckpointFormatError(
           "checkpoint section: array length exceeds payload");
@@ -217,13 +216,6 @@ class Cursor {
   [[nodiscard]] bool atEnd() const noexcept { return pos_ == size_; }
 
  private:
-  template <typename T>
-  [[nodiscard]] T take() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T v;
-    copy(&v, sizeof(T));
-    return v;
-  }
   void copy(void* dst, std::size_t len) {
     if (len > remaining()) {
       throw CheckpointFormatError("checkpoint section: truncated payload");

@@ -15,6 +15,7 @@
 
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
+#include "fault/fault_plan.hpp"
 #include "snapshot/checkpoint.hpp"
 
 namespace avmem::snapshot {
@@ -373,6 +374,70 @@ TEST(SnapshotHostileTest, AvmonFoldCursorPastTraceBehindValidCrc) {
         payload[kAvmnRunningOffset] = 0;
       }),
       config);
+}
+
+/// The donor world under a loss + flooding-attack campaign open at the
+/// save instant, so its checkpoint carries a FALT section.
+Scenario campaignDonorScenario() {
+  Scenario s = donorScenario();
+  s.config.faultPlanPath.clear();
+  s.config.faultPlan = fault::parseFaultPlanText(
+      "seed = 11\n"
+      "[loss]\nfrom_h = 0.1\nto_h = 0.3\ndrop = 0.2\n"
+      "[attack]\nfrom_h = 0.1\nto_h = 0.3\nperiod_s = 60\n"
+      "kind = flooding\n");
+  return s;
+}
+
+/// `bytes` with section `tag` written twice in a row, both copies framed
+/// behind valid CRCs.
+std::string withRepeatedSection(const std::string& bytes, std::uint32_t tag) {
+  auto sections = sectionsOf(bytes);
+  for (auto it = sections.begin(); it != sections.end(); ++it) {
+    if (it->first == tag) {
+      const auto copy = *it;
+      sections.insert(it + 1, copy);
+      return reframe(bytes.substr(0, kHeaderBytes), sections);
+    }
+  }
+  ADD_FAILURE() << "donor checkpoint lacks the section to repeat";
+  return bytes;
+}
+
+TEST(SnapshotHostileTest, DuplicateSectionBehindValidCrc) {
+  // Each known section appears once. A repeated one is a hand-edited or
+  // spliced file, and must fail as a format error before anything is
+  // installed, not let the last copy win or trip an owner's own check.
+  {
+    SCOPED_TRACE("repeated NODS");
+    expectRestoreError<CheckpointFormatError>(
+        withRepeatedSection(goodBytes(), fourcc('N', 'O', 'D', 'S')));
+  }
+  {
+    SCOPED_TRACE("repeated FALT");
+    const core::SimulationConfig config = campaignDonorScenario().config;
+    AvmemSimulation donor(config);
+    donor.warmup(sim::SimDuration::minutes(10));
+    ASSERT_NE(donor.faultInjector(), nullptr);
+    std::ostringstream out(std::ios::binary);
+    donor.saveCheckpoint(out);
+    expectRestoreError<CheckpointFormatError>(
+        withRepeatedSection(out.str(), fourcc('F', 'A', 'L', 'T')), config);
+  }
+}
+
+TEST(SnapshotHostileTest, TrailingBytesInKnownSectionBehindValidCrc) {
+  // A known section's payload is consumed exactly; bytes past its last
+  // field mean the writer and this reader disagree on the layout.
+  const std::string& good = goodBytes();
+  const auto clean = sectionsOf(good);
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    SCOPED_TRACE("section #" + std::to_string(i));
+    auto sections = clean;
+    sections[i].second.push_back('\0');
+    expectRestoreError<CheckpointFormatError>(
+        reframe(good.substr(0, kHeaderBytes), sections));
+  }
 }
 
 TEST(SnapshotHostileTest, ConfigFingerprintMismatch) {

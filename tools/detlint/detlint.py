@@ -26,21 +26,17 @@ matrix jobs. detlint makes them static, enforced per commit:
                    from counter-based ``Rng::stream(seed, salt, seq)``:
                    raw ``Rng`` construction, ``fork()`` and sequential
                    draws from member generators are flagged.
-  ckpt-pairing     For every ``write<X>``/``read<X>`` serialization helper
-                   pair, the ordered primitive ledger (u8/u32/u64/i64/f64/
-                   raw<T> call sites) must match; every field of a
-                   ``SavedState`` struct must be referenced on both the
-                   save and the restore path. Adding a member to
-                   ``ShuffleChannel::SavedState`` without updating the
-                   CHAN section fails this lint, not a 77 MB artifact
-                   diff three PRs later.
+  ckpt-pairing     Every field of a ``SavedState`` struct must be
+                   referenced on the save path, on the restore path, and
+                   in a checkpoint ``persist`` body. Adding a member to
+                   ``ShuffleChannel::SavedState`` that the owner saves and
+                   restores but the CHAN section never persists fails
+                   this lint, not a 77 MB artifact diff three PRs later.
+                   (Write/read symmetry needs no lint: one ``persist``
+                   function per section serves both directions.)
 
-Engines: with the libclang python bindings installed (``clang.cindex``)
-function facts come from the clang AST; without them a self-contained
-lexer + structural parser produces the same facts (this repo's CI images
-and dev boxes do not all ship libclang, so the builtin engine is the
-deterministic reference and the selftest runs against it). ``--engine
-auto`` prefers libclang and falls back loudly.
+Function facts come from a self-contained lexer + structural parser, so
+the verdicts depend on nothing installed on the host.
 
 Suppressions: ``// detlint: allow(<check>) <justification>`` on the same
 line or the line above. The justification is mandatory; a bare allow()
@@ -59,7 +55,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 # --------------------------------------------------------------------------
 # Check registry
@@ -89,9 +85,8 @@ CHECKS = {
         "are order-dependent"
     ),
     "ckpt-pairing": (
-        "checkpoint save/restore ledgers disagree (write/read primitive "
-        "sequences differ, or a SavedState field is not serialized on "
-        "both paths)"
+        "a SavedState field is not referenced on the save path, the "
+        "restore path, or in a checkpoint persist body"
     ),
     "unused-allow": (
         "a detlint allow() comment suppressed nothing; remove it or fix "
@@ -289,7 +284,6 @@ class FileFacts:
     suppressions: List[Suppression]
     functions: List[FunctionFact]
     members: List[MemberFact]
-    engine: str = "builtin"
 
     def line_of(self, offset: int) -> int:
         return self.code.count("\n", 0, offset) + 1
@@ -519,74 +513,6 @@ def _builtin_extract(path: Path, rel: str) -> FileFacts:
 
 
 # --------------------------------------------------------------------------
-# Optional libclang engine
-# --------------------------------------------------------------------------
-
-
-def _clang_extract(path: Path, rel: str, clang_args: Sequence[str],
-                   cindex) -> FileFacts:
-    """Extract the same facts via the clang AST (libclang bindings)."""
-    base = _builtin_extract(path, rel)  # lexing/suppressions are shared
-    index = cindex.Index.create()
-    tu = index.parse(str(path), args=list(clang_args),
-                     options=cindex.TranslationUnit.PARSE_INCOMPLETE)
-    functions: List[FunctionFact] = []
-    members: List[MemberFact] = []
-    K = cindex.CursorKind
-
-    def offset_span(cur):
-        ext = cur.extent
-        return ext.start.offset, ext.end.offset
-
-    def visit(cur):
-        for ch in cur.get_children():
-            if ch.location.file is None or \
-                    os.path.realpath(str(ch.location.file)) != \
-                    os.path.realpath(str(path)):
-                continue
-            if ch.kind in (K.CXX_METHOD, K.FUNCTION_DECL, K.CONSTRUCTOR,
-                           K.DESTRUCTOR, K.FUNCTION_TEMPLATE) and \
-                    ch.is_definition():
-                a, b = offset_span(ch)
-                body = base.code[a:b]
-                brace = body.find("{")
-                parent = ch.semantic_parent
-                cls = parent.spelling if parent is not None and \
-                    parent.kind in (K.CLASS_DECL, K.STRUCT_DECL,
-                                    K.CLASS_TEMPLATE) else ""
-                params = ", ".join(
-                    f"{p.type.spelling} {p.spelling}"
-                    for p in ch.get_arguments())
-                is_const = bool(getattr(ch, "is_const_method",
-                                        lambda: False)())
-                functions.append(FunctionFact(
-                    name=ch.spelling,
-                    qualname=(f"{cls}::{ch.spelling}" if cls
-                              else ch.spelling),
-                    cls=cls, params=params, is_const=is_const,
-                    line=ch.location.line,
-                    body=base.code[a + brace:b] if brace >= 0 else "",
-                    body_line=base.code.count(
-                        "\n", 0, a + max(brace, 0)) + 1))
-            elif ch.kind == K.FIELD_DECL and "unordered_" in \
-                    ch.type.spelling:
-                parent = ch.semantic_parent
-                members.append(MemberFact(
-                    parent.spelling if parent is not None else "",
-                    ch.spelling, ch.type.spelling, ch.location.line))
-            visit(ch)
-
-    visit(tu.cursor)
-    functions = [f for f in functions if f.body]
-    if not functions:   # macro-heavy or parse trouble: keep builtin facts
-        return base
-    base.functions = functions
-    base.members = members or base.members
-    base.engine = "libclang"
-    return base
-
-
-# --------------------------------------------------------------------------
 # Checks
 # --------------------------------------------------------------------------
 
@@ -780,108 +706,38 @@ def check_rng_stream(ff: FileFacts) -> List[Finding]:
     return out
 
 
-_LEDGER_CALL_RE = re.compile(
-    r"\b(\w+)\s*(?:\.|->)\s*(u8|u32|u64|i64|f64|raw)\b"
-    r"\s*(?:<\s*([^<>()]*(?:<[^<>]*>)?[^<>()]*?)\s*>)?\s*\(")
-_NESTED_PAIR_RE = re.compile(r"\b(write|read)([A-Z]\w*)\s*\(")
-
-
-def _ledger(f: FunctionFact, side: str) -> List[str]:
-    """Ordered primitive ledger of a write*/read* helper body."""
-    events: List[Tuple[int, str]] = []
-    for m in _LEDGER_CALL_RE.finditer(f.body):
-        kind = m.group(2)
-        targ = re.sub(r"\s+", "", m.group(3) or "")
-        targ = targ.split("::")[-1] if targ else ""
-        events.append((m.start(), f"{kind}<{targ}>" if targ else kind))
-    for m in _NESTED_PAIR_RE.finditer(f.body):
-        if m.group(1) == side:
-            events.append((m.start(), f"call:{m.group(2)}"))
-    events.sort()
-    return [e for _, e in events]
-
-
-def _is_ckpt_helper(f: FunctionFact, side: str) -> bool:
-    if side == "write":
-        # Ledger writers mutate a SectionWriter; framing helpers that
-        # take the finished payload by const-ref are not ledgers.
-        return bool(re.match(r"^write[A-Z]", f.name)) and \
-            bool(re.search(r"(?<!const )\bSectionWriter\s*&", f.params))
-    return bool(re.match(r"^read[A-Z]", f.name)) and \
-        ("Cursor" in f.params or "Cursor" in f.body[:200])
-
-
 def check_ckpt_pairing(all_facts: List[FileFacts]) -> List[Finding]:
+    """Every SavedState field must be referenced somewhere in the tree on
+    the save path, on the restore path, and in a ``persist`` body."""
+    corpora: Dict[str, List[str]] = {"save": [], "restore": [],
+                                     "persist": []}
+    for ff in all_facts:
+        for f in ff.functions:
+            for path, pattern in (("save", r"^save([A-Z]|$)"),
+                                  ("restore", r"^restore([A-Z]|$)"),
+                                  ("persist", r"^persist([A-Z]|$)")):
+                if re.match(pattern, f.name):
+                    corpora[path].append(f.body)
+    texts = {path: "\n".join(bodies) for path, bodies in corpora.items()}
     out: List[Finding] = []
-    writers: Dict[str, Tuple[FileFacts, FunctionFact]] = {}
-    readers: Dict[str, Tuple[FileFacts, FunctionFact]] = {}
-    for ff in all_facts:
-        for f in ff.functions:
-            if _is_ckpt_helper(f, "write"):
-                writers[f.name[len("write"):]] = (ff, f)
-            elif _is_ckpt_helper(f, "read"):
-                readers[f.name[len("read"):]] = (ff, f)
-    for key, (wff, wf) in sorted(writers.items()):
-        if key not in readers:
-            out.append(Finding(
-                wff.rel, wf.line, "ckpt-pairing",
-                f"serialization helper 'write{key}' has no matching "
-                f"'read{key}' — every write ledger needs a paired read "
-                f"ledger"))
-            continue
-        rff, rf = readers[key]
-        wl, rl = _ledger(wf, "write"), _ledger(rf, "read")
-        if wl != rl:
-            diff_at = next((i for i, (a, b) in
-                            enumerate(zip(wl, rl)) if a != b),
-                           min(len(wl), len(rl)))
-            out.append(Finding(
-                rff.rel, rf.line, "ckpt-pairing",
-                f"'write{key}'/'read{key}' ledgers disagree at step "
-                f"{diff_at}: write={wl} vs read={rl} — a field is "
-                f"serialized on one path only (or out of order)"))
-    for key, (rff, rf) in sorted(readers.items()):
-        if key not in writers:
-            out.append(Finding(
-                rff.rel, rf.line, "ckpt-pairing",
-                f"serialization helper 'read{key}' has no matching "
-                f"'write{key}'"))
-    # SavedState field coverage: every field must be referenced on both
-    # the save path and the restore path somewhere in the tree.
-    save_corpus: List[str] = []
-    restore_corpus: List[str] = []
-    for ff in all_facts:
-        for f in ff.functions:
-            if re.match(r"^(save|write)([A-Z]|$)", f.name):
-                save_corpus.append(f.body)
-            if re.match(r"^(restore|read)([A-Z]|$)", f.name):
-                restore_corpus.append(f.body)
-    save_text = "\n".join(save_corpus)
-    restore_text = "\n".join(restore_corpus)
     for ff in all_facts:
         for cls, fields, line_by_field in _saved_state_structs(ff):
             owner = cls.rsplit("::", 1)[0] if "::" in cls else cls
-            n_fields = len(fields)
-            agg_save = _aggregate_covers(save_text, n_fields)
-            agg_restore = _aggregate_covers(restore_text, n_fields)
+            aggregate = {path: _aggregate_covers(text, len(fields))
+                         for path, text in texts.items()}
             for fld in fields:
                 word = re.compile(r"\b" + re.escape(fld) + r"\b")
-                ok_save = agg_save or bool(word.search(save_text))
-                ok_restore = agg_restore or bool(
-                    word.search(restore_text))
-                if ok_save and ok_restore:
+                missing = [path for path, text in texts.items()
+                           if not (aggregate[path] or word.search(text))]
+                if not missing:
                     continue
-                missing = []
-                if not ok_save:
-                    missing.append("save")
-                if not ok_restore:
-                    missing.append("restore")
                 out.append(Finding(
                     ff.rel, line_by_field[fld], "ckpt-pairing",
                     f"'{owner}::SavedState::{fld}' is not referenced on "
                     f"the {' or '.join(missing)} path — a checkpoint "
-                    f"would silently drop it (update the section "
-                    f"writer/reader pair)"))
+                    f"would silently drop it (save it in the owner, "
+                    f"persist it in its section, restore it in the "
+                    f"owner)"))
     return out
 
 
@@ -979,50 +835,9 @@ def discover_files(repo_root: Path, paths: Sequence[str],
     return sorted(files)
 
 
-def _clang_args_for(compile_commands: Optional[Path]) -> List[str]:
-    if compile_commands and compile_commands.exists():
-        try:
-            for entry in json.loads(compile_commands.read_text()):
-                args = entry.get("command", "").split()[1:]
-                keep = [a for a in args if a.startswith(("-I", "-D",
-                                                         "-std="))]
-                if keep:
-                    return keep
-        except ValueError:
-            pass
-    return ["-std=c++20"]
-
-
-def analyze(repo_root: Path, files: Sequence[Path], engine: str,
-            compile_commands: Optional[Path]) -> Tuple[List[FileFacts],
-                                                       str]:
-    cindex = None
-    chosen = "builtin"
-    if engine in ("auto", "libclang"):
-        try:
-            from clang import cindex as _ci  # type: ignore
-            _ci.Index.create()
-            cindex = _ci
-            chosen = "libclang"
-        except Exception as e:  # noqa: BLE001 — any failure gates the dep
-            if engine == "libclang":
-                print(f"detlint: error: --engine libclang requested but "
-                      f"unavailable: {e}", file=sys.stderr)
-                sys.exit(2)
-            chosen = "builtin"
-    clang_args = _clang_args_for(compile_commands) if cindex else []
-    facts: List[FileFacts] = []
-    for path in files:
-        rel = os.path.relpath(path, repo_root)
-        if cindex is not None:
-            try:
-                facts.append(_clang_extract(path, rel, clang_args, cindex))
-                continue
-            except Exception as e:  # noqa: BLE001
-                print(f"detlint: warning: libclang failed on {rel} "
-                      f"({e}); using builtin facts", file=sys.stderr)
-        facts.append(_builtin_extract(path, rel))
-    return facts, chosen
+def analyze(repo_root: Path, files: Sequence[Path]) -> List[FileFacts]:
+    return [_builtin_extract(path, os.path.relpath(path, repo_root))
+            for path in files]
 
 
 def run_checks(facts: List[FileFacts],
@@ -1068,14 +883,13 @@ def run_checks(facts: List[FileFacts],
     return findings
 
 
-def summary_md(findings: List[Finding], engine: str,
-               n_files: int) -> str:
+def summary_md(findings: List[Finding], n_files: int) -> str:
     active = [f for f in findings if not f.suppressed]
     sup = [f for f in findings if f.suppressed]
     lines = [
         "## detlint findings",
         "",
-        f"Engine: `{engine}` · files scanned: {n_files} · "
+        f"Files scanned: {n_files} · "
         f"unsuppressed: **{len(active)}** · suppressed: {len(sup)}",
         "",
     ]
@@ -1107,12 +921,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     default=Path(__file__).resolve().parents[2])
     ap.add_argument("--compile-commands", type=Path, default=None,
                     help="CMake-exported compile_commands.json (used for "
-                         "the TU list and clang args; headers are always "
-                         "globbed)")
+                         "the TU list; headers are always globbed)")
     ap.add_argument("--paths", nargs="*", default=list(DEFAULT_PATHS),
                     help="paths (relative to repo root) to scan")
-    ap.add_argument("--engine", choices=("auto", "libclang", "builtin"),
-                    default="auto")
     ap.add_argument("--check", action="append", default=None,
                     help="restrict to the named check (repeatable)")
     ap.add_argument("--format", choices=("text", "json"), default="text")
@@ -1146,13 +957,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("detlint: no source files found", file=sys.stderr)
         return 2
 
-    facts, engine = analyze(repo_root, files, args.engine, cc)
+    facts = analyze(repo_root, files)
     findings = run_checks(facts,
                           set(args.check) if args.check else None)
     active = [f for f in findings if not f.suppressed]
 
     payload = {
-        "engine": engine,
         "files": len(files),
         "unsuppressed": len(active),
         "suppressed": len(findings) - len(active),
@@ -1164,14 +974,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for f in findings:
             print(f.text())
-        print(f"detlint: engine={engine} files={len(files)} "
+        print(f"detlint: files={len(files)} "
               f"unsuppressed={len(active)} "
               f"suppressed={len(findings) - len(active)}")
     if args.json_out:
         args.json_out.write_text(json.dumps(payload, indent=2) + "\n")
     if args.summary_md:
         args.summary_md.write_text(
-            summary_md(findings, engine, len(files)))
+            summary_md(findings, len(files)))
     return 1 if active else 0
 
 

@@ -1,67 +1,11 @@
 // detlint selftest fixture: every violation here is deliberate.
-// Seeded violations: ckpt-pairing (write/read ledger mismatch, a write
-// helper with no read twin, and a SavedState field serialized on the
-// save path but never restored — the "field added to saveState but not
-// restoreState" acceptance case). This TU is never compiled by the
-// main build.
+// Seeded violations: ckpt-pairing — a SavedState field the owner saves
+// but never restores (the "field added to saveState but not
+// restoreState" acceptance case), and one the owner saves and restores
+// but no persist body carries to the checkpoint bytes. This TU is never
+// compiled by the main build.
 
 #include <cstdint>
-#include <vector>
-
-struct SectionWriter {
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(double v);
-  template <typename T>
-  void raw(const T& v);
-};
-
-struct Cursor {
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
-  template <typename T>
-  T raw();
-};
-
-struct Blob {
-  std::uint64_t a = 0;
-  std::uint32_t b = 0;
-  double c = 0.0;
-};
-
-// VIOLATION: ledgers disagree — the writer emits u64,u32,f64 but the
-// reader consumes only u64,u32 (the f64 was added to one side only).
-inline void writeBlob(SectionWriter& sec, const Blob& blob) {
-  sec.u64(blob.a);
-  sec.u32(blob.b);
-  sec.f64(blob.c);
-}
-
-inline Blob readBlob(Cursor& cur) {
-  Blob blob;
-  blob.a = cur.u64();
-  blob.b = cur.u32();
-  return blob;
-}
-
-// VIOLATION: orphan writer — no readOrphan exists anywhere.
-inline void writeOrphan(SectionWriter& sec, std::uint64_t v) {
-  sec.u64(v);
-}
-
-// OK: symmetric pair, including a nested paired call.
-inline void writeGood(SectionWriter& sec, const Blob& blob) {
-  sec.u8(1);
-  writeBlob(sec, blob);
-}
-
-inline Blob readGood(Cursor& cur) {
-  (void)cur.u8();
-  return readBlob(cur);
-}
 
 class Meter {
  public:
@@ -70,6 +14,8 @@ class Meter {
     std::uint64_t drops = 0;
     // VIOLATION: added to saveState below but never restored.
     std::uint64_t spikes = 0;
+    // VIOLATION: saved and restored, but persistMeter never writes it.
+    std::uint64_t peak = 0;
   };
 
   SavedState saveState() const {
@@ -77,12 +23,14 @@ class Meter {
     s.ticks = ticks_;
     s.drops = drops_;
     s.spikes = spikes_;
+    s.peak = peak_;
     return s;
   }
 
   void restoreState(const SavedState& s) {
     ticks_ = s.ticks;
     drops_ = s.drops;
+    peak_ = s.peak;
     // spikes_ forgotten — the lint must notice.
   }
 
@@ -90,4 +38,11 @@ class Meter {
   std::uint64_t ticks_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t spikes_ = 0;
+  std::uint64_t peak_ = 0;
 };
+
+// The section's single traversal: `peak` never reaches the bytes.
+template <class Ar>
+void persistMeter(Ar& ar, Meter::SavedState& s) {
+  ar(s.ticks, s.drops, s.spikes);
+}
