@@ -65,7 +65,7 @@ struct BenchEnv {
   }
 };
 
-/// The AVMEM_TRACE_BACKEND override (dense | bitpacked | markov); nullopt
+/// The AVMEM_TRACE_BACKEND override (recorded | markov); nullopt
 /// when unset — callers keep their scenario's default. Exits with status 2
 /// on an unknown name so CI fails loudly instead of silently benching the
 /// wrong representation.
@@ -76,7 +76,7 @@ struct BenchEnv {
   const auto backend = core::parseTraceBackend(b);
   if (!backend) {
     std::cerr << benchName << ": unknown AVMEM_TRACE_BACKEND '" << b
-              << "' (want dense|bitpacked|markov)\n";
+              << "' (want recorded|markov)\n";
     std::exit(2);
   }
   return backend;

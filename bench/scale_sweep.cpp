@@ -13,9 +13,9 @@
 //    critical path with kFast64, and the plan phase fans out across
 //    every core (threads column; identical results at any count);
 //  * availability-model resident memory — O(hosts) with the Markov
-//    backend, which is what makes the 1M default point fit (a dense
-//    1M-host timeline would be hundreds of MB before the system even
-//    starts).
+//    backend, which is what makes the 1M default point fit (a recorded
+//    1M-host timeline is first generated as a byte matrix, one byte per
+//    host-epoch, before the system even starts).
 //
 // Usage:
 //   scale_sweep [--smoke] [--json out.json]
@@ -36,7 +36,7 @@
 //   AVMEM_SCALE_NS        comma list of population sizes
 //                         (default "10000,100000,1000000")
 //   AVMEM_SCALE_SEED      base RNG seed (default 20070101)
-//   AVMEM_TRACE_BACKEND   dense | bitpacked | markov
+//   AVMEM_TRACE_BACKEND   recorded | markov
 //                         (default: the scenario's choice, markov)
 //   AVMEM_THREADS         maintenance plan-phase threads
 //                         (default 0 = every core; 1 = serial)

@@ -5,9 +5,9 @@
 // Reported: availability marginal (headline: ~50% of hosts below 0.3),
 // session/absence length distributions, online population, and the
 // diurnal swing. Runs against any AvailabilityModel backend
-// (AVMEM_TRACE_BACKEND=dense|bitpacked|markov) — the recorded backends
-// characterize identically by construction; the streaming Markov backend
-// shows the same availability marginal with a flat diurnal profile (the
+// (AVMEM_TRACE_BACKEND=recorded|markov) — the recorded backend packs
+// exactly the generator's timeline; the streaming Markov backend shows
+// the same availability marginal with a flat diurnal profile (the
 // generative model omits the day/night modulation).
 #include "bench/fig_common.hpp"
 
@@ -32,7 +32,7 @@ int main() {
 
   const core::TraceBackend backend =
       traceBackendFromEnv("trace_characterization")
-          .value_or(core::TraceBackend::kDense);
+          .value_or(core::TraceBackend::kRecorded);
   const std::unique_ptr<trace::AvailabilityModel> model =
       core::makeTraceModel(backend, cfg);
   std::cout << "# availability backend: " << core::traceBackendName(backend)

@@ -4,7 +4,7 @@
 // 3.1): "an availability monitoring service is defined as one that can be
 // queried for the long-term availability of any given node. It returns an
 // answer that is reasonably accurate, and that is reasonably consistent
-// over time." Three implementations:
+// over time." Three implementations, the only ones AvmemSimulation builds:
 //
 //  * OracleAvailabilityService — ground truth from the churn trace; the
 //    perfectly-accurate, perfectly-consistent limit.
@@ -15,6 +15,10 @@
 //    re-implementation: consistent monitor sets sampling targets through
 //    churn, with inconsistency arising organically from which monitor a
 //    querier consults.
+//
+// Every implementation answers query() as a pure read, so the parallel
+// maintenance plan phase may call it from any number of threads at once
+// (see AvailabilityService::query).
 #pragma once
 
 #include <algorithm>
@@ -38,21 +42,12 @@ class AvailabilityService {
 
   /// The long-term availability of `target` as visible to `querier` now.
   /// nullopt when the service has no estimate (e.g. never-observed node).
+  ///
+  /// Called concurrently from the parallel maintenance plan phase: the
+  /// answer must be a pure function of (querier, target, sim time), with
+  /// no unsynchronized mutable state on the query path.
   [[nodiscard]] virtual std::optional<double> query(NodeIndex querier,
                                                     NodeIndex target) = 0;
-
-  /// True when query() may be called concurrently from the parallel
-  /// maintenance plan phase: answers must be a pure function of
-  /// (querier, target, sim time) with no unsynchronized mutable state on
-  /// the query path. Backends that mutate per-query state on the query
-  /// path (aged EWMA cells) keep the default false, and the engine then
-  /// plans serially — correctness never depends on this flag, only
-  /// parallelism does. AVMON qualifies as of PR 9: its counters are
-  /// frozen between serial epoch-fold events and its monitor cells
-  /// publish through atomics.
-  [[nodiscard]] virtual bool concurrentReadSafe() const noexcept {
-    return false;
-  }
 };
 
 /// Ground truth: fraction uptime from trace start to the current instant.
@@ -62,15 +57,11 @@ class OracleAvailabilityService final : public AvailabilityService {
                             const sim::Simulator& sim) noexcept
       : trace_(trace), sim_(sim) {}
 
+  /// Model reads are const and data-race-free (the Markov backend's
+  /// cursor is a relaxed atomic; a recorded trace is immutable).
   [[nodiscard]] std::optional<double> query(NodeIndex /*querier*/,
                                             NodeIndex target) override {
     return trace_.availabilityAt(target, sim_.now());
-  }
-
-  /// Model reads are const and data-race-free (the Markov backend's
-  /// cursor is a relaxed atomic; dense/bit-packed traces are immutable).
-  [[nodiscard]] bool concurrentReadSafe() const noexcept override {
-    return true;
   }
 
  private:
@@ -117,12 +108,6 @@ class NoisyAvailabilityService final : public AvailabilityService {
         static_cast<double>(sim::splitMix64(h) >> 11) * 0x1.0p-53;
     const double err = (2.0 * u - 1.0) * maxError_;
     return std::clamp(*base + err, 0.0, 1.0);
-  }
-
-  /// The perturbation is a pure function of (querier, target, bucket);
-  /// safety reduces to the wrapped service's.
-  [[nodiscard]] bool concurrentReadSafe() const noexcept override {
-    return inner_.concurrentReadSafe();
   }
 
  private:

@@ -287,10 +287,12 @@ AvmonSystem::SavedState AvmonSystem::saveState() const {
   return s;
 }
 
-void AvmonSystem::restoreState(const SavedState& s) {
-  advancedEpochs_.store(s.advancedEpochs, std::memory_order_release);
-  pings_ = s.pings;
-  for (const SavedState::Cell& saved : s.cells) {
+AvmonSystem::StagedRestore AvmonSystem::restoreStage(SavedState s) const {
+  StagedRestore staged;
+  staged.advancedEpochs = s.advancedEpochs;
+  staged.pings = s.pings;
+  staged.cells.reserve(s.cells.size());
+  for (SavedState::Cell& saved : s.cells) {
     if (saved.target >= ids_.size()) {
       throw std::invalid_argument(
           "AvmonSystem restore: saved target out of range");
@@ -303,10 +305,19 @@ void AvmonSystem::restoreState(const SavedState& s) {
           "AvmonSystem restore: monitor count mismatch (checkpoint was "
           "taken under a different monitor relation)");
     }
-    cell->samples = saved.samples;
-    cell->up = saved.up;
-    cells_[saved.target] = std::move(cell);
-    ready_[saved.target].store(1, std::memory_order_release);
+    cell->samples = std::move(saved.samples);
+    cell->up = std::move(saved.up);
+    staged.cells.emplace_back(saved.target, std::move(cell));
+  }
+  return staged;
+}
+
+void AvmonSystem::restoreInstall(StagedRestore staged) noexcept {
+  advancedEpochs_.store(staged.advancedEpochs, std::memory_order_release);
+  pings_ = staged.pings;
+  for (auto& [target, cell] : staged.cells) {
+    cells_[target] = std::move(cell);
+    ready_[target].store(1, std::memory_order_release);
   }
 }
 

@@ -33,9 +33,8 @@
 //    task: at the end of each trace epoch the task plans (read-only, fanned
 //    across the shared WorkerPool) which monitors and targets were online,
 //    then commits counters serially in ascending target order. query() is
-//    a pure read of frozen counters → concurrentReadSafe() is true and the
-//    engine plans in parallel with the AVMON backend, bit-identically at
-//    any thread count.
+//    a pure read of frozen counters, so the engine plans in parallel with
+//    the AVMON backend, bit-identically at any thread count.
 //  * Wire-billed pings. Each committed sample is a ping billed into
 //    NetworkStats (and answered by a pong when the target is up) through a
 //    friend seam on net::Network, consulted against the fault injector's
@@ -60,6 +59,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "avmon/availability_service.hpp"
@@ -206,17 +206,7 @@ class AvmonSystem {
 
   [[nodiscard]] SavedState saveState() const;
 
-  /// Rebuild materialized cells and adopt the saved counters. Throws
-  /// std::invalid_argument when a saved cell's counter count does not
-  /// match the recomputed monitor set (config/trace mismatch the
-  /// fingerprint should have caught). Only valid on a fresh system.
-  void restoreState(const SavedState& s);
-
  private:
-  /// The facade reads cells, the trace and the clock directly (no
-  /// per-monitor binary search or epoch lookup on the hot query path).
-  friend class AvmonAvailabilityService;
-
   /// One materialized target: monitor list (ascending) plus flat SoA
   /// sampling counters indexed like it.
   struct TargetCell {
@@ -224,6 +214,33 @@ class AvmonSystem {
     std::vector<std::uint32_t> samples;
     std::vector<std::uint32_t> up;
   };
+
+ public:
+  /// A validated restore, built by restoreStage() and adopted by
+  /// restoreInstall(): monitor sets rebuilt and counters checked against
+  /// them, nothing installed yet.
+  class StagedRestore {
+    friend class AvmonSystem;
+    std::uint64_t advancedEpochs = 0;
+    PingStats pings;
+    std::vector<std::pair<NodeIndex, std::unique_ptr<TargetCell>>> cells;
+  };
+
+  /// Rebuild each saved target's monitor set (one scan per target) and
+  /// attach its saved counters, leaving this system untouched. Throws
+  /// std::invalid_argument when a saved target is out of range or its
+  /// counter count does not match the recomputed monitor set (a
+  /// config/trace mismatch the fingerprint should have caught, or a
+  /// hand-edited file).
+  [[nodiscard]] StagedRestore restoreStage(SavedState s) const;
+
+  /// Adopt a staged restore; never throws. Only valid on a fresh system.
+  void restoreInstall(StagedRestore staged) noexcept;
+
+ private:
+  /// The facade reads cells, the trace and the clock directly (no
+  /// per-monitor binary search or epoch lookup on the hot query path).
+  friend class AvmonAvailabilityService;
 
   static constexpr std::size_t kStripes = 64;
 
@@ -276,15 +293,12 @@ class AvmonAvailabilityService final : public AvailabilityService {
   /// measure — remains: a querier only hears from monitors it can reach,
   /// i.e. those currently online. nullopt if no informed monitor is
   /// reachable.
+  ///
+  /// Reads frozen counters (advanced only at serial epoch-fold events),
+  /// the memoized monitor cell (atomic publication), and the trace's
+  /// online oracle — all safe under the parallel plan phase.
   [[nodiscard]] std::optional<double> query(NodeIndex querier,
                                             NodeIndex target) override;
-
-  /// query() reads frozen counters (advanced only at serial epoch-fold
-  /// events), the memoized monitor cell (atomic publication), and the
-  /// trace's online oracle — all safe under the parallel plan phase.
-  [[nodiscard]] bool concurrentReadSafe() const noexcept override {
-    return true;
-  }
 
  private:
   const AvmonSystem& system_;

@@ -239,8 +239,8 @@ Scenario makeScaleScenario(std::uint32_t hosts, std::uint64_t seed) {
 
   // Streaming Markov churn: per-host chains generated on demand, O(hosts)
   // memory however long the trace — the backend that unlocked the 1M-node
-  // default point (a dense 1M x 72 timeline is ~360 MB; the model is tens
-  // of MB).
+  // default point (a recorded timeline is first generated as a 1M x 72
+  // byte matrix, ~100 MB; the model is tens of MB).
   s.config.traceBackend = TraceBackend::kMarkov;
 
   // Oracle availability: monitoring-substrate accuracy is a paper-fidelity

@@ -9,8 +9,8 @@
 //
 // Two families ship built in (docs/SCENARIOS.md documents every entry):
 //  * paper-* — the Middleware 2007 evaluation setups (1442 hosts, 7-day
-//    synthetic Overnet trace stored densely, AVMON backend, SHA-1 pair
-//    hash);
+//    synthetic Overnet trace as a recorded timeline, AVMON backend,
+//    SHA-1 pair hash);
 //  * scale-* — the million-node setups (oracle backend, kFast64 pair
 //    hash, compact views, sharded maintenance, streaming Markov churn —
 //    no materialized timeline), used by bench/scale_sweep up to its

@@ -7,7 +7,6 @@
 #include "core/attack.hpp"
 #include "hash/fast64_batch.hpp"
 #include "net/latency.hpp"
-#include "trace/bitpacked_trace.hpp"
 #include "trace/markov_churn.hpp"
 
 namespace avmem::core {
@@ -15,16 +14,14 @@ namespace avmem::core {
 using net::NodeIndex;
 
 std::optional<TraceBackend> parseTraceBackend(std::string_view name) noexcept {
-  if (name == "dense") return TraceBackend::kDense;
-  if (name == "bitpacked") return TraceBackend::kBitPacked;
+  if (name == "recorded") return TraceBackend::kRecorded;
   if (name == "markov") return TraceBackend::kMarkov;
   return std::nullopt;
 }
 
 const char* traceBackendName(TraceBackend backend) noexcept {
   switch (backend) {
-    case TraceBackend::kDense: return "dense";
-    case TraceBackend::kBitPacked: return "bitpacked";
+    case TraceBackend::kRecorded: return "recorded";
     case TraceBackend::kMarkov: return "markov";
   }
   return "?";
@@ -33,12 +30,9 @@ const char* traceBackendName(TraceBackend backend) noexcept {
 std::unique_ptr<trace::AvailabilityModel> makeTraceModel(
     TraceBackend backend, const trace::OvernetTraceConfig& config) {
   switch (backend) {
-    case TraceBackend::kDense:
+    case TraceBackend::kRecorded:
       return std::make_unique<trace::ChurnTrace>(
           trace::generateOvernetTrace(config));
-    case TraceBackend::kBitPacked:
-      return std::make_unique<trace::BitPackedTrace>(
-          trace::generateOvernetTimeline(config), config.epochDuration);
     case TraceBackend::kMarkov:
       return std::make_unique<trace::MarkovChurnModel>(config);
   }
@@ -131,16 +125,6 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
           std::make_unique<avmon::AvmonAvailabilityService>(*avmonSystem_);
       service_ = serviceOwned_.get();
       break;
-    case AvailabilityBackend::kAged:
-      serviceOwned_ = std::make_unique<avmon::AgedAvailabilityService>(
-          *trace_, *sim_, config.agedAlpha);
-      service_ = serviceOwned_.get();
-      break;
-    case AvailabilityBackend::kCentral:
-      serviceOwned_ = std::make_unique<avmon::CentralizedAvailabilityService>(
-          *trace_, *sim_, config.centralSnapshotPeriod);
-      service_ = serviceOwned_.get();
-      break;
   }
 
   // Availability PDF: the offline crawler artifact. Sampled from the
@@ -226,17 +210,13 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   }
 
   // Parallel shard dispatch: the maintenance plan phase may fan out
-  // across a worker pool, but only when the availability service declares
-  // its query path concurrency-safe (the pair hash is a pure function on
-  // every backend); a service that does not clamps back to serial. The
-  // clamp never changes results (plan/commit is bit-identical at any
-  // thread count), only how many cores the warm-up uses.
-  std::size_t threads = config.maintenanceThreads == 0
-                            ? sim::WorkerPool::defaultThreadCount()
-                            : config.maintenanceThreads;
-  if (threads > 1 && !service_->concurrentReadSafe()) {
-    threads = 1;
-  }
+  // across a worker pool. Every availability service answers queries as
+  // pure reads and the pair hash is a pure function on every backend, so
+  // the thread count never changes results (plan/commit is bit-identical
+  // at any count), only how many cores the warm-up uses.
+  const std::size_t threads = config.maintenanceThreads == 0
+                                  ? sim::WorkerPool::defaultThreadCount()
+                                  : config.maintenanceThreads;
   if (threads > 1) {
     pool_ = std::make_unique<sim::WorkerPool>(threads);
   }

@@ -18,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "avmon/aged_availability.hpp"
 #include "avmon/availability_service.hpp"
 #include "avmon/avmon_monitors.hpp"
 #include "avmon/shuffle_service.hpp"
@@ -50,21 +49,19 @@ enum class AvailabilityBackend : std::uint8_t {
   kOracle,   ///< ground truth (perfect accuracy and consistency)
   kNoisy,    ///< oracle + bounded querier-dependent error and staleness
   kAvmon,    ///< the full AVMON monitor overlay (paper's deployment)
-  kAged,     ///< EWMA-aged availability (AVMON's "aged" mode)
-  kCentral,  ///< centralized crawler with periodic snapshots
 };
 
 /// Which AvailabilityModel backend represents ground-truth churn (see
 /// src/trace/availability_model.hpp and docs/ARCHITECTURE.md for the
-/// trade-offs).
+/// trade-offs). The values are part of the checkpoint config fingerprint,
+/// hence explicit.
 enum class TraceBackend : std::uint8_t {
-  kDense,      ///< ChurnTrace: bytes + prefix sums (paper fidelity)
-  kBitPacked,  ///< BitPackedTrace: identical answers, ~64x less bitmap
-  kMarkov,     ///< MarkovChurnModel: generative, O(hosts) memory (scale)
+  kRecorded = 0,  ///< ChurnTrace: a bit-packed timeline (paper fidelity)
+  kMarkov = 2,    ///< MarkovChurnModel: generative, O(hosts) memory (scale)
 };
 
 /// Parse the name used by AVMEM_TRACE_BACKEND and bench output
-/// ("dense" | "bitpacked" | "markov"); nullopt on anything else.
+/// ("recorded" | "markov"); nullopt on anything else.
 [[nodiscard]] std::optional<TraceBackend> parseTraceBackend(
     std::string_view name) noexcept;
 
@@ -95,15 +92,11 @@ struct SimulationConfig {
   /// kNoisy parameters.
   double noisyMaxError = 0.05;
   sim::SimDuration noisyStaleness = sim::SimDuration::minutes(20);
-  /// kAged: EWMA weight of the newest epoch.
-  double agedAlpha = 0.05;
-  /// kCentral: crawler snapshot period.
-  sim::SimDuration centralSnapshotPeriod = sim::SimDuration::hours(2);
 
   /// Ground-truth churn representation. The synthetic generator feeds the
-  /// recorded backends; kMarkov skips materialization entirely and streams
+  /// recorded backend; kMarkov skips materialization entirely and streams
   /// the same per-host chains on demand.
-  TraceBackend traceBackend = TraceBackend::kDense;
+  TraceBackend traceBackend = TraceBackend::kRecorded;
 
   PredicateChoice predicate = PredicateChoice::kPaperDefault;
   /// Edge probability for kRandomOverlay; 0 = SCAMP-style sizing,
@@ -137,11 +130,10 @@ struct SimulationConfig {
   /// Worker threads for the maintenance plan phase (parallel shard
   /// dispatch; see docs/ARCHITECTURE.md "Parallel dispatch"). 1 = fully
   /// serial — the paper-fidelity default; 0 = auto
-  /// (hardware_concurrency). Counts above 1 require a concurrency-safe
-  /// availability service — oracle, noisy or AVMON — and are clamped to 1
-  /// for the aged and centralized ones (results are identical either way;
-  /// only wall-clock changes). Every pair hash backend is a pure function
-  /// and plans on any number of threads.
+  /// (hardware_concurrency). Results are identical at any count; only
+  /// wall-clock changes. Every availability service (oracle, noisy, AVMON)
+  /// answers queries as pure reads and every pair hash backend is a pure
+  /// function, so the plan phase runs on any number of threads.
   /// Scenario builders honor the AVMEM_THREADS environment override.
   std::size_t maintenanceThreads = 1;
 
@@ -228,7 +220,7 @@ struct AnycastBatchResult {
 class AvmemSimulation {
  public:
   explicit AvmemSimulation(const SimulationConfig& config);
-  /// Use a caller-supplied dense trace (e.g. real Overnet data via
+  /// Use a caller-supplied recorded trace (e.g. real Overnet data via
   /// trace_io) instead of generating one.
   AvmemSimulation(const SimulationConfig& config, trace::ChurnTrace trace);
   /// Use a caller-supplied availability model of any backend.
@@ -250,9 +242,9 @@ class AvmemSimulation {
   /// Serialize the full warm state (slivers, views, in-flight shuffle
   /// legs, feed directory, timer wheels, RNG cursors, sim clock) to a
   /// versioned, CRC-protected binary stream. Throws
-  /// snapshot::CheckpointUnsupportedError if the world holds state the
-  /// format cannot capture (e.g. an in-flight anycast, or an aged/central
-  /// backend — the AVMON overlay snapshots via its AVMN section).
+  /// snapshot::CheckpointUnsupportedError if the system was never started
+  /// or holds state the format cannot capture (an in-flight anycast or
+  /// multicast).
   void saveCheckpoint(const std::string& path) const;
   void saveCheckpoint(std::ostream& out) const;
 
@@ -311,7 +303,7 @@ class AvmemSimulation {
     return fault_.get();
   }
   /// Effective maintenance plan-phase thread count after auto-resolution
-  /// and the concurrency-safety clamp (1 = serial).
+  /// (1 = serial).
   [[nodiscard]] std::size_t maintenanceThreads() const noexcept {
     return pool_ != nullptr ? pool_->threadCount() : 1;
   }

@@ -13,8 +13,10 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -652,8 +654,10 @@ std::uint64_t configFingerprint(const SimulationConfig& config) {
   m.add(static_cast<std::uint64_t>(config.backend));
   m.add(config.noisyMaxError);
   m.add(config.noisyStaleness);
-  m.add(config.agedAlpha);
-  m.add(config.centralSnapshotPeriod);
+  // Two retired backend knobs, mixed in at their last defaults so every
+  // existing checkpoint keeps its fingerprint.
+  m.add(0.05);
+  m.add(sim::SimDuration::hours(2));
   m.add(config.avmon.expectedMonitorsPerTarget);
   m.add(static_cast<std::uint64_t>(config.avmon.hashAlgorithm));
   m.add(config.avmon.hashSeed);
@@ -690,13 +694,6 @@ void CheckpointAccess::save(const AvmemSimulation& sim, std::ostream& out) {
   if (!sim.started_) {
     throw CheckpointUnsupportedError(
         "checkpoint: system not started (nothing warm to save)");
-  }
-  if (sim.config_.backend == core::AvailabilityBackend::kAged ||
-      sim.config_.backend == core::AvailabilityBackend::kCentral) {
-    throw CheckpointUnsupportedError(
-        "checkpoint: the aged and central availability backends hold "
-        "per-query estimator state the format does not capture (the avmon "
-        "overlay checkpoints via its AVMN section as of v3)");
   }
   World<Writer> w;
   w.ctx = contextOf(sim.nodes_.size(), sim.trace_.get(), sim.feed_ != nullptr,
@@ -835,6 +832,18 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
     throw CheckpointFormatError(
         "checkpoint fault: attack stage count mismatch");
   }
+  // AVMN cells are checked against monitor sets rebuilt from the hash;
+  // each target is scanned once, here, and the install below only moves
+  // the staged cells in.
+  std::optional<avmon::AvmonSystem::StagedRestore> avmonStaged;
+  if (sim.avmonSystem_ != nullptr) {
+    try {
+      avmonStaged = sim.avmonSystem_->restoreStage(std::move(w.avmon));
+    } catch (const std::invalid_argument& e) {
+      throw CheckpointFormatError(std::string("checkpoint avmon: ") +
+                                  e.what());
+    }
+  }
 
   // --- install state (no events scheduled yet) ---
 
@@ -849,7 +858,7 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
   sim.network_->restoreState(w.network);
   sim.rng_ = sim::Rng::fromState(w.facadeRng);
   if (sim.fault_ != nullptr) sim.fault_->restoreState(w.fault);
-  if (sim.avmonSystem_ != nullptr) sim.avmonSystem_->restoreState(w.avmon);
+  if (avmonStaged) sim.avmonSystem_->restoreInstall(std::move(*avmonStaged));
   if (w.ctx.hasMarkov && seen.contains(fourcc('M', 'R', 'K', 'V'))) {
     markovOf(sim.trace_.get())->restoreCursors(w.markovCursors);
   }

@@ -81,7 +81,7 @@ class CheckpointConfigError : public CheckpointError {
 };
 
 /// The live system holds state the format cannot capture (an in-flight
-/// anycast, an aged/central backend, an already-started restore
+/// anycast, a never-started save source, an already-started restore
 /// target). Saving anyway would produce a silently partial snapshot.
 class CheckpointUnsupportedError : public CheckpointError {
  public:

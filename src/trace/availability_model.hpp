@@ -5,11 +5,10 @@
 // online at time t, and what is h's long-term availability up to t — but
 // the right representation depends on the experiment:
 //
-//  * ChurnTrace (churn_trace.hpp) — dense bytes + uint32 prefix sums.
-//    Paper-fidelity figures; O(1) everything; ~5 bytes per host-epoch.
-//  * BitPackedTrace (bitpacked_trace.hpp) — 64-bit epoch words with
-//    per-word population counts. Identical answers to the dense trace at
-//    ~64x less bitmap memory; availability queries popcount one word.
+//  * ChurnTrace (churn_trace.hpp) — a recorded timeline, bit-packed 64
+//    epochs per word with per-word population counts. Paper-fidelity
+//    figures and on-disk traces; O(1) queries at ~0.19 bytes per
+//    host-epoch (an availability query popcounts one word).
 //  * MarkovChurnModel (markov_churn.hpp) — no stored timeline at all: a
 //    per-host two-state Markov chain generated on the fly from
 //    (p_up, mean-session-length) parameters. O(hosts) memory independent
@@ -17,7 +16,7 @@
 //
 // The two pure queries every backend must answer are onlineInEpoch() and
 // onlineEpochsThrough(); all time-based and fractional queries derive
-// from them here, so the three backends cannot drift apart on epoch
+// from them here, so the backends cannot drift apart on epoch
 // arithmetic.
 #pragma once
 

@@ -1,9 +1,9 @@
 // Streaming Markov churn: availability generated on the fly, O(hosts)
 // memory independent of trace duration.
 //
-// The dense and bit-packed backends materialize a timeline; at a million
-// hosts over the paper's 7-day/20-minute trace even the packed bitmap is
-// ~90 MB and the dense one ~2.5 GB. This backend stores *no timeline at
+// The recorded backend (ChurnTrace) materializes a timeline; at a million
+// hosts over the paper's 7-day/20-minute trace even its packed bitmap is
+// ~90 MB. This backend stores *no timeline at
 // all*: each host is a two-state (on/off) Markov chain over epochs — the
 // same chain the synthetic Overnet generator runs (overnet_generator.cpp)
 // — whose parameters are just (p_up, mean-session-length). State is

@@ -67,8 +67,7 @@ struct OvernetTraceConfig {
 [[nodiscard]] ChurnTrace generateOvernetTrace(const OvernetTraceConfig& config);
 
 /// Generate the raw per-host byte timeline (`timeline[h][e]` is host h's
-/// online flag in epoch e) without committing to a storage backend: feed
-/// it to ChurnTrace or BitPackedTrace. Identical bits to
+/// online flag in epoch e): the matrix ChurnTrace packs. Identical bits to
 /// generateOvernetTrace for the same config.
 [[nodiscard]] std::vector<std::vector<std::uint8_t>> generateOvernetTimeline(
     const OvernetTraceConfig& config);

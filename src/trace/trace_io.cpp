@@ -47,8 +47,9 @@ ChurnTrace loadTrace(std::istream& is) {
     throw std::runtime_error("loadTrace: bad header '" + header + "'");
   }
 
+  // Rows grow with the lines actually read, never with the header's
+  // claim: a lying host count fails as "truncated", not as an allocation.
   std::vector<std::vector<std::uint8_t>> timeline;
-  timeline.reserve(hosts);
   std::string line;
   for (std::size_t h = 0; h < hosts; ++h) {
     if (!std::getline(is, line)) {

@@ -99,18 +99,6 @@ TEST(NoisyServiceTest, ErrorIsDeterministicPerQuerierTargetBucket) {
   EXPECT_GT(targetDependent, 10);
 }
 
-TEST(NoisyServiceTest, ConcurrentReadSafeDelegatesToInner) {
-  const auto t = makeTrace();
-  sim::Simulator sim;
-  // Oracle reads are concurrency-safe; the pure-function perturbation
-  // inherits that.
-  OracleAvailabilityService oracle(t, sim);
-  NoisyAvailabilityService overOracle(oracle, sim, 0.05,
-                                      sim::SimDuration::minutes(20), 99);
-  EXPECT_TRUE(oracle.concurrentReadSafe());
-  EXPECT_TRUE(overOracle.concurrentReadSafe());
-}
-
 TEST(NoisyServiceTest, AnswersChangeOnlyAtBucketBoundaries) {
   const auto t = makeTrace();
   sim::Simulator sim;

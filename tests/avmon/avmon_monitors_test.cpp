@@ -239,10 +239,5 @@ TEST_F(AvmonTest, Fast64RelationMatchesScalarPredicate) {
   }
 }
 
-TEST_F(AvmonTest, ConcurrentReadSafeIsDeclared) {
-  AvmonAvailabilityService svc(*system_);
-  EXPECT_TRUE(svc.concurrentReadSafe());
-}
-
 }  // namespace
 }  // namespace avmem::avmon

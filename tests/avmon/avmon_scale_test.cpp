@@ -1,7 +1,7 @@
 // AVMON on the plan/commit architecture (PR 9), end to end: a
 // scale-avmon scenario must (a) actually run the maintenance plan phase
-// in parallel — the AVMON service is the first paper backend to clear
-// the concurrentReadSafe() gate — (b) produce bit-identical results at
+// in parallel — the AVMON service answers queries as pure reads of
+// frozen counters — (b) produce bit-identical results at
 // any thread count, and (c) survive the
 // warm-state checkpoint round trip, AVMN section included.
 #include <gtest/gtest.h>
@@ -90,8 +90,8 @@ AvmonRunFingerprint runAvmon(std::size_t threads) {
 }
 
 TEST(AvmonScaleTest, BackendClearsTheParallelGate) {
-  // The refactor's headline: kAvmon no longer clamps the plan phase to
-  // one thread (frozen counters + pure-read query path).
+  // The refactor's headline: kAvmon plans on every requested thread
+  // (frozen counters + pure-read query path).
   Scenario s = makeAvmonScenario(8);
   AvmemSimulation system(s.config);
   EXPECT_EQ(system.maintenanceThreads(), 8u);

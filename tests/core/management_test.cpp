@@ -97,8 +97,7 @@ TEST_F(ManagementClientTest, DefaultsCanBeOverridden) {
 TEST(ManagementBackendsTest, OperationsWorkOnEveryAvailabilityBackend) {
   for (const auto backend :
        {AvailabilityBackend::kOracle, AvailabilityBackend::kNoisy,
-        AvailabilityBackend::kAvmon, AvailabilityBackend::kAged,
-        AvailabilityBackend::kCentral}) {
+        AvailabilityBackend::kAvmon}) {
     SimulationConfig cfg;
     cfg.trace.hosts = 120;
     cfg.backend = backend;

@@ -226,16 +226,6 @@ TEST(ParallelEngineTest, PaperWorldIsThreadCountInvariant) {
   EXPECT_EQ(fourTargets, serialTargets);
 }
 
-TEST(ParallelEngineTest, UnsafeServiceClampsToSerial) {
-  // The aged service mutates per-query estimator state, so it declares
-  // itself unsafe and asking for threads must clamp to 1 rather than race.
-  auto scenario = makeScenario("paper-default", {.fast = true});
-  scenario.config.backend = AvailabilityBackend::kAged;
-  scenario.config.maintenanceThreads = 8;
-  AvmemSimulation system(scenario.config);
-  EXPECT_EQ(system.maintenanceThreads(), 1u);
-}
-
 TEST(ParallelEngineTest, ShuffleHeavyRunIsThreadCountInvariant) {
   // Gossip-dominated workload: the shuffle fires every 15 s (vs the
   // 1-minute default), so the batched plan/commit exchange path — partner

@@ -63,15 +63,14 @@ TEST(ScenarioTest, ScaleScenariosUseTheScaleMode) {
   EXPECT_EQ(custom.config.seed, 9u);
 }
 
-TEST(ScenarioTest, PaperScenariosKeepTheDenseTrace) {
+TEST(ScenarioTest, PaperScenariosKeepTheRecordedTrace) {
   // Paper-fidelity figures must keep reading the recorded representation.
   EXPECT_EQ(makeScenario("paper-default").config.traceBackend,
-            TraceBackend::kDense);
+            TraceBackend::kRecorded);
 }
 
 TEST(ScenarioTest, ScaleScenarioRunsOnEveryTraceBackend) {
-  for (const auto backend : {TraceBackend::kDense, TraceBackend::kBitPacked,
-                             TraceBackend::kMarkov}) {
+  for (const auto backend : {TraceBackend::kRecorded, TraceBackend::kMarkov}) {
     auto s = makeScaleScenario(120, 7);
     s.config.traceBackend = backend;
     AvmemSimulation world(s.config);

@@ -115,5 +115,17 @@ TEST(SnapshotGoldenTest, GoldenV3RestoresAndResavesByteIdentically) {
   }
 }
 
+TEST(SnapshotGoldenTest, RecordedTraceFingerprintsArePinned) {
+  // The golden file is a Markov-trace world. These two registry scenarios
+  // run on the recorded trace, and their fingerprints were computed by the
+  // build that still had the dense/bit-packed split and the aged and
+  // centralized availability backends: retiring those must not orphan a
+  // recorded-trace checkpoint.
+  EXPECT_EQ(configFingerprint(core::makeScenario("paper-default", {}).config),
+            0x7bd4db3c9188983eull);
+  EXPECT_EQ(configFingerprint(core::makeScenario("oracle-small", {}).config),
+            0x157652a50d40fcf5ull);
+}
+
 }  // namespace
 }  // namespace avmem::snapshot

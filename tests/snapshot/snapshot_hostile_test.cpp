@@ -376,6 +376,38 @@ TEST(SnapshotHostileTest, AvmonFoldCursorPastTraceBehindValidCrc) {
       config);
 }
 
+TEST(SnapshotHostileTest, AvmonCellCounterLengthMismatchBehindValidCrc) {
+  // A cell whose counter arrays are one longer than its target's monitor
+  // set passes every parse check: only the monitor scan, which rebuilds
+  // the set from the hash, can see it. That scan runs before anything is
+  // installed, so the failed restore leaves the victim fresh, and the same
+  // object then takes the good checkpoint.
+  const core::SimulationConfig config = avmonDonorScenario().config;
+  const std::string bad = mutateAvmn([](std::string& payload) {
+    std::vector<std::string> cells = avmnCells(payload);
+    ASSERT_FALSE(cells.empty());
+    std::string& cell = cells.front();
+    std::uint64_t samples = 0;
+    std::memcpy(&samples, cell.data() + 4, 8);
+    cell.insert(4 + 8 + 4 * static_cast<std::size_t>(samples), 4, '\0');
+    ++samples;
+    std::memcpy(cell.data() + 4, &samples, 8);
+    payload.resize(kAvmnCellsOffset);
+    for (const std::string& c : cells) payload += c;
+  });
+
+  AvmemSimulation victim(config);
+  {
+    std::istringstream in(bad, std::ios::binary);
+    EXPECT_THROW(victim.restoreCheckpoint(in), CheckpointFormatError);
+  }
+  std::istringstream in(goodAvmonBytes(), std::ios::binary);
+  ASSERT_NO_THROW(victim.restoreCheckpoint(in));
+  std::ostringstream out(std::ios::binary);
+  victim.saveCheckpoint(out);
+  EXPECT_EQ(out.str(), goodAvmonBytes());
+}
+
 /// The donor world under a loss + flooding-attack campaign open at the
 /// save instant, so its checkpoint carries a FALT section.
 Scenario campaignDonorScenario() {
@@ -451,21 +483,9 @@ TEST(SnapshotHostileTest, ConfigFingerprintMismatch) {
 
 TEST(SnapshotHostileTest, SaveRefusesUnsupportedStates) {
   // Never started: nothing warm to save.
-  {
-    AvmemSimulation cold(donorScenario().config);
-    std::ostringstream out(std::ios::binary);
-    EXPECT_THROW(cold.saveCheckpoint(out), CheckpointUnsupportedError);
-  }
-  // Stateful availability backend: the format does not capture monitor
-  // state, so it must refuse rather than snapshot partially.
-  {
-    Scenario aged = donorScenario();
-    aged.config.backend = core::AvailabilityBackend::kAged;
-    AvmemSimulation system(aged.config);
-    system.warmup(sim::SimDuration::minutes(5));
-    std::ostringstream out(std::ios::binary);
-    EXPECT_THROW(system.saveCheckpoint(out), CheckpointUnsupportedError);
-  }
+  AvmemSimulation cold(donorScenario().config);
+  std::ostringstream out(std::ios::binary);
+  EXPECT_THROW(cold.saveCheckpoint(out), CheckpointUnsupportedError);
 }
 
 TEST(SnapshotHostileTest, RestoreRefusesStartedSystem) {

@@ -103,7 +103,7 @@ TEST(SnapshotRoundtripTest, NoisyBackendNoFeed) {
                    .warmupMins = 11});
 }
 
-TEST(SnapshotRoundtripTest, DenseTraceBackendHasNoMarkovSection) {
+TEST(SnapshotRoundtripTest, RecordedTraceBackendHasNoMarkovSection) {
   // oracle-small materializes its trace (no Markov model), so the MRKV
   // section is absent — the optional-section path must round-trip too.
   Scenario s = core::makeScenario("oracle-small");

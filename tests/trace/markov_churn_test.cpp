@@ -133,7 +133,7 @@ TEST(MarkovChurnTest, MemoryIsIndependentOfHorizon) {
 TEST(MarkovChurnTest, OvernetMixtureMatchesGeneratorMarginal) {
   // The OvernetTraceConfig constructor draws the same per-host intrinsic
   // availabilities as the materialized generator (same fork, same order):
-  // fullAvailability here equals the long-run mean the dense trace
+  // fullAvailability here equals the long-run mean the recorded trace
   // converges to. Spot-check the marginal shape.
   OvernetTraceConfig cfg;
   cfg.hosts = 2000;

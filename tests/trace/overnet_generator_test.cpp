@@ -6,6 +6,7 @@
 #include "trace/trace_io.hpp"
 
 #include <sstream>
+#include <string>
 
 namespace avmem::trace {
 namespace {
@@ -166,6 +167,21 @@ TEST(TraceIoTest, RejectsCorruptInput) {
   {
     std::stringstream s("AVMEM-TRACE v1\nhosts 0 epochs 3 epoch_us 100\n");
     EXPECT_THROW(loadTrace(s), std::runtime_error);  // empty population
+  }
+  // A header's host count sizes nothing: a huge claim over an empty body
+  // is a truncated stream, not an allocation failure.
+  for (const char* hosts : {"1000000000000", "1000000000000000000"}) {
+    SCOPED_TRACE(hosts);
+    std::stringstream s(std::string("AVMEM-TRACE v1\nhosts ") + hosts +
+                        " epochs 1 epoch_us 1\n");
+    try {
+      (void)loadTrace(s);
+      ADD_FAILURE() << "loadTrace accepted an empty body";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated at host 0"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
