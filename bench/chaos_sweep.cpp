@@ -32,12 +32,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/sweep_columns.hpp"
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
 
@@ -48,51 +48,6 @@ using Clock = std::chrono::steady_clock;
 
 double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// One sample along the campaign timeline.
-struct Sample {
-  double tH = 0.0;  ///< sim-time of the sample, hours
-  double delivered = 0.0;
-  double meanDegree = 0.0;
-  std::uint64_t viewDigest = 0;
-  std::uint64_t injectedDrops = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t ackTimeouts = 0;
-  std::uint64_t droppedOffline = 0;
-  std::uint64_t attackSweeps = 0;
-};
-
-void writeJson(const std::string& path, const std::string& scenarioName,
-               std::uint64_t seed, std::size_t threads, double floor,
-               double lastStageEndH, double reconvergedH,
-               const std::vector<Sample>& samples) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "chaos_sweep: cannot write '" << path << "'\n";
-    return;
-  }
-  out << "{\n  \"bench\": \"chaos_sweep\",\n  \"scenario\": \""
-      << scenarioName << "\",\n  \"seed\": " << seed
-      << ",\n  \"threads\": " << threads << ",\n  \"floor\": " << floor
-      << ",\n  \"last_stage_end_h\": " << lastStageEndH
-      << ",\n  \"reconverged_h\": " << reconvergedH
-      << ",\n  \"points\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    out << "    {\"t_h\": " << s.tH << ", \"delivered\": " << s.delivered
-        << ", \"mean_degree\": " << s.meanDegree
-        << ", \"view_digest\": " << s.viewDigest
-        << ", \"injected_drops\": " << s.injectedDrops
-        << ", \"duplicated\": " << s.duplicated
-        << ", \"ack_timeouts\": " << s.ackTimeouts
-        << ", \"dropped_offline\": " << s.droppedOffline
-        << ", \"attack_sweeps\": " << s.attackSweeps << "}"
-        << (i + 1 < samples.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cerr << "chaos_sweep: wrote " << samples.size() << " sample(s) to "
-            << path << "\n";
 }
 
 }  // namespace
@@ -182,18 +137,14 @@ int main(int argc, char** argv) {
 
   std::cout << "# chaos_sweep: " << scenario.name << ", floor=" << floor
             << ", last_stage_end_h=" << lastStageEndH << "\n";
-  std::cout << "# t_h delivered mean_degree view_digest injected_drops "
-               "duplicated ack_timeouts dropped_offline attack_sweeps\n";
-
-  std::vector<Sample> samples;
+  std::vector<benchfig::Columns> samples;
   double reconvergedH = -1.0;
+  double tH = 0.0;  // the latest sample's sim-time, hours
   while (true) {
-    Sample s;
-    s.tH = system.simulator().now().toHours();
-
+    tH = system.simulator().now().toHours();
     const auto batch =
         system.runAnycastBatch(core::AvBand::mid(), params, batchSize);
-    s.delivered = batch.deliveredFraction();
+    const double delivered = batch.deliveredFraction();
 
     const std::size_t n = scenario.config.trace.hosts;
     const std::size_t sampleNodes = std::min<std::size_t>(n, 2000);
@@ -202,25 +153,26 @@ int main(int argc, char** argv) {
       degree += static_cast<double>(
           system.node(static_cast<net::NodeIndex>(i)).degree());
     }
-    s.meanDegree = degree / static_cast<double>(sampleNodes);
-    s.viewDigest = system.shuffleService().viewDigest();
 
+    // Every sample column, declared once (bench/sweep_columns.hpp). A
+    // fault campaign is deterministic, so all of them are `sim`.
     const net::NetworkStats& ws = system.network().stats();
-    s.injectedDrops = ws.injectedDrops;
-    s.duplicated = ws.duplicated;
-    s.ackTimeouts = ws.ackTimeouts;
-    s.droppedOffline = ws.droppedOffline;
-    s.attackSweeps = injector->stats().attackSweeps;
-    samples.push_back(s);
+    benchfig::Columns row;
+    row.sim("t_h", tH)
+        .sim("delivered", delivered)
+        .sim("mean_degree", degree / static_cast<double>(sampleNodes))
+        .sim("view_digest", system.shuffleService().viewDigest())
+        .sim("injected_drops", ws.injectedDrops)
+        .sim("duplicated", ws.duplicated)
+        .sim("ack_timeouts", ws.ackTimeouts)
+        .sim("dropped_offline", ws.droppedOffline)
+        .sim("attack_sweeps", injector->stats().attackSweeps);
+    if (samples.empty()) row.printHeader(std::cout);
+    row.printRow(std::cout);
+    samples.push_back(std::move(row));
 
-    std::cout << s.tH << " " << s.delivered << " " << s.meanDegree << " "
-              << s.viewDigest << " " << s.injectedDrops << " "
-              << s.duplicated << " " << s.ackTimeouts << " "
-              << s.droppedOffline << " " << s.attackSweeps << "\n";
-
-    if (reconvergedH < 0.0 && s.tH >= lastStageEndH &&
-        s.delivered >= floor) {
-      reconvergedH = s.tH;
+    if (reconvergedH < 0.0 && tH >= lastStageEndH && delivered >= floor) {
+      reconvergedH = tH;
     }
     if (system.simulator().now().toMicros() >= endUs) break;
     system.warmup(sampleEvery);  // advance one sampling step
@@ -234,13 +186,19 @@ int main(int argc, char** argv) {
               << " h (delivery >= " << floor << ")\n";
   } else {
     std::cerr << "chaos_sweep: NEVER reconverged (delivery < " << floor
-              << " through " << samples.back().tH << " h)\n";
+              << " through " << tH << " h)\n";
   }
 
   if (jsonPath) {
-    writeJson(*jsonPath, scenario.name, scenario.config.seed,
-              system.maintenanceThreads(), floor, lastStageEndH,
-              reconvergedH, samples);
+    benchfig::Columns top;
+    top.sim("bench", "chaos_sweep")
+        .sim("scenario", scenario.name)
+        .sim("seed", scenario.config.seed)
+        .perf("threads", system.maintenanceThreads())
+        .sim("floor", floor)
+        .sim("last_stage_end_h", lastStageEndH)
+        .sim("reconverged_h", reconvergedH);
+    benchfig::writeSweepJson(*jsonPath, top, samples);
   }
   return requireRecovery && reconvergedH < 0.0 ? 1 : 0;
 }

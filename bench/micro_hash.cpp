@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "hash/fast64_batch.hpp"
-#include "hash/md5.hpp"
 #include "hash/pair_hash.hpp"
 #include "hash/sha1.hpp"
 #include "sim/random.hpp"
@@ -31,33 +30,13 @@ void BM_Sha1(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1)->Arg(12)->Arg(64)->Arg(1024)->Arg(65536);
 
-void BM_Md5(benchmark::State& state) {
-  const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hashing::md5(payload));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Md5)->Arg(12)->Arg(64)->Arg(1024)->Arg(65536);
-
-hashing::PairHashAlgorithm algorithmArg(std::int64_t arg) {
-  switch (arg) {
-    case 1:
-      return hashing::PairHashAlgorithm::kMd5;
-    case 2:
-      return hashing::PairHashAlgorithm::kFast64;
-    case 0:
-    default:
-      return hashing::PairHashAlgorithm::kSha1;
-  }
-}
-
-// Arg: 0 = SHA-1 (paper default), 1 = MD5, 2 = kFast64 (scale mode).
+// Arg: the PairHashAlgorithm value — 0 = SHA-1 (paper default),
+// 2 = kFast64 (scale mode).
 // Arg 0 runs whichever sha1Pair6 lane this CPU picks; BM_Sha1Pair6 below
 // times each lane on its own.
 void BM_PairHash(benchmark::State& state) {
-  const hashing::PairHasher hasher(algorithmArg(state.range(0)));
+  const hashing::PairHasher hasher(
+      static_cast<hashing::PairHashAlgorithm>(state.range(0)));
   const std::array<std::uint8_t, 6> a{10, 0, 0, 1, 4, 210};
   const std::array<std::uint8_t, 6> b{10, 0, 0, 2, 8, 161};
   for (auto _ : state) {
@@ -65,7 +44,7 @@ void BM_PairHash(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_PairHash)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_PairHash)->Arg(0)->Arg(2);
 
 // The one-block SHA-1 pair kernel behind PairHasher's kSha1 case, one row
 // per lane. Arg: 0 = generic (the scalar one-block kernel), 1 = SHA-NI

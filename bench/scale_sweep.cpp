@@ -22,8 +22,9 @@
 //               [--checkpoint-out warm.avmem] [--checkpoint-in warm.avmem]
 //     --smoke       AVMEM_FAST=1 footprint
 //     --json PATH   additionally write machine-readable per-point results
-//                   (CI stores this as BENCH_scale.json to track the perf
-//                   trajectory across PRs)
+//                   plus a "classes" map marking each key sim or perf
+//                   (bench/sweep_columns.hpp); CI stores this as
+//                   BENCH_scale.json to track the perf trajectory
 //     --checkpoint-out PATH  save a warm-state checkpoint at the end of
 //                   each point's warm-up (snapshot/checkpoint.hpp); with
 //                   several N the path gets a ".N<hosts>" suffix per point
@@ -58,13 +59,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/fig_common.hpp"
+#include "bench/sweep_columns.hpp"
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
 
@@ -120,124 +121,6 @@ std::optional<std::int64_t> shufflePeriodFromEnv() {
     return std::nullopt;
   }
   return static_cast<std::int64_t>(v);
-}
-
-/// One sweep point, as printed and as serialized to --json.
-///
-/// The JSON record is self-contained on purpose: seed, trace backend, and
-/// the shuffle/feed knob values ride along per point so two archived runs
-/// can be diffed (tools/check_sim_equivalence.py) without reconstructing
-/// the environment that produced them.
-struct PointResult {
-  std::uint32_t n = 0;
-  std::string backend;
-  std::uint64_t seed = 0;
-  std::size_t threads = 1;
-  std::int64_t shufflePeriodS = 0;
-  std::size_t shuffleViewSize = 0;
-  std::size_t shuffleGossipLength = 0;
-  bool feedEnabled = false;
-  std::size_t feedHorizontalBudget = 0;
-  std::size_t feedVerticalBudget = 0;
-  double modelMb = 0.0;
-  double buildS = 0.0;
-  double warmupS = 0.0;
-  double restoreS = 0.0;  ///< checkpoint-restore wall (0 = warmed up fresh)
-  double warmupSimH = 0.0;
-  std::uint64_t events = 0;
-  double eventsPerS = 0.0;
-  double planS = 0.0;    ///< warm-up wall in the parallelizable plan phase
-  double commitS = 0.0;  ///< warm-up wall in the serial commit phase
-  double planShare = 0.0;  ///< planS / warmupS — the Amdahl-scalable part
-  double planNodesPerS = 0.0;  ///< members planned / plan wall (kernel rate)
-  double planSlotP50Ms = 0.0;  ///< per-slot-firing plan wall, median
-  double planSlotP99Ms = 0.0;  ///< per-slot-firing plan wall, 99th pct
-  std::size_t maintTimers = 0;
-  std::uint64_t completedShuffles = 0;
-  std::uint64_t viewDigest = 0;  ///< order-sensitive hash over all views
-  double meanDegree = 0.0;       ///< mean HS+VS degree (convergence gauge)
-  double hsDegree = 0.0;         ///< mean horizontal-sliver degree
-  std::uint64_t feedCandidates = 0;  ///< rendezvous-feed draws evaluated
-  /// Wire failure counters (net::NetworkStats): receiver-side rejections,
-  /// offline drops, ack timeouts, and — nonzero only under a fault plan —
-  /// injected duplications and drops. All thread-invariant.
-  std::uint64_t wireRejected = 0;
-  std::uint64_t wireDroppedOffline = 0;
-  std::uint64_t wireAckTimeouts = 0;
-  std::uint64_t wireDuplicated = 0;
-  std::uint64_t wireInjectedDrops = 0;
-  std::size_t anycasts = 0;
-  double deliveredFraction = 0.0;
-  double batchS = 0.0;
-  /// Availability substrate ("oracle" or "avmon") and — nonzero only for
-  /// avmon — estimate accuracy vs the ground-truth oracle over a sampled
-  /// querier/target set, plus the overlay's monitoring-traffic bill.
-  std::string availBackend;
-  double avmonMae = 0.0;       ///< mean |estimate - oracle truth|
-  double avmonP99Err = 0.0;    ///< 99th-percentile absolute error
-  double avmonCoverage = 0.0;  ///< sampled queries that got an answer
-  std::uint64_t pingsSent = 0;
-  std::uint64_t pingsDelivered = 0;
-  std::uint64_t pingBytes = 0;
-};
-
-void writeJson(const std::string& path, const std::vector<PointResult>& points,
-               std::uint64_t seed) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "scale_sweep: cannot write '" << path << "'\n";
-    return;
-  }
-  out << "{\n  \"bench\": \"scale_sweep\",\n  \"seed\": " << seed
-      << ",\n  \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const PointResult& p = points[i];
-    out << "    {\"n\": " << p.n << ", \"backend\": \"" << p.backend
-        << "\", \"trace_backend\": \"" << p.backend
-        << "\", \"seed\": " << p.seed << ", \"threads\": " << p.threads
-        << ", \"shuffle_period_s\": " << p.shufflePeriodS
-        << ", \"shuffle_view_size\": " << p.shuffleViewSize
-        << ", \"shuffle_gossip_length\": " << p.shuffleGossipLength
-        << ", \"feed_enabled\": " << (p.feedEnabled ? "true" : "false")
-        << ", \"feed_h_budget\": " << p.feedHorizontalBudget
-        << ", \"feed_v_budget\": " << p.feedVerticalBudget
-        << ", \"model_mb\": " << p.modelMb
-        << ", \"build_s\": " << p.buildS << ", \"warmup_s\": " << p.warmupS
-        << ", \"restore_s\": " << p.restoreS
-        << ", \"warmup_sim_h\": " << p.warmupSimH
-        << ", \"events\": " << p.events
-        << ", \"events_per_s\": " << p.eventsPerS
-        << ", \"plan_s\": " << p.planS << ", \"commit_s\": " << p.commitS
-        << ", \"plan_share\": " << p.planShare
-        << ", \"plan_nodes_per_s\": " << p.planNodesPerS
-        << ", \"plan_slot_p50_ms\": " << p.planSlotP50Ms
-        << ", \"plan_slot_p99_ms\": " << p.planSlotP99Ms
-        << ", \"maint_timers\": " << p.maintTimers
-        << ", \"completed_shuffles\": " << p.completedShuffles
-        << ", \"view_digest\": " << p.viewDigest
-        << ", \"mean_degree\": " << p.meanDegree
-        << ", \"hs_degree\": " << p.hsDegree
-        << ", \"feed_candidates\": " << p.feedCandidates
-        << ", \"rejected\": " << p.wireRejected
-        << ", \"dropped_offline\": " << p.wireDroppedOffline
-        << ", \"ack_timeouts\": " << p.wireAckTimeouts
-        << ", \"duplicated\": " << p.wireDuplicated
-        << ", \"injected_drops\": " << p.wireInjectedDrops
-        << ", \"anycasts\": " << p.anycasts
-        << ", \"delivered_fraction\": " << p.deliveredFraction
-        << ", \"batch_s\": " << p.batchS
-        << ", \"avail_backend\": \"" << p.availBackend << "\""
-        << ", \"avmon_mae\": " << p.avmonMae
-        << ", \"avmon_p99_err\": " << p.avmonP99Err
-        << ", \"avmon_coverage\": " << p.avmonCoverage
-        << ", \"pings_sent\": " << p.pingsSent
-        << ", \"pings_delivered\": " << p.pingsDelivered
-        << ", \"ping_bytes\": " << p.pingBytes << "}"
-        << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cerr << "scale_sweep: wrote " << points.size() << " point(s) to "
-            << path << "\n";
 }
 
 }  // namespace
@@ -305,17 +188,6 @@ int main(int argc, char** argv) {
                "sharded maintenance, parallel plan dispatch, "
             << (backend ? core::traceBackendName(*backend) : "markov")
             << " availability backend\n";
-  std::cout << "# n backend threads model_mb build_s warmup_s restore_s "
-               "warmup_sim_h "
-               "events events_per_s plan_s commit_s plan_share "
-               "plan_nodes_per_s plan_slot_p50_ms "
-               "plan_slot_p99_ms maint_timers "
-               "completed_shuffles view_digest mean_degree hs_degree "
-               "feed_candidates rejected dropped_offline ack_timeouts "
-               "duplicated injected_drops anycasts delivered batch_s "
-               "avail_backend avmon_mae avmon_p99_err avmon_coverage "
-               "pings_sent pings_delivered ping_bytes\n";
-
   const std::optional<std::int64_t> shufflePeriodS = shufflePeriodFromEnv();
 
   const std::vector<std::uint32_t> sizes = populationSizes(fast);
@@ -325,7 +197,7 @@ int main(int argc, char** argv) {
     return sizes.size() > 1 ? base + ".N" + std::to_string(n) : base;
   };
 
-  std::vector<PointResult> points;
+  std::vector<benchfig::Columns> points;
   for (const std::uint32_t n : sizes) {
     auto scenario = core::makeScaleScenario(n, seed);
     if (useAvmon) {
@@ -489,79 +361,82 @@ int main(int argc, char** argv) {
                                               fast ? 10 : 20);
     const double batchS = secondsSince(tBatch);
 
-    PointResult p;
-    p.n = n;
-    p.backend = core::traceBackendName(scenario.config.traceBackend);
-    p.seed = scenario.config.seed;
-    p.threads = system.maintenanceThreads();
-    p.shufflePeriodS =
-        scenario.config.shuffle.period.toMicros() / 1'000'000;
-    p.shuffleViewSize = scenario.config.shuffle.viewSize;
-    p.shuffleGossipLength = scenario.config.shuffle.gossipLength;
-    p.feedEnabled = scenario.config.candidateFeed.enabled;
-    p.feedHorizontalBudget =
-        scenario.config.candidateFeed.horizontalScanBudget;
-    p.feedVerticalBudget = scenario.config.candidateFeed.verticalScanBudget;
-    p.modelMb = modelMb;
-    p.buildS = buildS;
-    p.warmupS = warmupS;
-    p.restoreS = restoreS;
-    p.warmupSimH = scenario.warmup.toHours();
-    p.events = warmupEvents;
-    p.eventsPerS = warmupS > 0.0
-                       ? static_cast<double>(warmupEvents) / warmupS
-                       : 0.0;
-    p.planS = planS;
-    p.commitS = commitS;
-    p.planShare = warmupS > 0.0 ? planS / warmupS : 0.0;
-    p.planNodesPerS =
-        planS > 0.0 ? static_cast<double>(plannedMembers) / planS : 0.0;
-    p.planSlotP50Ms = percentileMs(0.50);
-    p.planSlotP99Ms = percentileMs(0.99);
-    p.maintTimers = maintTimers;
-    p.completedShuffles = system.shuffleService().completedShuffles();
-    p.viewDigest = viewDigest;
-    p.meanDegree = degree;
-    p.hsDegree = hsDegree;
-    p.feedCandidates = system.membershipEngine().stats().feedCandidates;
+    // Every column, declared once: the stdout header and row and the
+    // --json record all derive from this list (bench/sweep_columns.hpp).
+    // `sim` columns must match across thread counts and restores; `perf`
+    // columns are wall clocks and the thread count. The seed, trace
+    // backend and shuffle/feed knobs ride along per point so two archived
+    // runs can be diffed without reconstructing their environment.
+    const avmon::ShuffleConfig& shuffle = scenario.config.shuffle;
+    const core::CandidateFeedConfig& feed = scenario.config.candidateFeed;
     const net::NetworkStats& ws = system.network().stats();
-    p.wireRejected = ws.rejected;
-    p.wireDroppedOffline = ws.droppedOffline;
-    p.wireAckTimeouts = ws.ackTimeouts;
-    p.wireDuplicated = ws.duplicated;
-    p.wireInjectedDrops = ws.injectedDrops;
-    p.anycasts = batch.count();
-    p.deliveredFraction = batch.deliveredFraction();
-    p.batchS = batchS;
-    p.availBackend = useAvmon ? "avmon" : "oracle";
-    p.avmonMae = avmonMae;
-    p.avmonP99Err = avmonP99;
-    p.avmonCoverage = avmonCoverage;
+    avmon::AvmonSystem::PingStats pings;
     if (const avmon::AvmonSystem* av = system.avmonSystem()) {
-      const avmon::AvmonSystem::PingStats& ps = av->pingStats();
-      p.pingsSent = ps.sent;
-      p.pingsDelivered = ps.delivered;
-      p.pingBytes = ps.bytes;
+      pings = av->pingStats();
     }
-    points.push_back(p);
-
-    std::cout << p.n << " " << p.backend << " " << p.threads << " "
-              << p.modelMb << " " << p.buildS << " " << p.warmupS << " "
-              << p.restoreS << " "
-              << p.warmupSimH << " " << p.events << " " << p.eventsPerS
-              << " " << p.planS << " " << p.commitS << " " << p.planShare
-              << " " << p.planNodesPerS << " " << p.planSlotP50Ms << " " << p.planSlotP99Ms
-              << " " << p.maintTimers << " " << p.completedShuffles << " "
-              << p.viewDigest << " " << p.meanDegree << " " << p.hsDegree
-              << " " << p.feedCandidates << " " << p.wireRejected << " "
-              << p.wireDroppedOffline << " " << p.wireAckTimeouts << " "
-              << p.wireDuplicated << " " << p.wireInjectedDrops << " "
-              << p.anycasts << " "
-              << p.deliveredFraction << " " << p.batchS << " "
-              << p.availBackend << " " << p.avmonMae << " " << p.avmonP99Err
-              << " " << p.avmonCoverage << " " << p.pingsSent << " "
-              << p.pingsDelivered << " " << p.pingBytes << "\n";
+    benchfig::Columns row;
+    row.sim("n", n)
+        .sim("trace_backend",
+             core::traceBackendName(scenario.config.traceBackend))
+        .sim("seed", scenario.config.seed)
+        .perf("threads", system.maintenanceThreads())
+        .sim("shuffle_period_s", shuffle.period.toMicros() / 1'000'000)
+        .sim("shuffle_view_size", shuffle.viewSize)
+        .sim("shuffle_gossip_length", shuffle.gossipLength)
+        .sim("feed_enabled", feed.enabled)
+        .sim("feed_h_budget", feed.horizontalScanBudget)
+        .sim("feed_v_budget", feed.verticalScanBudget)
+        .sim("model_mb", modelMb)
+        .perf("build_s", buildS)
+        .perf("warmup_s", warmupS)
+        .perf("restore_s", restoreS)  // 0 = warmed up fresh
+        .sim("warmup_sim_h", scenario.warmup.toHours())
+        .sim("events", warmupEvents)
+        .perf("events_per_s",
+              warmupS > 0.0 ? static_cast<double>(warmupEvents) / warmupS
+                            : 0.0)
+        .perf("plan_s", planS)      // warm-up wall in the parallel plan phase
+        .perf("commit_s", commitS)  // ... and in the serial commit phase
+        .perf("plan_share",  // the Amdahl-scalable part of the warm-up
+              warmupS > 0.0 ? planS / warmupS : 0.0)
+        .perf("plan_nodes_per_s",
+              planS > 0.0 ? static_cast<double>(plannedMembers) / planS : 0.0)
+        .perf("plan_slot_p50_ms", percentileMs(0.50))
+        .perf("plan_slot_p99_ms", percentileMs(0.99))
+        .sim("maint_timers", maintTimers)
+        .sim("completed_shuffles", system.shuffleService().completedShuffles())
+        .sim("view_digest", viewDigest)
+        .sim("mean_degree", degree)  // HS+VS: the convergence gauge
+        .sim("hs_degree", hsDegree)
+        .sim("feed_candidates",  // rendezvous-feed draws evaluated
+             system.membershipEngine().stats().feedCandidates)
+        // Wire failures; duplicated / injected_drops only under a fault
+        // plan.
+        .sim("rejected", ws.rejected)
+        .sim("dropped_offline", ws.droppedOffline)
+        .sim("ack_timeouts", ws.ackTimeouts)
+        .sim("duplicated", ws.duplicated)
+        .sim("injected_drops", ws.injectedDrops)
+        .sim("anycasts", batch.count())
+        .sim("delivered_fraction", batch.deliveredFraction())
+        .perf("batch_s", batchS)
+        // The availability substrate; the accuracy and ping columns are
+        // nonzero only for avmon.
+        .sim("avail_backend", useAvmon ? "avmon" : "oracle")
+        .sim("avmon_mae", avmonMae)
+        .sim("avmon_p99_err", avmonP99)
+        .sim("avmon_coverage", avmonCoverage)
+        .sim("pings_sent", pings.sent)
+        .sim("pings_delivered", pings.delivered)
+        .sim("ping_bytes", pings.bytes);
+    if (points.empty()) row.printHeader(std::cout);
+    row.printRow(std::cout);
+    points.push_back(std::move(row));
   }
-  if (jsonPath) writeJson(*jsonPath, points, seed);
+  if (jsonPath) {
+    benchfig::Columns top;
+    top.sim("bench", "scale_sweep").sim("seed", seed);
+    benchfig::writeSweepJson(*jsonPath, top, points);
+  }
   return 0;
 }

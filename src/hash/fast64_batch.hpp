@@ -8,8 +8,7 @@
 // fixed left identifier the whole seed + self-side prefix collapses into
 // one precomputed state. What remains per candidate is two fast64Mix
 // rounds over a gathered tail array — a straight-line map a compiler can
-// autovectorize (and an explicit GCC-vector SIMD lane is provided behind
-// AVMEM_SIMD).
+// autovectorize.
 //
 // Bit-exactness contract: for any seed and NodeIds x, y,
 //   Fast64PairBatch(seed, fast64Tail6(x)).raw(fast64Tail6(y))
@@ -63,39 +62,16 @@ class Fast64PairBatch {
 
   /// out[i] = normalized H(x, y_i) for a gathered tail array. The main
   /// loop processes 8 independent lanes per iteration so the compiler can
-  /// vectorize the mix chain; AVMEM_SIMD swaps in explicit 4-wide GCC
-  /// vector arithmetic. Requires out.size() >= tailsY.size().
+  /// vectorize the mix chain. Requires out.size() >= tailsY.size().
   void hashMany(std::span<const std::uint64_t> tailsY,
                 std::span<double> out) const noexcept {
     const std::size_t n = tailsY.size();
     std::size_t i = 0;
-#if defined(AVMEM_SIMD) && (defined(__GNUC__) || defined(__clang__))
-    using U64x4 __attribute__((vector_size(32))) = std::uint64_t;
-    const U64x4 pre = {state_ ^ kFast64Len6, state_ ^ kFast64Len6,
-                       state_ ^ kFast64Len6, state_ ^ kFast64Len6};
-    const auto mix4 = [](U64x4 x) noexcept {
-      x ^= x >> 30;
-      x *= 0xBF58476D1CE4E5B9ull;
-      x ^= x >> 27;
-      x *= 0x94D049BB133111EBull;
-      x ^= x >> 31;
-      return x;
-    };
-    for (; i + 4 <= n; i += 4) {
-      U64x4 x = {tailsY[i], tailsY[i + 1], tailsY[i + 2], tailsY[i + 3]};
-      x = mix4(mix4(pre ^ x));
-      out[i] = normalizeU64(x[0]);
-      out[i + 1] = normalizeU64(x[1]);
-      out[i + 2] = normalizeU64(x[2]);
-      out[i + 3] = normalizeU64(x[3]);
-    }
-#else
     for (; i + 8 <= n; i += 8) {
       for (std::size_t k = 0; k < 8; ++k) {  // independent lanes
         out[i + k] = one(tailsY[i + k]);
       }
     }
-#endif
     for (; i < n; ++i) out[i] = one(tailsY[i]);
   }
 
@@ -143,36 +119,11 @@ class Fast64TargetBatch {
                 std::span<double> out) const noexcept {
     const std::size_t n = tailsX.size();
     std::size_t i = 0;
-#if defined(AVMEM_SIMD) && (defined(__GNUC__) || defined(__clang__))
-    using U64x4 __attribute__((vector_size(32))) = std::uint64_t;
-    const std::uint64_t preScalar = seeded_ ^ kFast64Len6;
-    const U64x4 pre = {preScalar, preScalar, preScalar, preScalar};
-    const U64x4 sep = {0xD1B54A32D192ED03ull, 0xD1B54A32D192ED03ull,
-                       0xD1B54A32D192ED03ull, 0xD1B54A32D192ED03ull};
-    const U64x4 post = {tailYLen_, tailYLen_, tailYLen_, tailYLen_};
-    const auto mix4 = [](U64x4 x) noexcept {
-      x ^= x >> 30;
-      x *= 0xBF58476D1CE4E5B9ull;
-      x ^= x >> 27;
-      x *= 0x94D049BB133111EBull;
-      x ^= x >> 31;
-      return x;
-    };
-    for (; i + 4 <= n; i += 4) {
-      U64x4 x = {tailsX[i], tailsX[i + 1], tailsX[i + 2], tailsX[i + 3]};
-      x = mix4(mix4(mix4(mix4(pre ^ x) + sep) ^ post));
-      out[i] = normalizeU64(x[0]);
-      out[i + 1] = normalizeU64(x[1]);
-      out[i + 2] = normalizeU64(x[2]);
-      out[i + 3] = normalizeU64(x[3]);
-    }
-#else
     for (; i + 8 <= n; i += 8) {
       for (std::size_t k = 0; k < 8; ++k) {  // independent lanes
         out[i + k] = one(tailsX[i + k]);
       }
     }
-#endif
     for (; i < n; ++i) out[i] = one(tailsX[i]);
   }
 

@@ -26,7 +26,7 @@ namespace avmem::hashing {
   return static_cast<double>(v >> 11) * 0x1.0p-53;
 }
 
-/// Array overload (covers Sha1Digest / Md5Digest without including them).
+/// Array overload (covers Sha1Digest without including sha1.hpp).
 template <std::size_t N>
   requires(N >= 8)
 [[nodiscard]] constexpr double normalizeDigest(

@@ -6,9 +6,8 @@
 // directional ("y is a valid entry in x's membership list"). We hash the
 // concatenation of the two identifiers' wire encodings.
 //
-// Three backends satisfy the contract:
+// Two backends satisfy the contract:
 //  * kSha1 — the paper-fidelity default used throughout the evaluation;
-//  * kMd5  — the other digest the paper mentions;
 //  * kFast64 — a seeded splitmix-style mixer (hash/fast64.hpp), the scale-
 //    mode option: same consistency and uniformity, no cryptographic cost.
 #pragma once
@@ -17,25 +16,22 @@
 #include <span>
 
 #include "hash/fast64.hpp"
-#include "hash/md5.hpp"
 #include "hash/normalized.hpp"
 #include "hash/sha1.hpp"
 
 namespace avmem::hashing {
 
-/// Which function backs the pair hash.
+/// Which function backs the pair hash. The values are fixed because
+/// checkpoint config fingerprints mix them in.
 enum class PairHashAlgorithm : std::uint8_t {
-  kSha1,
-  kMd5,
-  kFast64,
+  kSha1 = 0,
+  kFast64 = 2,
 };
 
 [[nodiscard]] constexpr const char* toString(PairHashAlgorithm a) noexcept {
   switch (a) {
     case PairHashAlgorithm::kSha1:
       return "sha1";
-    case PairHashAlgorithm::kMd5:
-      return "md5";
     case PairHashAlgorithm::kFast64:
       return "fast64";
   }
@@ -46,8 +42,8 @@ enum class PairHashAlgorithm : std::uint8_t {
 ///
 /// The hash is a pure function of (algorithm, seed, a, b): no system state,
 /// no external inputs — this is what makes the AVMEM predicate *consistent*.
-/// The seed only participates in kFast64; the digest backends stay seedless
-/// so paper-figure runs are unaffected by it.
+/// The seed only participates in kFast64; SHA-1 stays seedless so
+/// paper-figure runs are unaffected by it.
 ///
 /// A PairHasher is a value with no mutable state, so any number of threads
 /// may call it at once. Nothing is memoized: a 6+6-byte SHA-1 pair is one
@@ -64,12 +60,6 @@ class PairHasher {
                                   std::span<const std::uint8_t> b) const
       noexcept {
     switch (algorithm_) {
-      case PairHashAlgorithm::kMd5: {
-        Md5 h;
-        h.update(a);
-        h.update(b);
-        return normalizeDigest(h.finish());
-      }
       case PairHashAlgorithm::kFast64:
         return normalizeU64(fast64Pair(seed_, a, b));
       case PairHashAlgorithm::kSha1:

@@ -17,14 +17,14 @@
 // preserved: slot assignment is a pure function of the caller-supplied
 // jitter RNG, and within a slot members run in a fixed order.
 //
-// Barrier mode (startParallel): a slot firing may instead run a two-phase
+// Barrier dispatch (startParallel): a slot firing runs a two-phase
 // plan → commit protocol over its members. The plan callbacks for all of a
 // slot's members are fanned out across a WorkerPool and joined — simulated
 // time never advances while workers run, so the event queue stays
 // single-threaded — and the commit callbacks then run serially in slot
 // order. Because plan callbacks are read-only against shared state (the
-// caller's contract), results are bit-identical to the serial schedule for
-// any thread count. Barrier mode is the only plan/commit dispatch.
+// caller's contract), results are bit-identical for any thread count,
+// including a null pool (every plan inline).
 #pragma once
 
 #include <algorithm>
@@ -45,8 +45,6 @@ namespace avmem::sim {
 /// K-slot timing wheel over a fixed member population.
 class ShardedScheduler {
  public:
-  /// Runs once per period per member; the argument is the member index.
-  using MemberFn = std::function<void(std::uint32_t)>;
   /// Barrier-mode callback: `member` is the member index, `lane` is the
   /// member's position within its firing slot (0 .. slot size - 1). Plan
   /// callbacks run concurrently and must be read-only against shared
@@ -74,27 +72,14 @@ class ShardedScheduler {
   /// header comment) of one `period` and begin firing. Member m's phase
   /// offset is drawn uniformly in [0, period) from `jitter` and quantized
   /// to its slot; the slot's task first fires at now + slot * period / K,
-  /// then every period. Replaces any schedule already running.
-  void start(Simulator& sim, SimDuration period, std::size_t shardCount,
-             std::size_t memberCount, Rng jitter, MemberFn fn) {
-    fn_ = std::move(fn);
-    plan_ = nullptr;
-    commit_ = nullptr;
-    pool_ = nullptr;
-    startSlots(sim, period, shardCount, memberCount, jitter,
-               /*arm=*/true);
-  }
-
-  /// Barrier mode: per slot firing, run `plan` for every slot member
+  /// then every period. Per slot firing, run `plan` for every slot member
   /// across `pool` (or inline when pool is null / single-lane), join, then
-  /// run `commit` for every member serially in slot order. The same
-  /// clamping, jitter, and slot assignment as start() — the firing
-  /// schedule is identical, only the intra-slot execution differs.
+  /// run `commit` for every member serially in slot order. Replaces any
+  /// schedule already running.
   void startParallel(Simulator& sim, SimDuration period,
                      std::size_t shardCount, std::size_t memberCount,
                      Rng jitter, WorkerPool* pool, PhaseFn plan,
                      PhaseFn commit) {
-    fn_ = nullptr;
     plan_ = std::move(plan);
     commit_ = std::move(commit);
     pool_ = pool;
@@ -110,7 +95,6 @@ class ShardedScheduler {
                        std::size_t shardCount, std::size_t memberCount,
                        Rng jitter, WorkerPool* pool, PhaseFn plan,
                        PhaseFn commit) {
-    fn_ = nullptr;
     plan_ = std::move(plan);
     commit_ = std::move(commit);
     pool_ = pool;
@@ -165,7 +149,7 @@ class ShardedScheduler {
     return maxSize;
   }
   /// Host wall-clock spent in barrier-mode plan phases (including the
-  /// join) since start(). The plan share of maintenance is the part
+  /// join) since startParallel(). The plan share of maintenance is the part
   /// parallel dispatch scales; benches report it so the Amdahl picture
   /// per workload is measured, not guessed.
   [[nodiscard]] double planWallSeconds() const noexcept {
@@ -175,7 +159,7 @@ class ShardedScheduler {
   [[nodiscard]] double commitWallSeconds() const noexcept {
     return static_cast<double>(commitWallNs_) * 1e-9;
   }
-  /// Plan/commit firings since start().
+  /// Plan/commit firings since startParallel().
   [[nodiscard]] std::uint64_t barrierFirings() const noexcept {
     return barrierFirings_;
   }
@@ -239,10 +223,6 @@ class ShardedScheduler {
 
   void fireSlot(std::size_t s) {
     const std::vector<std::uint32_t>& members = slots_[s];
-    if (fn_) {
-      for (const std::uint32_t m : members) fn_(m);
-      return;
-    }
     using HostClock = std::chrono::steady_clock;
     const auto ns = [](HostClock::time_point a, HostClock::time_point b) {
       return static_cast<std::uint64_t>(
@@ -273,7 +253,6 @@ class ShardedScheduler {
 
   std::vector<std::vector<std::uint32_t>> slots_;
   std::vector<std::unique_ptr<PeriodicTask>> tasks_;
-  MemberFn fn_;
   PhaseFn plan_;
   PhaseFn commit_;
   WorkerPool* pool_ = nullptr;

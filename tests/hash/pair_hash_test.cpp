@@ -89,15 +89,5 @@ TEST(PairHashTest, ApproximatelyUniform) {
   }
 }
 
-TEST(PairHashTest, Md5BackendDiffersButIsConsistent) {
-  PairHasher sha(PairHashAlgorithm::kSha1);
-  PairHasher md(PairHashAlgorithm::kMd5);
-  const auto a = idBytes(0x0A000001, 1000);
-  const auto b = idBytes(0x0A000002, 2000);
-  EXPECT_NE(sha(a, b), md(a, b));
-  PairHasher md2(PairHashAlgorithm::kMd5);
-  EXPECT_DOUBLE_EQ(md(a, b), md2(a, b));
-}
-
 }  // namespace
 }  // namespace avmem::hashing

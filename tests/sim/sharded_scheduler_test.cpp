@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -12,12 +13,24 @@
 namespace avmem::sim {
 namespace {
 
+// A serial per-member body on the barrier dispatch: the null pool runs the
+// (empty) plans inline and the commit callback does the work, one member
+// at a time in slot order.
+void startSerial(ShardedScheduler& sched, Simulator& sim, SimDuration period,
+                 std::size_t shardCount, std::size_t memberCount, Rng jitter,
+                 std::function<void(std::uint32_t)> fn) {
+  sched.startParallel(
+      sim, period, shardCount, memberCount, jitter, nullptr,
+      [](std::uint32_t, std::size_t) {},
+      [fn = std::move(fn)](std::uint32_t m, std::size_t) { fn(m); });
+}
+
 TEST(ShardedSchedulerTest, EachMemberFiresOncePerPeriod) {
   Simulator sim;
   ShardedScheduler sched;
   constexpr std::size_t kMembers = 10;
   std::vector<int> fired(kMembers, 0);
-  sched.start(sim, SimDuration::seconds(1), 4, kMembers, Rng(7),
+  startSerial(sched, sim, SimDuration::seconds(1), 4, kMembers, Rng(7),
               [&fired](std::uint32_t m) { ++fired[m]; });
   // Offsets lie in [0, period), so over [0, 5s) every member fires
   // exactly five times.
@@ -30,7 +43,7 @@ TEST(ShardedSchedulerTest, EachMemberFiresOncePerPeriod) {
 TEST(ShardedSchedulerTest, QueuePressureIsShardsNotMembers) {
   Simulator sim;
   ShardedScheduler sched;
-  sched.start(sim, SimDuration::minutes(1), 16, 10'000, Rng(3),
+  startSerial(sched, sim, SimDuration::minutes(1), 16, 10'000, Rng(3),
               [](std::uint32_t) {});
   EXPECT_LE(sched.activeShardCount(), 16u);
   // One pending heap entry per populated slot — not per member.
@@ -52,17 +65,17 @@ TEST(ShardedSchedulerTest, ShardCountClampsToMembers) {
   // it stays honest.
   Simulator sim;
   ShardedScheduler sched;
-  sched.start(sim, SimDuration::seconds(1), 64, 8, Rng(5),
+  startSerial(sched, sim, SimDuration::seconds(1), 64, 8, Rng(5),
               [](std::uint32_t) {});
   EXPECT_EQ(sched.shardCount(), 8u);
   EXPECT_LE(sched.activeShardCount(), sched.shardCount());
   EXPECT_EQ(sched.memberCount(), 8u);
 
   // At or below the member count the explicit request is honored exactly.
-  sched.start(sim, SimDuration::seconds(1), 8, 8, Rng(5),
+  startSerial(sched, sim, SimDuration::seconds(1), 8, 8, Rng(5),
               [](std::uint32_t) {});
   EXPECT_EQ(sched.shardCount(), 8u);
-  sched.start(sim, SimDuration::seconds(1), 3, 8, Rng(5),
+  startSerial(sched, sim, SimDuration::seconds(1), 3, 8, Rng(5),
               [](std::uint32_t) {});
   EXPECT_EQ(sched.shardCount(), 3u);
 }
@@ -72,7 +85,7 @@ TEST(ShardedSchedulerTest, DeterministicFiringSequence) {
     Simulator sim;
     ShardedScheduler sched;
     std::vector<std::pair<std::int64_t, std::uint32_t>> seq;
-    sched.start(sim, SimDuration::seconds(2), 0, 50, Rng(42),
+    startSerial(sched, sim, SimDuration::seconds(2), 0, 50, Rng(42),
                 [&seq, &sim](std::uint32_t m) {
                   seq.emplace_back(sim.now().toMicros(), m);
                 });
@@ -86,7 +99,7 @@ TEST(ShardedSchedulerTest, StopCancelsAllTimers) {
   Simulator sim;
   ShardedScheduler sched;
   int fired = 0;
-  sched.start(sim, SimDuration::seconds(1), 4, 20, Rng(9),
+  startSerial(sched, sim, SimDuration::seconds(1), 4, 20, Rng(9),
               [&fired](std::uint32_t) { ++fired; });
   sim.runUntil(SimTime::seconds(3));
   const int before = fired;
@@ -128,14 +141,14 @@ TEST(ShardedSchedulerTest, BarrierModeMatchesAnyThreadCount) {
   EXPECT_EQ(recordParallel(8), serial);
 }
 
-TEST(ShardedSchedulerTest, BarrierModeFiringScheduleMatchesSerialMode) {
+TEST(ShardedSchedulerTest, BarrierModeFiringScheduleMatchesInlineDispatch) {
   // Same period/shards/jitter: the slot assignment and firing times are
-  // identical whether the slot body is the serial MemberFn or plan/commit.
+  // identical whether the slot runs inline (null pool) or across a pool.
   auto recordSerial = [] {
     Simulator sim;
     ShardedScheduler sched;
     std::vector<std::pair<std::int64_t, std::uint32_t>> seq;
-    sched.start(sim, SimDuration::seconds(2), 6, 40, Rng(11),
+    startSerial(sched, sim, SimDuration::seconds(2), 6, 40, Rng(11),
                 [&seq, &sim](std::uint32_t m) {
                   seq.emplace_back(sim.now().toMicros(), m);
                 });
@@ -169,7 +182,7 @@ TEST(ShardedSchedulerTest, MaxSlotPopulationBoundsLaneBuffers) {
 TEST(ShardedSchedulerTest, EmptyPopulationSchedulesNothing) {
   Simulator sim;
   ShardedScheduler sched;
-  sched.start(sim, SimDuration::seconds(1), 4, 0, Rng(1),
+  startSerial(sched, sim, SimDuration::seconds(1), 4, 0, Rng(1),
               [](std::uint32_t) { FAIL() << "no member should fire"; });
   EXPECT_FALSE(sched.running());
   EXPECT_EQ(sim.pendingEvents(), 0u);
