@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
         .sim("floor", floor)
         .sim("last_stage_end_h", lastStageEndH)
         .sim("reconverged_h", reconvergedH);
-    benchfig::writeSweepJson(*jsonPath, top, samples);
+    if (!benchfig::writeSweepJson(*jsonPath, top, samples)) return 1;
   }
   return requireRecovery && reconvergedH < 0.0 ? 1 : 0;
 }

@@ -47,6 +47,36 @@ BENCHMARK(BM_PredicateF)
     ->Arg(2)   // log-decreasing (I.C + II.B)
     ->Arg(3);  // constant slivers (I.A + II.A)
 
+// The plan path's form: the predicate bound once to a list owner, then
+// asked for f over a run of candidates — Arg 0 inside the owner's ±eps
+// band (horizontal: the row's stored value), Arg 1 outside it (vertical:
+// one sub-predicate call per candidate). Paper default predicate.
+void BM_PredicateRowF(benchmark::State& state) {
+  constexpr std::size_t kRun = 256;
+  const auto pred = makePaperDefaultPredicate(benchPdf());
+  sim::Rng rng(16);
+  const double ax = 0.45;
+  const bool horizontal = state.range(0) == 0;
+  std::vector<double> ays(kRun);
+  for (auto& ay : ays) {
+    // Horizontal: within 0.09 of ax; vertical: at least 0.15 away.
+    ay = horizontal ? ax - 0.09 + 0.18 * rng.uniform()
+                    : (rng.chance(0.5) ? 0.3 * rng.uniform()
+                                       : 0.6 + 0.4 * rng.uniform());
+  }
+  const auto row = pred.at(ax);
+  for (auto _ : state) {
+    double acc = 0.0;
+    for (const double ay : ays) acc += row.f(ay);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRun));
+}
+BENCHMARK(BM_PredicateRowF)
+    ->Arg(0)   // horizontal candidates
+    ->Arg(1);  // vertical candidates
+
 void BM_NStarMinAv(benchmark::State& state) {
   const auto pdf = benchPdf();
   sim::Rng rng(12);

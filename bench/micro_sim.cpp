@@ -1,9 +1,11 @@
-// Micro-benchmarks: discrete-event engine throughput and the worker
-// pool's fork/join cost.
+// Micro-benchmarks: discrete-event engine throughput, the worker pool's
+// fork/join cost, and the CYCLON view merge.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "avmon/view_merge.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/worker_pool.hpp"
@@ -99,6 +101,52 @@ void BM_PoolRun(benchmark::State& state) {
                           static_cast<std::int64_t>(tasks));
 }
 BENCHMARK(BM_PoolRun)->Arg(2)->Arg(8)->Arg(40)->UseRealTime();
+
+void BM_ViewMerge(benchmark::State& state) {
+  // One shuffle-delivery merge as the scale scenarios run it: 32 offered
+  // ids into a full 64-entry view, the first 32 sampled entries (the ones
+  // the node just sent away) as the preferred victims. The timed loop
+  // cycles through 256 pre-drawn inputs so the branch predictor cannot
+  // learn one merge; each iteration includes one 64-entry view copy.
+  constexpr std::size_t kView = 64;
+  constexpr std::size_t kOffered = 32;
+  constexpr std::size_t kInputs = 256;
+  constexpr net::NodeIndex kUniverse = 10000;
+  struct Input {
+    std::vector<net::NodeIndex> view;
+    std::vector<net::NodeIndex> offered;
+    std::vector<net::NodeIndex> sentAway;
+    std::uint64_t seed;
+  };
+  sim::Rng rng(21);
+  std::vector<Input> inputs(kInputs);
+  for (Input& in : inputs) {
+    while (in.view.size() < kView) {
+      const auto id = static_cast<net::NodeIndex>(rng.below(kUniverse));
+      if (std::find(in.view.begin(), in.view.end(), id) == in.view.end()) {
+        in.view.push_back(id);
+      }
+    }
+    in.sentAway.assign(in.view.begin(), in.view.begin() + kOffered);
+    for (std::size_t i = 0; i < kOffered; ++i) {
+      in.offered.push_back(static_cast<net::NodeIndex>(rng.below(kUniverse)));
+    }
+    std::sort(in.view.begin(), in.view.end());
+    in.seed = rng.next();
+  }
+  std::vector<net::NodeIndex> view;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const Input& in = inputs[k];
+    k = k + 1 == kInputs ? 0 : k + 1;
+    view.assign(in.view.begin(), in.view.end());
+    sim::Rng mergeRng(in.seed);
+    avmon::mergeView(view, kUniverse, kView, in.offered, in.sentAway,
+                     mergeRng);
+    benchmark::DoNotOptimize(view.data());
+  }
+}
+BENCHMARK(BM_ViewMerge);
 
 }  // namespace
 

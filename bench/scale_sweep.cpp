@@ -436,7 +436,7 @@ int main(int argc, char** argv) {
   if (jsonPath) {
     benchfig::Columns top;
     top.sim("bench", "scale_sweep").sim("seed", seed);
-    benchfig::writeSweepJson(*jsonPath, top, points);
+    if (!benchfig::writeSweepJson(*jsonPath, top, points)) return 1;
   }
   return 0;
 }

@@ -17,13 +17,18 @@
 // checker holds no schema of its own. "points" and "classes" are the only
 // unclassified keys.
 //
-// Values are formatted by a default std::ostream (six significant digits
-// for doubles), the format every archived sweep JSON file uses.
+// `sim` doubles print with max_digits10 significant digits, so a value
+// read back from the JSON is the exact double the run computed and the
+// checker compares it to the last bit. Everything else prints as a
+// default std::ostream does (six significant digits for `perf` doubles).
+// Sweep JSON files written before sim doubles went exact carry six-digit
+// sim values; compare a file only with one of the same vintage.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -118,6 +123,11 @@ class Columns {
     if constexpr (std::is_same_v<T, bool>) {
       text << (value ? "true" : "false");
     } else {
+      if constexpr (std::is_floating_point_v<T>) {
+        if (cls == ColumnClass::kSim) {
+          text.precision(std::numeric_limits<T>::max_digits10);
+        }
+      }
       text << value;
     }
     cols_.push_back({key, cls, text.str(),
@@ -130,13 +140,15 @@ class Columns {
 
 /// Writes a sweep's --json file: the `top` fields (its first column is
 /// "bench"), the "classes" map over every key written, then one line per
-/// point. Reports the write, or the failure to open `path`, on stderr.
-inline void writeSweepJson(const std::string& path, const Columns& top,
-                           const std::vector<Columns>& points) {
+/// point. Reports the write, or the failure to write `path`, on stderr;
+/// false on failure, so the sweep can exit non-zero.
+[[nodiscard]] inline bool writeSweepJson(const std::string& path,
+                                         const Columns& top,
+                                         const std::vector<Columns>& points) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "cannot write '" << path << "'\n";
-    return;
+    return false;
   }
   std::vector<std::pair<std::string, ColumnClass>> classes;
   top.collectClasses(classes);
@@ -156,7 +168,13 @@ inline void writeSweepJson(const std::string& path, const Columns& top,
     out << "}" << (i + 1 < points.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
+  out.close();
+  if (!out) {
+    std::cerr << "cannot write '" << path << "'\n";
+    return false;
+  }
   std::cerr << "wrote " << points.size() << " point(s) to " << path << "\n";
+  return true;
 }
 
 }  // namespace avmem::benchfig

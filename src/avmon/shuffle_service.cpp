@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "avmon/view_merge.hpp"
+
 namespace avmem::avmon {
 
 using net::NodeIndex;
@@ -97,23 +99,28 @@ void ShuffleService::start() {
   planSeed_ = rng_.fork("shuffle-plan-stream").next();
   wireSeed_ = rng_.fork("shuffle-wire-stream").next();
 
+  startSchedule(/*arm=*/true);
+}
+
+void ShuffleService::startSchedule(bool arm) {
   // Initiations ride a sharded timing wheel in barrier mode: every node
   // still starts one exchange per period at a staggered offset, the event
   // queue holds O(shards) timers, and each slot firing fans its members'
   // plan phases across the pool before committing requests in slot order.
-  schedule_.startParallel(
-      sim_, period_, shards_, n, rng_.fork("shuffle-jitter"), pool_,
+  schedule_.start(
+      sim_, period_, shards_, views_.size(), rng_.fork("shuffle-jitter"),
+      pool_,
       [this](std::uint32_t i, std::size_t lane) {
         planExchange(static_cast<NodeIndex>(i), lane);
       },
       [this](std::uint32_t i, std::size_t lane) {
         commitExchange(static_cast<NodeIndex>(i), lane);
-      });
+      },
+      arm);
   lanes_.resize(schedule_.maxSlotPopulation());
 }
 
 void ShuffleService::restoreState(SavedState s) {
-  const auto n = static_cast<NodeIndex>(views_.size());
   if (s.views.size() != views_.size() || s.rounds.size() != views_.size()) {
     throw std::invalid_argument(
         "ShuffleService::restoreState: population mismatch");
@@ -128,16 +135,7 @@ void ShuffleService::restoreState(SavedState s) {
   // checkpointed run was firing on.
   rng_ = sim::Rng::fromState(s.rngState);
   channel_.restoreState(std::move(s.channel));
-
-  schedule_.prepareParallel(
-      sim_, period_, shards_, n, rng_.fork("shuffle-jitter"), pool_,
-      [this](std::uint32_t i, std::size_t lane) {
-        planExchange(static_cast<NodeIndex>(i), lane);
-      },
-      [this](std::uint32_t i, std::size_t lane) {
-        commitExchange(static_cast<NodeIndex>(i), lane);
-      });
-  lanes_.resize(schedule_.maxSlotPopulation());
+  startSchedule(/*arm=*/false);
 }
 
 void ShuffleService::sampleSubsetInto(const std::vector<NodeIndex>& view,
@@ -278,7 +276,7 @@ void ShuffleService::planGroup(std::span<const net::ShuffleDelivery> batch,
                                group.scratch.end());
         group.replySpans.emplace_back(
             off, static_cast<std::uint32_t>(group.scratch.size()));
-        mergeInto(group.view, self, viewSize_, d.payload, group.scratch, rng);
+        mergeView(group.view, self, viewSize_, d.payload, group.scratch, rng);
         ++group.completed;
         break;
       }
@@ -291,7 +289,7 @@ void ShuffleService::planGroup(std::span<const net::ShuffleDelivery> batch,
         if (!echo.empty() && echo.back() == self) {
           echo = echo.first(echo.size() - 1);
         }
-        mergeInto(group.view, self, viewSize_, d.payload, echo, rng);
+        mergeView(group.view, self, viewSize_, d.payload, echo, rng);
         break;
       }
       case net::ShuffleMsg::Kind::kTimeout: {
@@ -301,42 +299,6 @@ void ShuffleService::planGroup(std::span<const net::ShuffleDelivery> batch,
       case net::ShuffleMsg::Kind::kAck:
         break;  // settled inside the channel; never delivered
     }
-  }
-}
-
-void ShuffleService::mergeInto(std::vector<NodeIndex>& view, NodeIndex self,
-                               std::size_t capacity,
-                               std::span<const NodeIndex> offered,
-                               std::span<const NodeIndex> sentAway,
-                               sim::Rng& rng) {
-  std::size_t replaceCursor = 0;
-  for (const NodeIndex candidate : offered) {
-    if (candidate == self) continue;
-    const auto pos = std::lower_bound(view.begin(), view.end(), candidate);
-    if (pos != view.end() && *pos == candidate) continue;
-    if (view.size() < capacity) {
-      view.insert(pos, candidate);
-      continue;
-    }
-    // Prefer overwriting entries we just shipped to the partner (they live
-    // on in the partner's view), then fall back to random eviction.
-    bool replaced = false;
-    while (replaceCursor < sentAway.size()) {
-      const NodeIndex target = sentAway[replaceCursor];
-      ++replaceCursor;
-      const auto it = std::lower_bound(view.begin(), view.end(), target);
-      if (it != view.end() && *it == target) {
-        view.erase(it);
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) {
-      view.erase(view.begin() +
-                 static_cast<std::ptrdiff_t>(rng.index(view.size())));
-    }
-    view.insert(std::lower_bound(view.begin(), view.end(), candidate),
-                candidate);
   }
 }
 

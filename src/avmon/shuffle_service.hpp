@@ -29,8 +29,8 @@
 //    from per-exchange counter streams) fan across the pool, and a serial
 //    commit installs the new views in deterministic group order.
 //
-// Results are bit-identical for any thread count. Views are kept sorted:
-// merge membership tests are binary searches instead of O(viewSize) scans.
+// Results are bit-identical for any thread count. Views are kept sorted,
+// and merges (avmon/view_merge.hpp) find positions by rank.
 #pragma once
 
 #include <array>
@@ -238,15 +238,10 @@ class ShuffleService final : public net::ShuffleSink {
                                std::size_t maxTake, sim::Rng& rng,
                                std::vector<net::NodeIndex>& out);
 
-  /// Merge `offered` into the sorted `view` of node `self` (capacity
-  /// `capacity`): skip entries already present, fill free slots, then
-  /// overwrite the entries `self` just sent away (they live on at the
-  /// partner), then random-evict with `rng`.
-  static void mergeInto(std::vector<net::NodeIndex>& view,
-                        net::NodeIndex self, std::size_t capacity,
-                        std::span<const net::NodeIndex> offered,
-                        std::span<const net::NodeIndex> sentAway,
-                        sim::Rng& rng);
+  /// Build the initiation wheel over every node; `arm` as in
+  /// ShardedScheduler::start (false on restore, which re-arms the
+  /// checkpointed slots itself).
+  void startSchedule(bool arm);
 
   /// Remove `dead` from the sorted `view` if present.
   static void eraseSorted(std::vector<net::NodeIndex>& view,

@@ -1,12 +1,15 @@
 #include "core/availability_pdf.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace avmem::core {
 
 AvailabilityPdf::AvailabilityPdf(stats::Histogram histogram, double nStar)
-    : histogram_(std::move(histogram)), nStar_(nStar) {
+    : histogram_(std::move(histogram)),
+      nStar_(nStar),
+      logNStar_(std::log(nStar)) {
   if (nStar <= 0.0) {
     throw std::invalid_argument("AvailabilityPdf: nStar must be positive");
   }

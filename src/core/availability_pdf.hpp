@@ -40,6 +40,9 @@ class AvailabilityPdf {
   /// Expected number of *online* nodes in the system (fixed).
   [[nodiscard]] double nStar() const noexcept { return nStar_; }
 
+  /// log(N*), computed once: the vertical sub-predicates' numerator.
+  [[nodiscard]] double logNStar() const noexcept { return logNStar_; }
+
   /// Probability density p(a); piecewise constant per bin.
   [[nodiscard]] double density(double a) const noexcept {
     return histogram_.densityAt(a);
@@ -66,6 +69,7 @@ class AvailabilityPdf {
  private:
   stats::Histogram histogram_;
   double nStar_;
+  double logNStar_;
 };
 
 }  // namespace avmem::core

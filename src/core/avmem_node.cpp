@@ -30,7 +30,8 @@ double AvmemNode::planSelfAvailability(MaintenancePlan& plan) const {
 }
 
 MaintenancePlan::PeerEval AvmemNode::planEvaluatePeer(
-    NodeIndex peer, double effSelf, MaintenancePlan& plan) const {
+    NodeIndex peer, const AvmemPredicate::Row& owner,
+    MaintenancePlan& plan) const {
   ++plan.availabilityQueries;
   MaintenancePlan::PeerEval ev;
   ev.peer = peer;
@@ -39,28 +40,27 @@ MaintenancePlan::PeerEval AvmemNode::planEvaluatePeer(
 
   ev.known = true;
   ev.av = *peerAv;
-  ev.kind = ctx_->predicate.classify(effSelf, ev.av);
-  const double h = ctx_->hashOf(self_, peer);
-  ev.member = ctx_->predicate.evaluate(h, effSelf, ev.av);
+  ev.kind = owner.classify(ev.av);
+  ev.member = owner.evaluate(ctx_->hashOf(self_, peer), ev.av);
   return ev;
 }
 
 void AvmemNode::planDiscovery(std::span<const NodeIndex> view,
                               MaintenancePlan& plan) const {
-  const double effSelf = planSelfAvailability(plan);
+  const auto owner = ctx_->predicate.at(planSelfAvailability(plan));
   if (ctx_->batchHashReady()) {
-    planDiscoveryBatch(view, effSelf, plan);
+    planDiscoveryBatch(view, owner, plan);
     return;
   }
   for (const NodeIndex peer : view) {
     if (peer == self_ || knows(peer)) continue;
-    const auto ev = planEvaluatePeer(peer, effSelf, plan);
+    const auto ev = planEvaluatePeer(peer, owner, plan);
     if (ev.known && ev.member) plan.evals.push_back(ev);
   }
 }
 
 void AvmemNode::planDiscoveryBatch(std::span<const NodeIndex> view,
-                                   double effSelf,
+                                   const AvmemPredicate::Row& owner,
                                    MaintenancePlan& plan) const {
   const std::size_t n = view.size();
   plan.tailScratch.resize(n);
@@ -82,9 +82,8 @@ void AvmemNode::planDiscoveryBatch(std::span<const NodeIndex> view,
     ev.peer = peer;
     ev.known = true;
     ev.av = *peerAv;
-    ev.kind = ctx_->predicate.classify(effSelf, ev.av);
-    ev.member =
-        ctx_->predicate.evaluate(plan.hashScratch[i], effSelf, ev.av);
+    ev.kind = owner.classify(ev.av);
+    ev.member = owner.evaluate(plan.hashScratch[i], ev.av);
     if (ev.member) plan.evals.push_back(ev);
   }
 }
@@ -127,24 +126,24 @@ void AvmemNode::commitAdopt(const MaintenancePlan& plan) {
 }
 
 void AvmemNode::planRefresh(MaintenancePlan& plan) const {
-  const double effSelf = planSelfAvailability(plan);
+  const auto owner = ctx_->predicate.at(planSelfAvailability(plan));
   if (ctx_->batchHashReady()) {
-    planRefreshSliverBatch(hs_.peers(), effSelf, plan);
+    planRefreshSliverBatch(hs_.peers(), owner, plan);
     plan.hsEvalCount = plan.evals.size();
-    planRefreshSliverBatch(vs_.peers(), effSelf, plan);
+    planRefreshSliverBatch(vs_.peers(), owner, plan);
     return;
   }
   for (const NodeIndex peer : hs_.peers()) {
-    plan.evals.push_back(planEvaluatePeer(peer, effSelf, plan));
+    plan.evals.push_back(planEvaluatePeer(peer, owner, plan));
   }
   plan.hsEvalCount = plan.evals.size();
   for (const NodeIndex peer : vs_.peers()) {
-    plan.evals.push_back(planEvaluatePeer(peer, effSelf, plan));
+    plan.evals.push_back(planEvaluatePeer(peer, owner, plan));
   }
 }
 
 void AvmemNode::planRefreshSliverBatch(std::span<const NodeIndex> peers,
-                                       double effSelf,
+                                       const AvmemPredicate::Row& owner,
                                        MaintenancePlan& plan) const {
   const std::size_t n = peers.size();
   if (n == 0) return;
@@ -169,10 +168,10 @@ void AvmemNode::planRefreshSliverBatch(std::span<const NodeIndex> peers,
     plan.avScratch[i] = av.value_or(0.0);
   }
   plan.kindScratch.resize(n);
-  ctx_->predicate.classifyMany(effSelf, plan.avScratch, plan.kindScratch);
+  owner.classifyMany(plan.avScratch, plan.kindScratch);
   plan.memberScratch.resize(n);
-  ctx_->predicate.evaluateMany(plan.hashScratch, effSelf, plan.avScratch,
-                               /*cushion=*/0.0, plan.memberScratch);
+  owner.evaluateMany(plan.hashScratch, plan.avScratch, /*cushion=*/0.0,
+                     plan.memberScratch);
 
   const std::size_t base = plan.evals.size();
   plan.evals.resize(base + n);
@@ -277,6 +276,8 @@ bool AvmemNode::verifyIncoming(NodeIndex sender) {
     ++stats_.messagesRejected;
     return false;
   }
+  // One pair per call: the scalar form evaluates only the sliver half
+  // that applies (a row would pay the horizontal term for every sender).
   const double h = ctx_->hashOf(sender, self_);
   const bool ok = ctx_->predicate.evaluate(h, *senderAv, selfAv_,
                                            ctx_->config.cushion);

@@ -253,12 +253,13 @@ class AvmemNode {
   /// none).
   double planSelfAvailability(MaintenancePlan& plan) const;
 
-  /// Plan-phase evaluation of M(self, peer) with `effSelf` as this node's
-  /// availability; counts the query and reports classification +
-  /// membership in the returned eval (known = false when the service has
-  /// no estimate).
+  /// Plan-phase evaluation of M(self, peer) through `owner`, the
+  /// predicate bound to this node's round availability; counts the query
+  /// and reports classification + membership in the returned eval
+  /// (known = false when the service has no estimate).
   [[nodiscard]] MaintenancePlan::PeerEval planEvaluatePeer(
-      NodeIndex peer, double effSelf, MaintenancePlan& plan) const;
+      NodeIndex peer, const AvmemPredicate::Row& owner,
+      MaintenancePlan& plan) const;
 
   /// Batched-kernel form of the planDiscovery scan (kFast64 only): hash
   /// the whole candidate span up front through the two-mix batch lane,
@@ -266,16 +267,18 @@ class AvmemNode {
   /// identical to the scalar loop — the hashes are bit-equal and the
   /// evaluation order is unchanged; hashes of skipped candidates are
   /// wasted work, cheaper than per-survivor dispatch.
-  void planDiscoveryBatch(std::span<const NodeIndex> view, double effSelf,
+  void planDiscoveryBatch(std::span<const NodeIndex> view,
+                          const AvmemPredicate::Row& owner,
                           MaintenancePlan& plan) const;
 
   /// Batched-kernel form of one sliver's Refresh scan (kFast64 only):
   /// batch-hash every neighbor, gather availabilities into a contiguous
-  /// array, then run the predicate's classifyMany/evaluateMany over it —
+  /// array, then run the row's classifyMany/evaluateMany over it —
   /// the vectorized eviction/reclassify scan. Appends one eval per peer
   /// in list order, exactly as the scalar planEvaluatePeer loop does.
   void planRefreshSliverBatch(std::span<const NodeIndex> peers,
-                              double effSelf, MaintenancePlan& plan) const;
+                              const AvmemPredicate::Row& owner,
+                              MaintenancePlan& plan) const;
 
   /// Commit-phase Refresh pass over `own`: evict dead entries in place,
   /// refresh live ones, collect entries that re-classified into the other

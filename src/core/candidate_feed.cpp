@@ -40,11 +40,9 @@ double CandidateFeed::bucketMid(std::size_t b) const noexcept {
   return (static_cast<double>(b) + 0.5) / static_cast<double>(config_.buckets);
 }
 
-double CandidateFeed::bucketThreshold(double selfAv,
+double CandidateFeed::bucketThreshold(const AvmemPredicate::Row& owner,
                                       std::size_t b) const noexcept {
-  return std::min(1.0,
-                  config_.thresholdSlack * ctx_->predicate.f(selfAv,
-                                                             bucketMid(b)));
+  return std::min(1.0, config_.thresholdSlack * owner.f(bucketMid(b)));
 }
 
 void CandidateFeed::publish(NodeIndex node, double av) {
@@ -68,6 +66,8 @@ void CandidateFeed::drawCandidates(NodeIndex self, double selfAv,
                                    std::vector<NodeIndex>& out) const {
   if (frozen_.population == 0) return;
   sim::Rng rng = sim::Rng::stream(seed_, self, round);
+  // Every threshold and weight below is f(selfAv, ·): bind it once.
+  const auto owner = ctx_->predicate.at(selfAv);
 
   std::size_t emitted = 0;
   // Emit `y` unless it is self, already in `out` (coarse view included),
@@ -145,7 +145,7 @@ void CandidateFeed::drawCandidates(NodeIndex self, double selfAv,
       pos -= frozen_.buckets[bucket].size();
       bucket = bucket == bandHi ? bandLo : bucket + 1;
     }
-    double threshold = bucketThreshold(selfAv, bucket);
+    double threshold = bucketThreshold(owner, bucket);
     std::size_t scanned = 0;
     while (scanned < budget) {
       // The contiguous run from pos to the bucket end (or budget end),
@@ -160,7 +160,7 @@ void CandidateFeed::drawCandidates(NodeIndex self, double selfAv,
       while (pos >= frozen_.buckets[bucket].size()) {
         pos = 0;
         bucket = bucket == bandHi ? bandLo : bucket + 1;
-        threshold = bucketThreshold(selfAv, bucket);
+        threshold = bucketThreshold(owner, bucket);
       }
     }
   }
@@ -178,8 +178,8 @@ void CandidateFeed::drawCandidates(NodeIndex self, double selfAv,
   for (std::size_t b = 0; b < config_.buckets; ++b) {
     if (b >= bandLo && b <= bandHi) continue;
     if (frozen_.buckets[b].empty()) continue;
-    const double w = ctx_->predicate.f(selfAv, bucketMid(b)) *
-                     static_cast<double>(frozen_.buckets[b].size());
+    const double w =
+        owner.f(bucketMid(b)) * static_cast<double>(frozen_.buckets[b].size());
     weight[b] = w;
     weightTotal += w;
   }
@@ -199,7 +199,7 @@ void CandidateFeed::drawCandidates(NodeIndex self, double selfAv,
       const auto& entries = frozen_.buckets[bucket];
       const std::size_t take = std::min({kChunk, budget, entries.size()});
       std::size_t pos = rng.below(entries.size());
-      const double threshold = bucketThreshold(selfAv, bucket);
+      const double threshold = bucketThreshold(owner, bucket);
       for (std::size_t i = 0; i < take; ++i) {
         const NodeIndex y = entries[pos];
         if (ctx_->hashOf(self, y) <= threshold && !emit(y)) {

@@ -205,8 +205,8 @@ class CandidateFeed {
   [[nodiscard]] std::size_t bucketOf(double av) const noexcept;
   [[nodiscard]] double bucketMid(std::size_t b) const noexcept;
   /// The hash pre-filter threshold for candidates filed under bucket `b`,
-  /// as seen by a node with availability `selfAv`.
-  [[nodiscard]] double bucketThreshold(double selfAv,
+  /// as seen by `owner`, the predicate bound to the drawing node.
+  [[nodiscard]] double bucketThreshold(const AvmemPredicate::Row& owner,
                                        std::size_t b) const noexcept;
 
   CandidateFeedConfig config_;

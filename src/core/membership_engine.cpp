@@ -26,15 +26,9 @@ void MembershipEngine::startImpl(bool arm) {
   auto discoveryCommit = [this](std::uint32_t i, std::size_t lane) {
     commitTick(Round::kDiscovery, i, lane);
   };
-  if (arm) {
-    discovery_.startParallel(sim_, config_.discoveryPeriod, config_.shards,
-                             n, rng_.fork("discovery-jitter"), pool_,
-                             discoveryPlan, discoveryCommit);
-  } else {
-    discovery_.prepareParallel(sim_, config_.discoveryPeriod, config_.shards,
-                               n, rng_.fork("discovery-jitter"), pool_,
-                               discoveryPlan, discoveryCommit);
-  }
+  discovery_.start(sim_, config_.discoveryPeriod, config_.shards, n,
+                   rng_.fork("discovery-jitter"), pool_, discoveryPlan,
+                   discoveryCommit, arm);
 
   // Refresh: every refresh period, re-validate both slivers (no-op for
   // the view overlay, whose list is rebuilt every round anyway).
@@ -45,15 +39,9 @@ void MembershipEngine::startImpl(bool arm) {
     auto refreshCommit = [this](std::uint32_t i, std::size_t lane) {
       commitTick(Round::kRefresh, i, lane);
     };
-    if (arm) {
-      refresh_.startParallel(sim_, config_.refreshPeriod, config_.shards, n,
-                             rng_.fork("refresh-jitter"), pool_, refreshPlan,
-                             refreshCommit);
-    } else {
-      refresh_.prepareParallel(sim_, config_.refreshPeriod, config_.shards,
-                               n, rng_.fork("refresh-jitter"), pool_,
-                               refreshPlan, refreshCommit);
-    }
+    refresh_.start(sim_, config_.refreshPeriod, config_.shards, n,
+                   rng_.fork("refresh-jitter"), pool_, refreshPlan,
+                   refreshCommit, arm);
   }
 
   lanes_.resize(std::max(discovery_.maxSlotPopulation(),

@@ -71,14 +71,29 @@ enum class SliverSet : std::uint8_t {
   return "?";
 }
 
-/// One half of the predicate: either a horizontal or a vertical rule.
-class SliverSubPredicate {
+/// The vertical half of f: a rule over both availabilities.
+class VerticalSubPredicate {
  public:
-  virtual ~SliverSubPredicate() = default;
+  virtual ~VerticalSubPredicate() = default;
 
   /// The sub-predicate value in [0, 1]; `ax` = av(x) (list owner),
   /// `ay` = av(y) (candidate).
   [[nodiscard]] virtual double value(double ax, double ay,
+                                     const AvailabilityPdf& pdf) const = 0;
+
+  /// Identifier used in logs and bench output.
+  [[nodiscard]] virtual std::string name() const = 0;
+};
+
+/// The horizontal half of f. The paper defines II.A and II.B over av(x)
+/// alone — av(y) only decides, through eps, that this half applies — so
+/// the value is a function of the list owner and the PDF.
+class HorizontalSubPredicate {
+ public:
+  virtual ~HorizontalSubPredicate() = default;
+
+  /// The sub-predicate value in [0, 1]; `ax` = av(x) (list owner).
+  [[nodiscard]] virtual double value(double ax,
                                      const AvailabilityPdf& pdf) const = 0;
 
   /// Identifier used in logs and bench output.
@@ -97,7 +112,7 @@ class SliverSubPredicate {
 /// a uniform availability PDF this is exactly "each of the ~N* candidates
 /// accepted with equal probability, d1 expected picks". A raw
 /// constant-fraction variant is available via `ConstantFractionSub`.
-class ConstantVerticalSub final : public SliverSubPredicate {
+class ConstantVerticalSub final : public VerticalSubPredicate {
  public:
   /// `expectedCount` = d1. Pass c * log(N*) for the paper's sizing.
   explicit ConstantVerticalSub(double expectedCount)
@@ -124,7 +139,7 @@ class ConstantVerticalSub final : public SliverSubPredicate {
 /// c1*log(N*)*da, independent of where the interval lies. Empty PDF bins
 /// (p = 0) saturate to 1 — there are no such nodes in expectation, and any
 /// stray one is maximally valuable for coverage.
-class LogarithmicVerticalSub final : public SliverSubPredicate {
+class LogarithmicVerticalSub final : public VerticalSubPredicate {
  public:
   explicit LogarithmicVerticalSub(double c1) : c1_(c1) {}
 
@@ -132,8 +147,8 @@ class LogarithmicVerticalSub final : public SliverSubPredicate {
                              const AvailabilityPdf& pdf) const override {
     const double density = pdf.density(ay);
     if (density <= 0.0) return 1.0;
-    return std::clamp(c1_ * std::log(pdf.nStar()) / (pdf.nStar() * density),
-                      0.0, 1.0);
+    return std::clamp(c1_ * pdf.logNStar() / (pdf.nStar() * density), 0.0,
+                      1.0);
   }
 
   [[nodiscard]] std::string name() const override {
@@ -150,7 +165,7 @@ class LogarithmicVerticalSub final : public SliverSubPredicate {
 /// Density of vertical neighbors decays with availability distance,
 /// yielding exponentially-spaced "fingers" akin to Chord/Pastry routing
 /// entries (Corollary 1.1). Distances below one PDF bin saturate to 1.
-class LogarithmicDecreasingVerticalSub final : public SliverSubPredicate {
+class LogarithmicDecreasingVerticalSub final : public VerticalSubPredicate {
  public:
   explicit LogarithmicDecreasingVerticalSub(double c1) : c1_(c1) {}
 
@@ -160,8 +175,7 @@ class LogarithmicDecreasingVerticalSub final : public SliverSubPredicate {
     const double dist = std::abs(ay - ax);
     if (density <= 0.0 || dist <= 0.0) return 1.0;
     return std::clamp(
-        c1_ * std::log(pdf.nStar()) / (pdf.nStar() * density * dist), 0.0,
-        1.0);
+        c1_ * pdf.logNStar() / (pdf.nStar() * density * dist), 0.0, 1.0);
   }
 
   [[nodiscard]] std::string name() const override {
@@ -181,12 +195,12 @@ class LogarithmicDecreasingVerticalSub final : public SliverSubPredicate {
 /// Same count-vs-fraction ambiguity as I.A, resolved the same way but
 /// normalized by the *in-range* candidate population N*_av(x):
 /// f = min(d2 / N*_av(x), 1).
-class ConstantHorizontalSub final : public SliverSubPredicate {
+class ConstantHorizontalSub final : public HorizontalSubPredicate {
  public:
   ConstantHorizontalSub(double expectedCount, double epsilon)
       : expectedCount_(expectedCount), epsilon_(epsilon) {}
 
-  [[nodiscard]] double value(double ax, double,
+  [[nodiscard]] double value(double ax,
                              const AvailabilityPdf& pdf) const override {
     const double candidates = pdf.nStarAv(ax, epsilon_);
     if (candidates <= 0.0) return 1.0;
@@ -210,12 +224,12 @@ class ConstantHorizontalSub final : public SliverSubPredicate {
 /// size O(log N*) when the PDF is not too skewed (Theorem 3). The log
 /// argument is floored at 2 so that nearly-empty regions saturate toward
 /// accepting every candidate instead of collapsing to f = 0.
-class LogConstantHorizontalSub final : public SliverSubPredicate {
+class LogConstantHorizontalSub final : public HorizontalSubPredicate {
  public:
   LogConstantHorizontalSub(double c2, double epsilon)
       : c2_(c2), epsilon_(epsilon) {}
 
-  [[nodiscard]] double value(double ax, double,
+  [[nodiscard]] double value(double ax,
                              const AvailabilityPdf& pdf) const override {
     const double nAv = std::max(pdf.nStarAv(ax, epsilon_), 2.0);
     const double nMin = pdf.nStarMinAv(ax, epsilon_);
@@ -240,10 +254,14 @@ class LogConstantHorizontalSub final : public SliverSubPredicate {
 /// paper compares against in Figure 10 ("a random overlay graph similar to
 /// those created by ... SCAMP, CYCLON, T-MAN"), with AVMEM's added
 /// consistency. Usable on either side of the composite.
-class ConstantFractionSub final : public SliverSubPredicate {
+class ConstantFractionSub final : public HorizontalSubPredicate,
+                                  public VerticalSubPredicate {
  public:
   explicit ConstantFractionSub(double p) : p_(std::clamp(p, 0.0, 1.0)) {}
 
+  [[nodiscard]] double value(double, const AvailabilityPdf&) const override {
+    return p_;
+  }
   [[nodiscard]] double value(double, double,
                              const AvailabilityPdf&) const override {
     return p_;
@@ -264,15 +282,76 @@ class ConstantFractionSub final : public SliverSubPredicate {
 /// f(ax, ay) with the horizontal/vertical split at eps, plus the shared
 /// PDF. This object is immutable and shared by every node — it *is* the
 /// application-specified AVMEM predicate.
+///
+/// A list owner evaluating a round's candidates binds the predicate to
+/// its own availability with at(ax) and asks the returned row, which
+/// holds the horizontal value. The scalar f/evaluate forms serve one-off
+/// pairs and compute only the half that applies. Both go through one
+/// definition of the split (split()).
 class AvmemPredicate {
  public:
-  AvmemPredicate(std::shared_ptr<const SliverSubPredicate> horizontal,
-                 std::shared_ptr<const SliverSubPredicate> vertical,
+  /// eq. 1 bound to one list owner x: holds av(x) and the horizontal
+  /// value, computed once when the row is built. A plain value, cheap to
+  /// copy, that must not outlive its predicate; nothing in it changes
+  /// after construction, so rows on any number of threads are
+  /// independent.
+  class Row {
+   public:
+    /// Horizontal iff |av(x) - ay| < eps.
+    [[nodiscard]] SliverKind classify(double ay) const noexcept {
+      return pred_->classify(ax_, ay);
+    }
+
+    /// The threshold f(av(x), ay) the pair hash is compared against.
+    [[nodiscard]] double f(double ay) const {
+      return pred_->split(ax_, ay, [this] { return hs_; });
+    }
+
+    /// Evaluate M(x, y) given the (already computed) pair hash;
+    /// `cushion` relaxes the threshold for receiver-side verification
+    /// (Figures 5-6).
+    [[nodiscard]] bool evaluate(double pairHash, double ay,
+                                double cushion = 0.0) const {
+      return pairHash <= f(ay) + cushion;
+    }
+
+    /// kinds[i] = classify(ays[i]). Requires kinds.size() >= ays.size().
+    void classifyMany(std::span<const double> ays,
+                      std::span<SliverKind> kinds) const noexcept {
+      pred_->classifyMany(ax_, ays, kinds);
+    }
+
+    /// out[i] = evaluate(pairHashes[i], ays[i], cushion), element by
+    /// element the scalar form. Requires out.size() >= ays.size() and
+    /// pairHashes.size() >= ays.size().
+    void evaluateMany(std::span<const double> pairHashes,
+                      std::span<const double> ays, double cushion,
+                      std::span<std::uint8_t> out) const {
+      for (std::size_t i = 0; i < ays.size(); ++i) {
+        out[i] = evaluate(pairHashes[i], ays[i], cushion) ? 1 : 0;
+      }
+    }
+
+   private:
+    friend class AvmemPredicate;
+    Row(const AvmemPredicate& pred, double ax)
+        : pred_(&pred), ax_(ax), hs_(pred.hs_->value(ax, pred.pdf_)) {}
+
+    const AvmemPredicate* pred_;
+    double ax_;
+    double hs_;  ///< the horizontal sub-predicate at ax_
+  };
+
+  AvmemPredicate(std::shared_ptr<const HorizontalSubPredicate> horizontal,
+                 std::shared_ptr<const VerticalSubPredicate> vertical,
                  double epsilon, AvailabilityPdf pdf)
       : hs_(std::move(horizontal)),
         vs_(std::move(vertical)),
         epsilon_(epsilon),
         pdf_(std::move(pdf)) {}
+
+  /// The predicate bound to list owner availability `ax`.
+  [[nodiscard]] Row at(double ax) const { return Row(*this, ax); }
 
   /// Horizontal iff |ax - ay| < eps (paper eq. for f).
   [[nodiscard]] SliverKind classify(double ax, double ay) const noexcept {
@@ -280,15 +359,13 @@ class AvmemPredicate {
                                         : SliverKind::kVertical;
   }
 
-  /// The threshold f(av(x), av(y)) the pair hash is compared against.
+  /// The threshold f(av(x), av(y)) for one pair: at(ax).f(ay), without
+  /// the horizontal term when the pair is vertical.
   [[nodiscard]] double f(double ax, double ay) const {
-    return classify(ax, ay) == SliverKind::kHorizontal
-               ? hs_->value(ax, ay, pdf_)
-               : vs_->value(ax, ay, pdf_);
+    return split(ax, ay, [&] { return hs_->value(ax, pdf_); });
   }
 
-  /// Evaluate M(x, y) given the (already computed) pair hash; `cushion`
-  /// relaxes the threshold for receiver-side verification (Figures 5-6).
+  /// Evaluate M(x, y) for one pair: at(ax).evaluate(pairHash, ay, cushion).
   [[nodiscard]] bool evaluate(double pairHash, double ax, double ay,
                               double cushion = 0.0) const {
     return pairHash <= f(ax, ay) + cushion;
@@ -301,22 +378,16 @@ class AvmemPredicate {
   void classifyMany(double ax, std::span<const double> ays,
                     std::span<SliverKind> kinds) const noexcept {
     for (std::size_t i = 0; i < ays.size(); ++i) {
-      kinds[i] = std::abs(ax - ays[i]) < epsilon_ ? SliverKind::kHorizontal
-                                                  : SliverKind::kVertical;
+      kinds[i] = classify(ax, ays[i]);
     }
   }
 
-  /// Batch evaluate() over parallel hash/availability arrays:
-  /// out[i] = evaluate(pairHashes[i], ax, ays[i], cushion), branch-free
-  /// on the threshold compare. Value-identical to the scalar form element
-  /// by element (same f calls, same comparison). Requires out.size() >=
-  /// ays.size() and pairHashes.size() >= ays.size().
+  /// at(ax).evaluateMany(pairHashes, ays, cushion, out): one row per
+  /// call, the horizontal term computed once for the whole array.
   void evaluateMany(std::span<const double> pairHashes, double ax,
                     std::span<const double> ays, double cushion,
                     std::span<std::uint8_t> out) const {
-    for (std::size_t i = 0; i < ays.size(); ++i) {
-      out[i] = pairHashes[i] <= f(ax, ays[i]) + cushion ? 1 : 0;
-    }
+    at(ax).evaluateMany(pairHashes, ays, cushion, out);
   }
 
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
@@ -328,8 +399,19 @@ class AvmemPredicate {
   }
 
  private:
-  std::shared_ptr<const SliverSubPredicate> hs_;
-  std::shared_ptr<const SliverSubPredicate> vs_;
+  /// f's one definition: the eps split, with the horizontal value taken
+  /// from `horizontal()` — a row's stored value or a fresh sub-predicate
+  /// call.
+  template <class Horizontal>
+  [[nodiscard]] double split(double ax, double ay,
+                             Horizontal horizontal) const {
+    return classify(ax, ay) == SliverKind::kHorizontal
+               ? horizontal()
+               : vs_->value(ax, ay, pdf_);
+  }
+
+  std::shared_ptr<const HorizontalSubPredicate> hs_;
+  std::shared_ptr<const VerticalSubPredicate> vs_;
   double epsilon_;
   AvailabilityPdf pdf_;
 };

@@ -423,10 +423,11 @@ MulticastResult AvmemSimulation::runMulticast(NodeIndex initiator,
 double AvmemSimulation::expectedDegree(double av) const {
   const auto& pdf = predicate_->pdf();
   const auto& h = pdf.histogram();
+  const auto owner = predicate_->at(av);
   double degree = 0.0;
   for (std::size_t j = 0; j < h.binCount(); ++j) {
     const double b = h.binMid(j);
-    degree += predicate_->f(av, b) * pdf.nStar() * h.fraction(j);
+    degree += owner.f(b) * pdf.nStar() * h.fraction(j);
   }
   return degree;
 }

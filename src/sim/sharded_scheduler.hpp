@@ -17,7 +17,7 @@
 // preserved: slot assignment is a pure function of the caller-supplied
 // jitter RNG, and within a slot members run in a fixed order.
 //
-// Barrier dispatch (startParallel): a slot firing runs a two-phase
+// Barrier dispatch: a slot firing runs a two-phase
 // plan → commit protocol over its members. The plan callbacks for all of a
 // slot's members are fanned out across a WorkerPool and joined — simulated
 // time never advances while workers run, so the event queue stays
@@ -69,41 +69,65 @@ class ShardedScheduler {
 
   /// Distribute `memberCount` members over `shardCount` slots (0 = auto;
   /// explicit counts above memberCount clamp to memberCount — see the
-  /// header comment) of one `period` and begin firing. Member m's phase
-  /// offset is drawn uniformly in [0, period) from `jitter` and quantized
-  /// to its slot; the slot's task first fires at now + slot * period / K,
-  /// then every period. Per slot firing, run `plan` for every slot member
-  /// across `pool` (or inline when pool is null / single-lane), join, then
-  /// run `commit` for every member serially in slot order. Replaces any
-  /// schedule already running.
-  void startParallel(Simulator& sim, SimDuration period,
-                     std::size_t shardCount, std::size_t memberCount,
-                     Rng jitter, WorkerPool* pool, PhaseFn plan,
-                     PhaseFn commit) {
+  /// header comment) of one `period`. Member m's phase offset is drawn
+  /// uniformly in [0, period) from `jitter` and quantized to its slot. Per
+  /// slot firing, run `plan` for every slot member across `pool` (or
+  /// inline when pool is null / single-lane), join, then run `commit` for
+  /// every member serially in slot order. Replaces any schedule already
+  /// running.
+  ///
+  /// With `arm`, each populated slot's task first fires at
+  /// now + slot * period / K, then every period. Without it no slot timer
+  /// is armed: warm-state restore (snapshot/) gets the same clamping and
+  /// the same jitter-driven slot assignment, then arms each populated
+  /// slot at its checkpointed next-fire time via armSlot(), interleaved
+  /// with other owners' events in saved tie-break order.
+  void start(Simulator& sim, SimDuration period, std::size_t shardCount,
+             std::size_t memberCount, Rng jitter, WorkerPool* pool,
+             PhaseFn plan, PhaseFn commit, bool arm) {
     plan_ = std::move(plan);
     commit_ = std::move(commit);
     pool_ = pool;
-    startSlots(sim, period, shardCount, memberCount, jitter,
-               /*arm=*/true);
-  }
+    tasks_.clear();
+    slots_.clear();
+    taskOfSlot_.clear();
+    sim_ = &sim;
+    period_ = period;
+    memberCount_ = memberCount;
+    if (memberCount == 0 || period <= SimDuration::zero()) return;
 
-  /// Warm-state restore support (snapshot/): identical to startParallel —
-  /// same clamping, same jitter-driven slot assignment — except that no slot timer is armed. The restore path then arms
-  /// each populated slot at its checkpointed next-fire time via armSlot(),
-  /// interleaved with other owners' events in saved tie-break order.
-  void prepareParallel(Simulator& sim, SimDuration period,
-                       std::size_t shardCount, std::size_t memberCount,
-                       Rng jitter, WorkerPool* pool, PhaseFn plan,
-                       PhaseFn commit) {
-    plan_ = std::move(plan);
-    commit_ = std::move(commit);
-    pool_ = pool;
-    startSlots(sim, period, shardCount, memberCount, jitter,
-               /*arm=*/false);
+    const std::size_t shards =
+        shardCount == 0 ? autoShardCount(memberCount)
+                        : std::min(shardCount, std::max<std::size_t>(
+                                                   memberCount, 1));
+    slots_.assign(shards, {});
+    const auto periodUs = static_cast<std::uint64_t>(period.toMicros());
+    for (std::uint32_t m = 0; m < memberCount; ++m) {
+      const std::uint64_t offsetUs = jitter.below(periodUs);
+      const auto slot = static_cast<std::size_t>(
+          (offsetUs * shards) / periodUs);  // < shards by construction
+      slots_[slot].push_back(m);
+    }
+
+    tasks_.reserve(shards);
+    taskOfSlot_.assign(shards, nullptr);
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (slots_[s].empty()) continue;  // no timer for an empty slot
+      auto task = std::make_unique<PeriodicTask>();
+      taskOfSlot_[s] = task.get();
+      tasks_.push_back(std::move(task));
+    }
+    if (arm) {
+      for (std::size_t s = 0; s < shards; ++s) {
+        if (slots_[s].empty()) continue;
+        armSlot(s, sim.now() + SimDuration::micros(static_cast<std::int64_t>(
+                                   (periodUs * s) / shards)));
+      }
+    }
   }
 
   /// Arm (or re-arm) populated slot `s` to first fire at `at`, then every
-  /// period. Requires a prepared (or started) schedule and a populated
+  /// period. Requires a started (armed or not) schedule and a populated
   /// slot — restore code arms exactly the slots the checkpoint recorded,
   /// and the two sets always agree because assignment is pure in the
   /// jitter stream.
@@ -149,7 +173,7 @@ class ShardedScheduler {
     return maxSize;
   }
   /// Host wall-clock spent in barrier-mode plan phases (including the
-  /// join) since startParallel(). The plan share of maintenance is the part
+  /// join) since start(). The plan share of maintenance is the part
   /// parallel dispatch scales; benches report it so the Amdahl picture
   /// per workload is measured, not guessed.
   [[nodiscard]] double planWallSeconds() const noexcept {
@@ -159,7 +183,7 @@ class ShardedScheduler {
   [[nodiscard]] double commitWallSeconds() const noexcept {
     return static_cast<double>(commitWallNs_) * 1e-9;
   }
-  /// Plan/commit firings since startParallel().
+  /// Plan/commit firings since start().
   [[nodiscard]] std::uint64_t barrierFirings() const noexcept {
     return barrierFirings_;
   }
@@ -181,46 +205,6 @@ class ShardedScheduler {
   }
 
  private:
-  void startSlots(Simulator& sim, SimDuration period, std::size_t shardCount,
-                  std::size_t memberCount, Rng jitter, bool arm) {
-    tasks_.clear();
-    slots_.clear();
-    taskOfSlot_.clear();
-    sim_ = &sim;
-    period_ = period;
-    memberCount_ = memberCount;
-    if (memberCount == 0 || period <= SimDuration::zero()) return;
-
-    const std::size_t shards =
-        shardCount == 0 ? autoShardCount(memberCount)
-                        : std::min(shardCount, std::max<std::size_t>(
-                                                   memberCount, 1));
-    slots_.assign(shards, {});
-    const auto periodUs = static_cast<std::uint64_t>(period.toMicros());
-    for (std::uint32_t m = 0; m < memberCount; ++m) {
-      const std::uint64_t offsetUs = jitter.below(periodUs);
-      const auto slot = static_cast<std::size_t>(
-          (offsetUs * shards) / periodUs);  // < shards by construction
-      slots_[slot].push_back(m);
-    }
-
-    tasks_.reserve(shards);
-    taskOfSlot_.assign(shards, nullptr);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (slots_[s].empty()) continue;  // no timer for an empty slot
-      auto task = std::make_unique<PeriodicTask>();
-      taskOfSlot_[s] = task.get();
-      tasks_.push_back(std::move(task));
-    }
-    if (arm) {
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (slots_[s].empty()) continue;
-        armSlot(s, sim.now() + SimDuration::micros(static_cast<std::int64_t>(
-                                   (periodUs * s) / shards)));
-      }
-    }
-  }
-
   void fireSlot(std::size_t s) {
     const std::vector<std::uint32_t>& members = slots_[s];
     using HostClock = std::chrono::steady_clock;

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/node_id.hpp"
@@ -95,7 +99,7 @@ TEST(ConstantSubTest, CountNormalization) {
 
   ConstantHorizontalSub hs(10.0, 0.1);
   // N*_av(0.5) = 200 under the uniform PDF -> f = 10/200.
-  EXPECT_NEAR(hs.value(0.5, 0.55, pdf), 0.05, 1e-9);
+  EXPECT_NEAR(hs.value(0.5, pdf), 0.05, 1e-9);
 }
 
 TEST(ConstantSubTest, SaturatesWhenCandidatesScarce) {
@@ -110,13 +114,13 @@ TEST(LogConstantHorizontalTest, MatchesFormulaOnUniformPdf) {
   const auto pdf = uniformPdf(1000.0);
   LogConstantHorizontalSub hs(1.0, 0.1);
   // N*_av = 200, N*min_av = 100 under uniform -> f = log(200)/100.
-  EXPECT_NEAR(hs.value(0.5, 0.52, pdf), std::log(200.0) / 100.0, 1e-6);
+  EXPECT_NEAR(hs.value(0.5, pdf), std::log(200.0) / 100.0, 1e-6);
 }
 
 TEST(LogConstantHorizontalTest, SparseRegionsGetLargerF) {
   const auto pdf = skewedPdf();
   LogConstantHorizontalSub hs(1.0, 0.1);
-  EXPECT_GT(hs.value(0.9, 0.92, pdf), hs.value(0.1, 0.12, pdf));
+  EXPECT_GT(hs.value(0.9, pdf), hs.value(0.1, pdf));
 }
 
 TEST(ConstantFractionTest, ClampsAndIgnoresInputs) {
@@ -202,6 +206,100 @@ TEST(BatchKernelTest, EvaluateManyMatchesEvaluate) {
       ASSERT_EQ(out[i], want) << "cushion " << cushion << " i=" << i;
     }
   }
+}
+
+// --- Rows bound to the list owner --------------------------------------------
+
+TEST(PredicateRowTest, RowIsBitIdenticalToPerPairFormulas) {
+  // at(ax).f(ay) against f(ax, ay) and against the paper's formulas
+  // written out per pair, log(N*) included, in the same expression order.
+  // A grid of multiples of 1/32 makes |ax - ay| == eps exact for
+  // eps = 0.125, takes in ax = 0 and ax = 1, and the sparse PDF leaves
+  // bins empty (density 0, N*min 0).
+  stats::Histogram sparse(0.0, 1.0, 20);
+  sparse.add(0.12, 40);
+  sparse.add(0.93, 25);
+  sparse.add(0.55, 3);
+  const std::vector<AvailabilityPdf> pdfs = {
+      skewedPdf(), uniformPdf(10.0), AvailabilityPdf(std::move(sparse), 600)};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto logConstantHs = [](const AvailabilityPdf& pdf, double eps,
+                                double c2, double ax) {
+    const double nAv = std::max(pdf.nStarAv(ax, eps), 2.0);
+    const double nMin = pdf.nStarMinAv(ax, eps);
+    if (nMin <= 0.0) return 1.0;
+    return std::clamp(c2 * std::log(nAv) / nMin, 0.0, 1.0);
+  };
+  std::size_t checked = 0;
+  std::size_t onBoundary = 0;
+  // c = 1 is the paper's sizing; c = 1.3 keeps the constants from
+  // vanishing in the products.
+  for (const auto& setting : {std::pair{0.1, 1.0}, std::pair{0.125, 1.3}}) {
+    const double eps = setting.first;
+    const double c = setting.second;
+    for (const auto& pdf : pdfs) {
+      using Formula = std::function<double(double, double)>;
+      const std::vector<std::pair<AvmemPredicate, Formula>> cases = {
+          {makePaperDefaultPredicate(pdf, eps, c, c),
+           [&](double ax, double ay) {
+             if (std::abs(ax - ay) < eps) {
+               return logConstantHs(pdf, eps, c, ax);
+             }
+             const double density = pdf.density(ay);
+             if (density <= 0.0) return 1.0;
+             return std::clamp(c * std::log(pdf.nStar()) /
+                                   (pdf.nStar() * density),
+                               0.0, 1.0);
+           }},
+          {makeLogDecreasingPredicate(pdf, eps, c, c),
+           [&](double ax, double ay) {
+             if (std::abs(ax - ay) < eps) {
+               return logConstantHs(pdf, eps, c, ax);
+             }
+             const double density = pdf.density(ay);
+             const double dist = std::abs(ay - ax);
+             if (density <= 0.0 || dist <= 0.0) return 1.0;
+             return std::clamp(c * std::log(pdf.nStar()) /
+                                   (pdf.nStar() * density * dist),
+                               0.0, 1.0);
+           }},
+          {makeRandomOverlayPredicate(pdf, 0.02, eps),
+           [](double, double) { return 0.02; }},
+          {makeConstantSliversPredicate(pdf, 10.0, 10.0, eps),
+           [&](double ax, double ay) {
+             if (std::abs(ax - ay) < eps) {
+               const double candidates = pdf.nStarAv(ax, eps);
+               if (candidates <= 0.0) return 1.0;
+               return std::clamp(10.0 / candidates, 0.0, 1.0);
+             }
+             return std::clamp(10.0 / pdf.nStar(), 0.0, 1.0);
+           }},
+      };
+      for (const auto& [pred, formula] : cases) {
+        for (int i = 0; i <= 32; ++i) {
+          const double ax = i / 32.0;
+          const auto row = pred.at(ax);
+          for (int j = 0; j <= 32; ++j) {
+            const double ay = j / 32.0;
+            const double f = row.f(ay);
+            ASSERT_EQ(bits(f), bits(pred.f(ax, ay)))
+                << pred.name() << " ax=" << ax << " ay=" << ay;
+            ASSERT_EQ(bits(f), bits(formula(ax, ay)))
+                << pred.name() << " ax=" << ax << " ay=" << ay;
+            ASSERT_EQ(row.classify(ay), pred.classify(ax, ay));
+            for (const double h : {0.0, f, std::nextafter(f, 2.0), 0.5}) {
+              ASSERT_EQ(row.evaluate(h, ay, 0.05),
+                        pred.evaluate(h, ax, ay, 0.05));
+            }
+            ++checked;
+            onBoundary += std::abs(ax - ay) == eps ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2u * 3u * 4u * 33u * 33u);
+  EXPECT_GT(onBoundary, 0u);
 }
 
 // --- Property sweeps (TEST_P) ----------------------------------------------

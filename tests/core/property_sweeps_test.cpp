@@ -54,11 +54,19 @@ TEST_P(PdfShapeSweep, AllSubPredicatesStayNormalized) {
   const LogConstantHorizontalSub hs(1.0, 0.1);
   const ConstantVerticalSub cvs(10.0);
   const ConstantHorizontalSub chs(10.0, 0.1);
-  const std::array<const SliverSubPredicate*, 5> subs = {&vs, &vsd, &hs,
-                                                         &cvs, &chs};
+  const std::array<const VerticalSubPredicate*, 3> vertical = {&vs, &vsd,
+                                                               &cvs};
+  const std::array<const HorizontalSubPredicate*, 2> horizontal = {&hs,
+                                                                   &chs};
   for (double ax = 0.0; ax <= 1.0; ax += 0.01) {
+    for (const HorizontalSubPredicate* sub : horizontal) {
+      const double f = sub->value(ax, pdf);
+      ASSERT_GE(f, 0.0) << sub->name() << " ax=" << ax;
+      ASSERT_LE(f, 1.0) << sub->name() << " ax=" << ax;
+      ASSERT_FALSE(std::isnan(f)) << sub->name();
+    }
     for (double ay = 0.0; ay <= 1.0; ay += 0.1) {
-      for (const SliverSubPredicate* sub : subs) {
+      for (const VerticalSubPredicate* sub : vertical) {
         const double f = sub->value(ax, ay, pdf);
         ASSERT_GE(f, 0.0) << sub->name() << " ax=" << ax << " ay=" << ay;
         ASSERT_LE(f, 1.0) << sub->name() << " ax=" << ax << " ay=" << ay;

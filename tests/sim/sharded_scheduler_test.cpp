@@ -19,10 +19,11 @@ namespace {
 void startSerial(ShardedScheduler& sched, Simulator& sim, SimDuration period,
                  std::size_t shardCount, std::size_t memberCount, Rng jitter,
                  std::function<void(std::uint32_t)> fn) {
-  sched.startParallel(
+  sched.start(
       sim, period, shardCount, memberCount, jitter, nullptr,
       [](std::uint32_t, std::size_t) {},
-      [fn = std::move(fn)](std::uint32_t m, std::size_t) { fn(m); });
+      [fn = std::move(fn)](std::uint32_t m, std::size_t) { fn(m); },
+      /*arm=*/true);
 }
 
 TEST(ShardedSchedulerTest, EachMemberFiresOncePerPeriod) {
@@ -121,7 +122,7 @@ recordParallel(std::size_t threads) {
   ShardedScheduler sched;
   std::vector<std::uint64_t> lanes(64, 0);
   std::vector<std::tuple<std::int64_t, char, std::uint32_t, std::size_t>> seq;
-  sched.startParallel(
+  sched.start(
       sim, SimDuration::seconds(2), 6, 40, Rng(11), &pool,
       [&lanes](std::uint32_t m, std::size_t lane) {
         lanes[lane] = Rng::stream(5, m, 0).next();  // plan: lane-local only
@@ -129,7 +130,8 @@ recordParallel(std::size_t threads) {
       [&](std::uint32_t m, std::size_t lane) {
         seq.emplace_back(sim.now().toMicros(), 'c', m, lane);
         ASSERT_EQ(lanes[lane], Rng::stream(5, m, 0).next());
-      });
+      },
+      /*arm=*/true);
   sim.runUntil(SimTime::seconds(10));
   return seq;
 }
@@ -168,12 +170,13 @@ TEST(ShardedSchedulerTest, MaxSlotPopulationBoundsLaneBuffers) {
   Simulator sim;
   ShardedScheduler sched;
   std::size_t maxLane = 0;
-  sched.startParallel(
+  sched.start(
       sim, SimDuration::seconds(1), 4, 100, Rng(3), nullptr,
       [](std::uint32_t, std::size_t) {},
       [&maxLane](std::uint32_t, std::size_t lane) {
         maxLane = std::max(maxLane, lane);
-      });
+      },
+      /*arm=*/true);
   EXPECT_GE(sched.maxSlotPopulation(), 1u);
   sim.runUntil(SimTime::seconds(1));
   EXPECT_LT(maxLane, sched.maxSlotPopulation());
