@@ -44,15 +44,22 @@ AvmonSystem::AvmonSystem(const trace::AvailabilityModel& trace,
   }
 }
 
-void AvmonSystem::start() {
+std::optional<sim::SimTime> AvmonSystem::nextFold(
+    std::uint64_t advanced) const {
   const std::size_t epochs = trace_.epochCount();
-  const std::uint64_t advanced = advancedEpochs_.load(std::memory_order_relaxed);
   // Foldable epochs are [0, epochs-2]: the clamped "current epoch" of the
   // legacy lazy advance never exceeds epochs-1, so neither does our
   // cursor. Nothing to arm once it is reached.
-  if (epochs < 2 || advanced + 1 >= epochs) return;
-  epochTask_.start(sim_, trace_.epochStart(advanced + 1),
-                   trace_.epochDuration(), [this] { advanceEpochBoundary(); });
+  if (epochs < 2 || advanced + 1 >= epochs) return std::nullopt;
+  return trace_.epochStart(advanced + 1);
+}
+
+void AvmonSystem::start() {
+  const std::optional<sim::SimTime> at =
+      nextFold(advancedEpochs_.load(std::memory_order_relaxed));
+  if (!at) return;
+  epochTask_.start(sim_, *at, trace_.epochDuration(),
+                   [this] { advanceEpochBoundary(); });
 }
 
 void AvmonSystem::advanceEpochBoundary() {
@@ -273,51 +280,28 @@ std::optional<double> AvmonSystem::monitorEstimate(NodeIndex m,
   return static_cast<double>(cell.up) / static_cast<double>(cell.samples);
 }
 
-AvmonSystem::SavedState AvmonSystem::saveState() const {
-  SavedState s;
-  s.advancedEpochs = advancedEpochs_.load(std::memory_order_acquire);
-  s.pings = pings_;
-  const std::size_t n = ids_.size();
-  for (NodeIndex t = 0; t < n; ++t) {
-    if (ready_[t].load(std::memory_order_acquire) == 0) continue;
-    const TargetCell& cell = *cells_[t];
-    s.cells.push_back(
-        SavedState::Cell{.target = t, .samples = cell.samples, .up = cell.up});
-  }
-  return s;
-}
-
-AvmonSystem::StagedRestore AvmonSystem::restoreStage(SavedState s) const {
-  StagedRestore staged;
-  staged.advancedEpochs = s.advancedEpochs;
-  staged.pings = s.pings;
-  staged.cells.reserve(s.cells.size());
-  for (SavedState::Cell& saved : s.cells) {
-    if (saved.target >= ids_.size()) {
-      throw std::invalid_argument(
-          "AvmonSystem restore: saved target out of range");
-    }
-    auto cell = std::make_unique<TargetCell>();
-    scanMonitors(saved.target, cell->monitors);
-    if (saved.samples.size() != cell->monitors.size() ||
-        saved.up.size() != cell->monitors.size()) {
+void AvmonSystem::restoreStage(Cells& cells) const {
+  for (std::size_t t = 0; t < cells.size(); ++t) {
+    TargetCell* cell = cells[t].get();
+    if (cell == nullptr) continue;
+    scanMonitors(static_cast<NodeIndex>(t), cell->monitors);
+    if (cell->samples.size() != cell->monitors.size() ||
+        cell->up.size() != cell->monitors.size()) {
       throw std::invalid_argument(
           "AvmonSystem restore: monitor count mismatch (checkpoint was "
           "taken under a different monitor relation)");
     }
-    cell->samples = std::move(saved.samples);
-    cell->up = std::move(saved.up);
-    staged.cells.emplace_back(saved.target, std::move(cell));
   }
-  return staged;
 }
 
-void AvmonSystem::restoreInstall(StagedRestore staged) noexcept {
-  advancedEpochs_.store(staged.advancedEpochs, std::memory_order_release);
-  pings_ = staged.pings;
-  for (auto& [target, cell] : staged.cells) {
-    cells_[target] = std::move(cell);
-    ready_[target].store(1, std::memory_order_release);
+void AvmonSystem::restoreInstall(std::uint64_t advancedEpochs,
+                                 const PingStats& pings,
+                                 Cells cells) noexcept {
+  advancedEpochs_.store(advancedEpochs, std::memory_order_release);
+  pings_ = pings;
+  cells_ = std::move(cells);
+  for (std::size_t t = 0; t < cells_.size(); ++t) {
+    if (cells_[t] != nullptr) ready_[t].store(1, std::memory_order_release);
   }
 }
 

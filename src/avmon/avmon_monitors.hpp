@@ -59,6 +59,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -108,11 +109,19 @@ class AvmonSystem {
   /// their own PingStats but touch no wire).
   void attachWire(net::Network* network) noexcept { wire_ = network; }
 
-  /// Arm the epoch-boundary estimate-advance task at the next unfolded
-  /// epoch boundary. No-op when every foldable epoch is already folded
-  /// (or the model has a single epoch). Safe after a checkpoint restore:
-  /// the first firing lands at (advancedEpochs()+1) * epochDuration.
+  /// Arm the epoch-boundary estimate-advance task at nextFold() of the
+  /// current fold cursor. No-op when that is nullopt. Safe after a
+  /// checkpoint restore: the first firing lands at
+  /// (advancedEpochs()+1) * epochDuration.
   void start();
+
+  /// Where start() arms the epoch task under fold cursor `advanced`:
+  /// the next unfolded epoch boundary, or nullopt when every foldable
+  /// epoch is already folded (or the model has a single epoch). A pure
+  /// function of the cursor and the trace, so a restore checks a
+  /// checkpoint's saved timer against it before installing anything.
+  [[nodiscard]] std::optional<sim::SimTime> nextFold(
+      std::uint64_t advanced) const;
 
   /// Cancel the epoch task (the destructor also does).
   void stop() noexcept { epochTask_.stop(); }
@@ -188,25 +197,6 @@ class AvmonSystem {
 
   // --- warm-state checkpointing (snapshot/) --------------------------------
 
-  /// Everything path-dependent: the fold cursor, ping accounting, and the
-  /// materialized cells (their counters diverge from the pure trace
-  /// function whenever a fault campaign ate samples, and the materialized
-  /// *set* determines future billing order). Monitor lists are NOT saved —
-  /// they are a pure hash and are rebuilt, then cross-checked, on restore.
-  struct SavedState {
-    struct Cell {
-      NodeIndex target = 0;
-      std::vector<std::uint32_t> samples;
-      std::vector<std::uint32_t> up;
-    };
-    std::uint64_t advancedEpochs = 0;
-    PingStats pings;
-    std::vector<Cell> cells;  ///< ascending target order
-  };
-
-  [[nodiscard]] SavedState saveState() const;
-
- private:
   /// One materialized target: monitor list (ascending) plus flat SoA
   /// sampling counters indexed like it.
   struct TargetCell {
@@ -214,28 +204,29 @@ class AvmonSystem {
     std::vector<std::uint32_t> samples;
     std::vector<std::uint32_t> up;
   };
+  /// Cells indexed by target; null = not materialized yet.
+  using Cells = std::vector<std::unique_ptr<TargetCell>>;
 
- public:
-  /// A validated restore, built by restoreStage() and adopted by
-  /// restoreInstall(): monitor sets rebuilt and counters checked against
-  /// them, nothing installed yet.
-  class StagedRestore {
-    friend class AvmonSystem;
-    std::uint64_t advancedEpochs = 0;
-    PingStats pings;
-    std::vector<std::pair<NodeIndex, std::unique_ptr<TargetCell>>> cells;
-  };
+  /// Everything path-dependent besides the fold cursor (advancedEpochs()):
+  /// ping accounting and the materialized cells (their counters diverge
+  /// from the pure trace function whenever a fault campaign ate samples,
+  /// and the materialized *set* determines future billing order). Monitor
+  /// lists are NOT saved — they are a pure hash, rebuilt by restoreStage().
+  /// Serial context only.
+  [[nodiscard]] auto persistedState() const noexcept {
+    return std::tie(pings_, std::as_const(cells_));
+  }
 
-  /// Rebuild each saved target's monitor set (one scan per target) and
-  /// attach its saved counters, leaving this system untouched. Throws
-  /// std::invalid_argument when a saved target is out of range or its
-  /// counter count does not match the recomputed monitor set (a
+  /// Rebuild each staged cell's monitor set (one scan per target),
+  /// leaving this system untouched. Throws std::invalid_argument when a
+  /// cell's counter count does not match its recomputed monitor set (a
   /// config/trace mismatch the fingerprint should have caught, or a
-  /// hand-edited file).
-  [[nodiscard]] StagedRestore restoreStage(SavedState s) const;
+  /// hand-edited file). `cells` must hold one slot per host.
+  void restoreStage(Cells& cells) const;
 
   /// Adopt a staged restore; never throws. Only valid on a fresh system.
-  void restoreInstall(StagedRestore staged) noexcept;
+  void restoreInstall(std::uint64_t advancedEpochs, const PingStats& pings,
+                      Cells cells) noexcept;
 
  private:
   /// The facade reads cells, the trace and the clock directly (no
@@ -263,7 +254,7 @@ class AvmonSystem {
 
   // Lazy cells: null until materialized; publication is flag-release /
   // query-acquire under a striped mutex (concurrent plan-phase queries).
-  mutable std::vector<std::unique_ptr<TargetCell>> cells_;
+  mutable Cells cells_;
   mutable std::unique_ptr<std::atomic<std::uint8_t>[]> ready_;
   mutable std::array<std::mutex, kStripes> stripes_;
 

@@ -99,17 +99,23 @@ void ShuffleService::start() {
   planSeed_ = rng_.fork("shuffle-plan-stream").next();
   wireSeed_ = rng_.fork("shuffle-wire-stream").next();
 
-  startSchedule(/*arm=*/true);
+  startSchedule(slotsFor(rng_), /*arm=*/true);
 }
 
-void ShuffleService::startSchedule(bool arm) {
+sim::ShardedScheduler::Slots ShuffleService::slotsFor(
+    const sim::Rng& rng) const {
+  return sim::ShardedScheduler::assignSlots(
+      views_.size(), shards_, period_, rng.fork("shuffle-jitter"));
+}
+
+void ShuffleService::startSchedule(sim::ShardedScheduler::Slots slots,
+                                   bool arm) {
   // Initiations ride a sharded timing wheel in barrier mode: every node
   // still starts one exchange per period at a staggered offset, the event
   // queue holds O(shards) timers, and each slot firing fans its members'
   // plan phases across the pool before committing requests in slot order.
   schedule_.start(
-      sim_, period_, shards_, views_.size(), rng_.fork("shuffle-jitter"),
-      pool_,
+      sim_, period_, std::move(slots), pool_,
       [this](std::uint32_t i, std::size_t lane) {
         planExchange(static_cast<NodeIndex>(i), lane);
       },
@@ -118,24 +124,6 @@ void ShuffleService::startSchedule(bool arm) {
       },
       arm);
   lanes_.resize(schedule_.maxSlotPopulation());
-}
-
-void ShuffleService::restoreState(SavedState s) {
-  if (s.views.size() != views_.size() || s.rounds.size() != views_.size()) {
-    throw std::invalid_argument(
-        "ShuffleService::restoreState: population mismatch");
-  }
-  views_ = std::move(s.views);
-  rounds_ = std::move(s.rounds);
-  completedShuffles_ = s.completedShuffles;
-  planSeed_ = s.planSeed;
-  wireSeed_ = s.wireSeed;
-  // The saved RNG already reflects the bootstrap draws, so forking
-  // "shuffle-jitter" from it reproduces the exact slot assignment the
-  // checkpointed run was firing on.
-  rng_ = sim::Rng::fromState(s.rngState);
-  channel_.restoreState(std::move(s.channel));
-  startSchedule(/*arm=*/false);
 }
 
 void ShuffleService::sampleSubsetInto(const std::vector<NodeIndex>& view,

@@ -33,9 +33,10 @@
 // and merges (avmon/view_merge.hpp) find positions by rank.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -130,39 +131,31 @@ class ShuffleService final : public net::ShuffleSink {
   }
 
   /// Warm-state checkpointing (snapshot/): the views, the per-node round
-  /// cursors, the derived stream seeds, the post-bootstrap RNG, and the
-  /// channel's in-flight state. The initiation wheel itself is not saved —
-  /// slot assignment is a pure function of rng_'s saved state (the
-  /// "shuffle-jitter" fork), so restoreState() rebuilds it and the
-  /// orchestrator re-arms the slots at their checkpointed times.
-  struct SavedState {
-    std::vector<std::vector<net::NodeIndex>> views;
-    std::vector<std::uint32_t> rounds;
-    std::uint64_t completedShuffles = 0;
-    std::uint64_t planSeed = 0;
-    std::uint64_t wireSeed = 0;
-    std::array<std::uint64_t, 4> rngState{};
-    net::ShuffleChannel::SavedState channel;
-  };
-
-  [[nodiscard]] SavedState saveState() const {
-    SavedState s;
-    s.views = views_;
-    s.rounds = rounds_;
-    s.completedShuffles = completedShuffles_;
-    s.planSeed = planSeed_;
-    s.wireSeed = wireSeed_;
-    s.rngState = rng_.saveState();
-    s.channel = channel_.saveState();
-    return s;
+  /// cursors, the derived stream seeds and the post-bootstrap RNG (the
+  /// channel persists its own). The initiation wheel itself is not saved
+  /// — slot assignment is a pure function of rng_ (its "shuffle-jitter"
+  /// fork, see slotsFor()), so restore rebuilds it through resume() and
+  /// the orchestrator re-arms the slots at their checkpointed times.
+  [[nodiscard]] auto persistedState() const noexcept {
+    return std::tie(views_, rounds_, completedShuffles_, planSeed_,
+                    wireSeed_, rng_);
+  }
+  [[nodiscard]] auto persistedState() noexcept {
+    return std::tie(views_, rounds_, completedShuffles_, planSeed_,
+                    wireSeed_, rng_);
   }
 
-  /// Install checkpointed state in place of start(): skips the bootstrap
-  /// view seeding (whose RNG draws are already reflected in the saved
-  /// rng state), prepares the initiation wheel un-armed, and leaves the
-  /// channel wake un-armed. The restore orchestrator then arms wheel
-  /// slots and the channel wake in saved tie-break order.
-  void restoreState(SavedState s);
+  /// The initiation wheel's slot assignment under service RNG `rng`.
+  [[nodiscard]] sim::ShardedScheduler::Slots slotsFor(
+      const sim::Rng& rng) const;
+
+  /// Restore path, in place of start() and after persistedState() has
+  /// been installed: skips the bootstrap view seeding (its RNG draws are
+  /// already reflected in the restored rng_) and builds the initiation
+  /// wheel un-armed from `slots` (slotsFor() the restored rng_).
+  void resume(sim::ShardedScheduler::Slots slots) {
+    startSchedule(std::move(slots), /*arm=*/false);
+  }
 
   /// Mutable wheel/channel access for the restore orchestrator.
   [[nodiscard]] sim::ShardedScheduler& wheel() noexcept { return schedule_; }
@@ -238,10 +231,10 @@ class ShuffleService final : public net::ShuffleSink {
                                std::size_t maxTake, sim::Rng& rng,
                                std::vector<net::NodeIndex>& out);
 
-  /// Build the initiation wheel over every node; `arm` as in
+  /// Build the initiation wheel from `slots`; `arm` as in
   /// ShardedScheduler::start (false on restore, which re-arms the
   /// checkpointed slots itself).
-  void startSchedule(bool arm);
+  void startSchedule(sim::ShardedScheduler::Slots slots, bool arm);
 
   /// Remove `dead` from the sorted `view` if present.
   static void eraseSorted(std::vector<net::NodeIndex>& view,

@@ -48,6 +48,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -124,40 +125,16 @@ class CandidateFeed {
                       std::vector<net::NodeIndex>& out) const;
 
   /// Warm-state checkpointing (snapshot/): both directory sides (frozen
-  /// and building, flattened), the per-node epoch tags, the seal count,
-  /// and the seal timer's next firing instant.
-  struct SavedState {
-    std::vector<std::vector<net::NodeIndex>> frozenBuckets;
-    std::uint64_t frozenPopulation = 0;
-    std::vector<std::vector<net::NodeIndex>> buildingBuckets;
-    std::uint64_t buildingPopulation = 0;
-    std::vector<std::uint32_t> publishedInEpoch;
-    std::uint64_t sealedEpochs = 0;
-    std::int64_t sealNextFireAtUs = 0;
-  };
-
-  [[nodiscard]] SavedState saveState() const {
-    SavedState s;
-    s.frozenBuckets = frozen_.buckets;
-    s.frozenPopulation = frozen_.population;
-    s.buildingBuckets = building_.buckets;
-    s.buildingPopulation = building_.population;
-    s.publishedInEpoch = publishedInEpoch_;
-    s.sealedEpochs = sealedEpochs_;
-    s.sealNextFireAtUs = sealTask_.nextFireAt().toMicros();
-    return s;
+  /// and building), the per-node epoch tags and the seal count. The seal
+  /// timer is an event, not a field: the checkpoint records its next
+  /// firing beside its queue rank and re-arms it through armSeal().
+  [[nodiscard]] auto persistedState() const noexcept {
+    return std::tie(frozen_.buckets, frozen_.population, building_.buckets,
+                    building_.population, publishedInEpoch_, sealedEpochs_);
   }
-
-  /// Install checkpointed state. Does NOT arm the seal timer — the
-  /// restore orchestrator calls armSeal() in saved tie-break order.
-  void restoreState(SavedState s) {
-    frozen_.buckets = std::move(s.frozenBuckets);
-    frozen_.population = static_cast<std::size_t>(s.frozenPopulation);
-    building_.buckets = std::move(s.buildingBuckets);
-    building_.population = static_cast<std::size_t>(s.buildingPopulation);
-    publishedInEpoch_ = std::move(s.publishedInEpoch);
-    sealedEpochs_ = s.sealedEpochs;
-    sealTask_.stop();
+  [[nodiscard]] auto persistedState() noexcept {
+    return std::tie(frozen_.buckets, frozen_.population, building_.buckets,
+                    building_.population, publishedInEpoch_, sealedEpochs_);
   }
 
   /// Re-arm the seal timer at the checkpointed instant; the period is

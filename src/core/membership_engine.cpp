@@ -1,20 +1,40 @@
 #include "core/membership_engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace avmem::core {
 
 using net::NodeIndex;
 
-void MembershipEngine::start() { startImpl(/*arm=*/true); }
+void MembershipEngine::start() {
+  startImpl(discoverySlots(), refreshSlots(), /*arm=*/true);
+}
 
-void MembershipEngine::prepareResume() { startImpl(/*arm=*/false); }
+void MembershipEngine::prepareResume(sim::ShardedScheduler::Slots discovery,
+                                     sim::ShardedScheduler::Slots refresh) {
+  startImpl(std::move(discovery), std::move(refresh), /*arm=*/false);
+}
 
-void MembershipEngine::startImpl(bool arm) {
+sim::ShardedScheduler::Slots MembershipEngine::discoverySlots() const {
+  return sim::ShardedScheduler::assignSlots(nodes_.size(), config_.shards,
+                                            config_.discoveryPeriod,
+                                            rng_.fork("discovery-jitter"));
+}
+
+sim::ShardedScheduler::Slots MembershipEngine::refreshSlots() const {
+  // The view overlay rebuilds its list every round: no refresh wheel.
+  if (config_.coarseViewOverlay) return {};
+  return sim::ShardedScheduler::assignSlots(nodes_.size(), config_.shards,
+                                            config_.refreshPeriod,
+                                            rng_.fork("refresh-jitter"));
+}
+
+void MembershipEngine::startImpl(sim::ShardedScheduler::Slots discovery,
+                                 sim::ShardedScheduler::Slots refresh,
+                                 bool arm) {
   if (started_) return;
   started_ = true;
-
-  const std::size_t n = nodes_.size();
 
   // Discovery: every protocol period, scan the coarse view. Offline nodes
   // skip the round (they are not running). In coarse-view-overlay mode
@@ -26,23 +46,19 @@ void MembershipEngine::startImpl(bool arm) {
   auto discoveryCommit = [this](std::uint32_t i, std::size_t lane) {
     commitTick(Round::kDiscovery, i, lane);
   };
-  discovery_.start(sim_, config_.discoveryPeriod, config_.shards, n,
-                   rng_.fork("discovery-jitter"), pool_, discoveryPlan,
-                   discoveryCommit, arm);
+  discovery_.start(sim_, config_.discoveryPeriod, std::move(discovery),
+                   pool_, discoveryPlan, discoveryCommit, arm);
 
-  // Refresh: every refresh period, re-validate both slivers (no-op for
-  // the view overlay, whose list is rebuilt every round anyway).
-  if (!config_.coarseViewOverlay) {
-    auto refreshPlan = [this](std::uint32_t i, std::size_t lane) {
-      planTick(Round::kRefresh, i, lane);
-    };
-    auto refreshCommit = [this](std::uint32_t i, std::size_t lane) {
-      commitTick(Round::kRefresh, i, lane);
-    };
-    refresh_.start(sim_, config_.refreshPeriod, config_.shards, n,
-                   rng_.fork("refresh-jitter"), pool_, refreshPlan,
-                   refreshCommit, arm);
-  }
+  // Refresh: every refresh period, re-validate both slivers (the view
+  // overlay runs none: its refreshSlots() are empty).
+  auto refreshPlan = [this](std::uint32_t i, std::size_t lane) {
+    planTick(Round::kRefresh, i, lane);
+  };
+  auto refreshCommit = [this](std::uint32_t i, std::size_t lane) {
+    commitTick(Round::kRefresh, i, lane);
+  };
+  refresh_.start(sim_, config_.refreshPeriod, std::move(refresh), pool_,
+                 refreshPlan, refreshCommit, arm);
 
   lanes_.resize(std::max(discovery_.maxSlotPopulation(),
                          refresh_.maxSlotPopulation()));

@@ -111,13 +111,20 @@ class MembershipEngine {
   /// Begin the maintenance schedules. Idempotent.
   void start();
 
-  /// Warm-state restore (snapshot/): set up both wheels exactly as
-  /// start() would — rng_ is never advanced (forks are pure), so the
-  /// jitter streams and therefore the slot assignments reproduce — but
-  /// leave every slot timer un-armed. The restore orchestrator then arms
-  /// the wheels (discoveryWheel()/refreshWheel() + armSlot) at the
-  /// checkpointed next-fire times, in saved tie-break order.
-  void prepareResume();
+  /// The wheels' slot assignments, pure in the construction RNG (rng_ is
+  /// never advanced; forks are pure). refreshSlots() is empty for the
+  /// coarse-view overlay, which runs no refresh wheel.
+  [[nodiscard]] sim::ShardedScheduler::Slots discoverySlots() const;
+  [[nodiscard]] sim::ShardedScheduler::Slots refreshSlots() const;
+
+  /// Warm-state restore (snapshot/): set up both wheels from the slot
+  /// assignments the restore already checked the checkpoint against
+  /// (discoverySlots()/refreshSlots()), but leave every slot timer
+  /// un-armed. The restore orchestrator then arms the wheels
+  /// (discoveryWheel()/refreshWheel() + armSlot) at the checkpointed
+  /// next-fire times, in saved tie-break order.
+  void prepareResume(sim::ShardedScheduler::Slots discovery,
+                     sim::ShardedScheduler::Slots refresh);
 
   /// Cancel all maintenance timers.
   void stop();
@@ -176,8 +183,9 @@ class MembershipEngine {
   enum class Round : std::uint8_t { kDiscovery, kRefresh };
 
   /// Shared body of start() and prepareResume(): build both wheels from
-  /// the jitter streams; arm the slot timers only when `arm` is set.
-  void startImpl(bool arm);
+  /// their slot assignments; arm the slot timers only when `arm` is set.
+  void startImpl(sim::ShardedScheduler::Slots discovery,
+                 sim::ShardedScheduler::Slots refresh, bool arm);
 
   /// Plan phase: read-only against shared state, writes only the member's
   /// lane buffer; safe to run concurrently for all members of a slot.

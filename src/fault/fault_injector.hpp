@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 #include "fault/fault_plan.hpp"
@@ -189,26 +190,14 @@ class FaultInjector {
     stats_.attackAccepted += accepted;
   }
 
-  // --- warm-state checkpointing (snapshot/) --------------------------------
-
-  struct SavedState {
-    std::array<std::uint64_t, kWireKindCount> wireSeq{};
-    FaultStats stats;
-    std::vector<std::uint64_t> attackSweepsDone;
-  };
-
-  [[nodiscard]] SavedState saveState() const {
-    return SavedState{wireSeq_, stats_, attackSweepsDone_};
+  /// Warm-state checkpointing (snapshot/): the per-kind wire counters,
+  /// the tallies and each attack stage's sweep count. The campaign itself
+  /// is not state: the config fingerprint pins it.
+  [[nodiscard]] auto persistedState() const noexcept {
+    return std::tie(wireSeq_, stats_, attackSweepsDone_);
   }
-
-  void restoreState(const SavedState& s) {
-    wireSeq_ = s.wireSeq;
-    stats_ = s.stats;
-    if (s.attackSweepsDone.size() != plan_.attacks.size()) {
-      throw FaultPlanError(
-          "fault injector restore: attack stage count mismatch");
-    }
-    attackSweepsDone_ = s.attackSweepsDone;
+  [[nodiscard]] auto persistedState() noexcept {
+    return std::tie(wireSeq_, stats_, attackSweepsDone_);
   }
 
  private:

@@ -19,10 +19,10 @@
 // message (see that header).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 #include "fault/fault_injector.hpp"
@@ -180,16 +180,11 @@ class Network {
   /// Warm-state checkpointing (snapshot/): the wire counters plus the
   /// latency-sampling RNG, so post-restore sends draw the same latencies
   /// a straight-through run would.
-  struct SavedState {
-    NetworkStats stats;
-    std::array<std::uint64_t, 4> rngState{};
-  };
-  [[nodiscard]] SavedState saveState() const noexcept {
-    return SavedState{stats_, rng_.saveState()};
+  [[nodiscard]] auto persistedState() const noexcept {
+    return std::tie(stats_, rng_);
   }
-  void restoreState(const SavedState& s) noexcept {
-    stats_ = s.stats;
-    rng_ = sim::Rng::fromState(s.rngState);
+  [[nodiscard]] auto persistedState() noexcept {
+    return std::tie(stats_, rng_);
   }
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }

@@ -39,9 +39,9 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <type_traits>
 #include <unordered_set>
 #include <utility>
@@ -198,52 +198,23 @@ class ShuffleChannel {
   /// Everything a warm-state checkpoint must capture to continue the
   /// channel bit-identically: the raw heap array (heap order is part of
   /// the state — pops depend on the array layout), the arena, the pending
-  /// ack set (canonically sorted so re-serializing a restored channel is
-  /// byte-identical), the wire RNG, and the armed wake instant.
-  struct SavedState {
-    std::vector<ShuffleMsg> heap;
-    std::vector<NodeIndex> arena;
-    std::uint64_t liveEntries = 0;
-    std::vector<std::uint64_t> awaitingAck;  ///< sorted ascending
-    std::uint64_t nextSeq = 0;
-    std::uint64_t nextOrder = 0;
-    std::int64_t scheduledWakeUs = kNoWake;  ///< kNoWake = no wake armed
-    std::array<std::uint64_t, 4> rngState{};
-  };
-  static constexpr std::int64_t kNoWakeSaved = -1;
-
-  [[nodiscard]] SavedState saveState() const {
-    SavedState s;
-    s.heap = heap_;
-    s.arena = arena_;
-    s.liveEntries = liveEntries_;
-    // detlint: allow(unordered-iter) copied out and sorted on the next line; snapshot bytes see ascending seq order
-    s.awaitingAck.assign(awaitingAck_.begin(), awaitingAck_.end());
-    std::sort(s.awaitingAck.begin(), s.awaitingAck.end());
-    s.nextSeq = nextSeq_;
-    s.nextOrder = nextOrder_;
-    s.scheduledWakeUs = scheduledWakeUs_;
-    s.rngState = rng_.saveState();
-    return s;
+  /// ack set, the armed wake instant and the wire RNG. A restore installs
+  /// it into a fresh channel, whose wake is not armed yet; the restore
+  /// orchestrator then calls armWake() in saved event-tie-break order.
+  [[nodiscard]] auto persistedState() const noexcept {
+    return std::tie(heap_, arena_, liveEntries_, awaitingAck_, nextSeq_,
+                    nextOrder_, scheduledWakeUs_, rng_);
+  }
+  [[nodiscard]] auto persistedState() noexcept {
+    return std::tie(heap_, arena_, liveEntries_, awaitingAck_, nextSeq_,
+                    nextOrder_, scheduledWakeUs_, rng_);
   }
 
-  /// Install checkpointed state. Does NOT arm the wake — the restore
-  /// orchestrator calls armWake() in saved event-tie-break order.
-  void restoreState(SavedState s) {
-    heap_ = std::move(s.heap);
-    arena_ = std::move(s.arena);
-    liveEntries_ = static_cast<std::size_t>(s.liveEntries);
-    awaitingAck_.clear();
-    awaitingAck_.insert(s.awaitingAck.begin(), s.awaitingAck.end());
-    nextSeq_ = s.nextSeq;
-    nextOrder_ = s.nextOrder;
-    wake_.cancel();
-    scheduledWakeUs_ = s.scheduledWakeUs;
-    rng_ = sim::Rng::fromState(s.rngState);
-  }
+  /// scheduledWakeMicros() of an idle channel.
+  static constexpr std::int64_t kNoWake = -1;
 
   /// Arm the single coalescing wake at the restored instant (restore
-  /// path; requires restoreState() to have recorded one).
+  /// path; a no-op when the restored channel was idle).
   void armWake() {
     if (scheduledWakeUs_ == kNoWake) return;
     wake_ = sim_.scheduleAt(sim::SimTime::micros(scheduledWakeUs_), [this] {
@@ -252,7 +223,7 @@ class ShuffleChannel {
     });
   }
 
-  /// The armed wake instant (kNoWakeSaved when idle) and its handle, for
+  /// The armed wake instant (kNoWake when idle) and its handle, for
   /// the checkpoint writer's event accounting.
   [[nodiscard]] std::int64_t scheduledWakeMicros() const noexcept {
     return scheduledWakeUs_;
@@ -277,7 +248,6 @@ class ShuffleChannel {
   }
 
  private:
-  static constexpr std::int64_t kNoWake = -1;
   /// Below this arena length compaction is never worth the copy.
   static constexpr std::size_t kCompactMinEntries = 4096;
 
@@ -554,7 +524,7 @@ class ShuffleChannel {
   std::vector<ShuffleDelivery> deliveries_;
   std::vector<ShuffleMsg> requestRecords_;
   std::vector<ShuffleRequestOutcome> outcomes_;
-  // detlint: allow(unordered-state) membership test + erase by seq only; saveState() snapshots it through a sorted vector, so ordering never reaches snapshot bytes
+  // detlint: allow(unordered-state) membership test + erase by seq only; the checkpoint's ack-set persist() writes it as a sorted array, so ordering never reaches snapshot bytes
   std::unordered_set<std::uint64_t> awaitingAck_;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t nextOrder_ = 0;

@@ -67,70 +67,78 @@ class ShardedScheduler {
                                    kMaxAutoShards);
   }
 
+  /// Each slot's members, in slot order.
+  using Slots = std::vector<std::vector<std::uint32_t>>;
+
   /// Distribute `memberCount` members over `shardCount` slots (0 = auto;
   /// explicit counts above memberCount clamp to memberCount — see the
   /// header comment) of one `period`. Member m's phase offset is drawn
-  /// uniformly in [0, period) from `jitter` and quantized to its slot. Per
-  /// slot firing, run `plan` for every slot member across `pool` (or
-  /// inline when pool is null / single-lane), join, then run `commit` for
-  /// every member serially in slot order. Replaces any schedule already
+  /// uniformly in [0, period) from `jitter` and quantized to its slot. A
+  /// pure function of its arguments, so warm-state restore (snapshot/)
+  /// recomputes a checkpointed wheel's assignment and checks its armed
+  /// slots before installing anything. Empty when there is nothing to
+  /// schedule.
+  [[nodiscard]] static Slots assignSlots(std::size_t memberCount,
+                                         std::size_t shardCount,
+                                         SimDuration period, Rng jitter) {
+    if (memberCount == 0 || period <= SimDuration::zero()) return {};
+    const std::size_t shards =
+        shardCount == 0 ? autoShardCount(memberCount)
+                        : std::min(shardCount, memberCount);
+    Slots slots(shards);
+    const auto periodUs = static_cast<std::uint64_t>(period.toMicros());
+    for (std::uint32_t m = 0; m < memberCount; ++m) {
+      const std::uint64_t offsetUs = jitter.below(periodUs);
+      // < shards by construction
+      slots[static_cast<std::size_t>((offsetUs * shards) / periodUs)]
+          .push_back(m);
+    }
+    return slots;
+  }
+
+  /// Run `slots` (an assignSlots() result over one `period`). Per slot
+  /// firing, run `plan` for every slot member across `pool` (or inline
+  /// when pool is null / single-lane), join, then run `commit` for every
+  /// member serially in slot order. Replaces any schedule already
   /// running.
   ///
   /// With `arm`, each populated slot's task first fires at
   /// now + slot * period / K, then every period. Without it no slot timer
-  /// is armed: warm-state restore (snapshot/) gets the same clamping and
-  /// the same jitter-driven slot assignment, then arms each populated
-  /// slot at its checkpointed next-fire time via armSlot(), interleaved
-  /// with other owners' events in saved tie-break order.
-  void start(Simulator& sim, SimDuration period, std::size_t shardCount,
-             std::size_t memberCount, Rng jitter, WorkerPool* pool,
-             PhaseFn plan, PhaseFn commit, bool arm) {
+  /// is armed: warm-state restore (snapshot/) arms each populated slot at
+  /// its checkpointed next-fire time via armSlot(), interleaved with other
+  /// owners' events in saved tie-break order.
+  void start(Simulator& sim, SimDuration period, Slots slots,
+             WorkerPool* pool, PhaseFn plan, PhaseFn commit, bool arm) {
     plan_ = std::move(plan);
     commit_ = std::move(commit);
     pool_ = pool;
     tasks_.clear();
-    slots_.clear();
-    taskOfSlot_.clear();
+    slots_ = std::move(slots);
+    taskOfSlot_.assign(slots_.size(), nullptr);
     sim_ = &sim;
     period_ = period;
-    memberCount_ = memberCount;
-    if (memberCount == 0 || period <= SimDuration::zero()) return;
-
-    const std::size_t shards =
-        shardCount == 0 ? autoShardCount(memberCount)
-                        : std::min(shardCount, std::max<std::size_t>(
-                                                   memberCount, 1));
-    slots_.assign(shards, {});
-    const auto periodUs = static_cast<std::uint64_t>(period.toMicros());
-    for (std::uint32_t m = 0; m < memberCount; ++m) {
-      const std::uint64_t offsetUs = jitter.below(periodUs);
-      const auto slot = static_cast<std::size_t>(
-          (offsetUs * shards) / periodUs);  // < shards by construction
-      slots_[slot].push_back(m);
-    }
-
-    tasks_.reserve(shards);
-    taskOfSlot_.assign(shards, nullptr);
-    for (std::size_t s = 0; s < shards; ++s) {
+    memberCount_ = 0;
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
       if (slots_[s].empty()) continue;  // no timer for an empty slot
+      memberCount_ += slots_[s].size();
       auto task = std::make_unique<PeriodicTask>();
       taskOfSlot_[s] = task.get();
       tasks_.push_back(std::move(task));
     }
     if (arm) {
-      for (std::size_t s = 0; s < shards; ++s) {
+      const auto periodUs = static_cast<std::uint64_t>(period.toMicros());
+      for (std::size_t s = 0; s < slots_.size(); ++s) {
         if (slots_[s].empty()) continue;
         armSlot(s, sim.now() + SimDuration::micros(static_cast<std::int64_t>(
-                                   (periodUs * s) / shards)));
+                                   (periodUs * s) / slots_.size())));
       }
     }
   }
 
   /// Arm (or re-arm) populated slot `s` to first fire at `at`, then every
   /// period. Requires a started (armed or not) schedule and a populated
-  /// slot — restore code arms exactly the slots the checkpoint recorded,
-  /// and the two sets always agree because assignment is pure in the
-  /// jitter stream.
+  /// slot — restore arms exactly the slots the checkpoint recorded, after
+  /// checking them against assignSlots().
   void armSlot(std::size_t s, SimTime at) {
     PeriodicTask* task = s < taskOfSlot_.size() ? taskOfSlot_[s] : nullptr;
     if (task == nullptr) {

@@ -2,9 +2,11 @@
 // persist function that lists its fields once; a Writer archive runs it to
 // save and a Reader archive runs it to restore, so the two paths cannot
 // drift apart. A single section table drives both. State reaches the
-// sections through the owners' SavedState structs and the CheckpointAccess
-// friend seam, and snapshot_io frames the result. See checkpoint.hpp for
-// the contract.
+// sections through each owner's persistedState() tie and the
+// CheckpointAccess friend seam, and snapshot_io frames the result. A
+// restore parses every section into staged values, validates them, and
+// only then installs them and re-arms the saved events. See checkpoint.hpp
+// for the contract.
 #include "snapshot/checkpoint.hpp"
 
 #include <algorithm>
@@ -13,12 +15,15 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <type_traits>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -195,8 +200,6 @@ struct TimerRecord {
   std::int64_t fireAtUs = 0;
   std::uint64_t seq = 0;
 };
-/// A FALT record: the stage's timer plus its completed sweep count.
-constexpr std::size_t kAttackRecordBytes = 1 + 8 + 8 + 8;
 
 /// A CHAN heap entry, field by field.
 constexpr std::size_t kShuffleMsgBytes = 1 + 6 * 4 + 2 * 8 + 2 * 8;
@@ -209,6 +212,33 @@ void persist(Ar& ar, Io<Ar, SlotRecord>& r) {
 template <class Ar>
 void persist(Ar& ar, Io<Ar, TimerRecord>& t) {
   ar(t.running, t.fireAtUs, t.seq);
+}
+
+/// A generator as its raw xoshiro256++ state: a restored one continues the
+/// exact sequence and forks the same children.
+template <class Ar>
+void persist(Ar& ar, Io<Ar, sim::Rng>& rng) {
+  std::array<std::uint64_t, 4> state = rng.saveState();
+  ar(state);
+  if constexpr (Ar::kLoading) rng = sim::Rng::fromState(state);
+}
+
+/// A size_t count as a u64, whatever the host's size_t width.
+template <class Ar>
+void persistSize(Ar& ar, Io<Ar, std::size_t>& n) {
+  auto wide = static_cast<std::uint64_t>(n);
+  ar(wide);
+  if constexpr (Ar::kLoading) n = static_cast<std::size_t>(wide);
+}
+
+/// The channel's pending-ack set in ascending order, so bucket order never
+/// reaches the bytes and a restored channel re-saves byte-identically.
+std::vector<std::uint64_t> sortedAcks(
+    const std::unordered_set<std::uint64_t>& acks) {
+  // detlint: allow(unordered-iter) copied out and sorted on the next line; snapshot bytes see ascending seq order
+  std::vector<std::uint64_t> out(acks.begin(), acks.end());
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 /// ShuffleMsg goes field by field: the struct has padding, and padding
@@ -245,6 +275,42 @@ void persist(Ar& ar, Io<Ar, core::AvmemNode>& node) {
   persist(ar, vs);
 }
 
+// --- owner state ------------------------------------------------------------
+//
+// An owner lists its persisted members once, as the std::tie its
+// persistedState() returns. Each section function binds that tie with a
+// structured binding, so a member added to the tie but not to the section
+// fails to compile. Saving binds the live owner's const tie and copies
+// nothing; restoring binds Staged values, which the install move-assigns
+// into the owner's mutable tie once every check has passed.
+
+template <class Tie>
+struct ValuesOf;
+template <class... T>
+struct ValuesOf<std::tuple<T&...>> {
+  using type = std::tuple<std::remove_const_t<T>...>;
+};
+
+/// What a restore parses an owner's state into: the tie's value types.
+template <class Owner>
+using Staged = typename ValuesOf<
+    decltype(std::declval<const Owner&>().persistedState())>::type;
+
+/// An owner's state in a World: the live owner on save, staged values on
+/// restore.
+template <class Ar, class Owner>
+using Part = std::conditional_t<Ar::kLoading, Staged<Owner>, const Owner*>;
+
+/// The persisted fields of a Part, as a tuple of references.
+template <class Owner>
+auto fields(const Owner* live) {
+  return live->persistedState();
+}
+template <class... T>
+auto fields(std::tuple<T...>& staged) {
+  return std::apply([](auto&... v) { return std::tie(v...); }, staged);
+}
+
 // --- sections ---------------------------------------------------------------
 
 /// What the target system has, read from it on both paths: it decides
@@ -258,7 +324,7 @@ struct Context {
   bool hasMarkov = false;
 };
 
-/// Everything a checkpoint carries. save() gathers it from the live world;
+/// Everything a checkpoint carries. save() points it at the live world;
 /// restore() parses into it, validates, and only then installs it.
 template <class Ar>
 struct World {
@@ -272,22 +338,26 @@ struct World {
   core::MembershipEngineStats engine;
   // WHLS: the discovery, refresh and shuffle wheels' armed slots.
   std::array<std::vector<SlotRecord>, 3> wheels;
-  // SHFV + CHAN (the channel's armed wake is channel.scheduledWakeUs).
-  avmon::ShuffleService::SavedState shuffle;
+  // SHFV
+  Part<Ar, avmon::ShuffleService> shuffle{};
+  // CHAN, plus the armed wake's tie-break rank.
+  Part<Ar, net::ShuffleChannel> channel{};
   std::uint64_t wakeSeq = 0;
-  // FEED
-  core::CandidateFeed::SavedState feed;
+  // FEED, plus the seal timer's next firing and tie-break rank.
+  Part<Ar, core::CandidateFeed> feed{};
+  std::int64_t sealFireAtUs = 0;
   std::uint64_t sealSeq = 0;
   // NETW
-  net::Network::SavedState network;
-  // FALT: one timer per attack stage, beside fault.attackSweepsDone.
-  fault::FaultInjector::SavedState fault;
+  Part<Ar, net::Network> network{};
+  // FALT, plus one timer per attack stage.
+  Part<Ar, fault::FaultInjector> fault{};
   std::vector<TimerRecord> attackTimers;
-  // AVMN
-  avmon::AvmonSystem::SavedState avmon;
+  // AVMN: the fold cursor, the owner's state and the epoch-fold timer.
+  std::uint64_t avmonCursor = 0;
+  Part<Ar, avmon::AvmonSystem> avmon{};
   TimerRecord avmonTimer;
   // SRNG
-  std::array<std::uint64_t, 4> facadeRng{};
+  sim::Rng facadeRng;
   // MRKV
   std::vector<std::uint64_t> markovCursors;
 };
@@ -328,11 +398,15 @@ void persistWhls(Ar& ar, World<Ar>& w) {
 /// SHFV: coarse views, rounds, stream seeds and the post-bootstrap RNG.
 template <class Ar>
 void persistShfv(Ar& ar, World<Ar>& w) {
-  auto& s = w.shuffle;
-  ar.count(s.views, SameSize{"checkpoint views: population mismatch"});
-  for (auto& view : s.views) ar.array(view);
-  ar.array(s.rounds);
-  ar(s.completedShuffles, s.planSeed, s.wireSeed, s.rngState);
+  auto [views, rounds, completedShuffles, planSeed, wireSeed, rng] =
+      fields(w.shuffle);
+  ar.count(views, SameSize{"checkpoint views: population mismatch"});
+  for (auto& view : views) ar.array(view);
+  ar.array(rounds);
+  ar.check(rounds.size() == w.ctx.hosts,
+           "checkpoint views: round count mismatch");
+  ar(completedShuffles, planSeed, wireSeed);
+  persist(ar, rng);
 }
 
 /// CHAN: every in-flight shuffle leg (heap array order preserved — pops
@@ -340,90 +414,116 @@ void persistShfv(Ar& ar, World<Ar>& w) {
 /// (instant + tie-break rank) and the wire RNG.
 template <class Ar>
 void persistChan(Ar& ar, World<Ar>& w) {
-  auto& ch = w.shuffle.channel;
-  ar.count(ch.heap, Fits{kShuffleMsgBytes,
-                         "checkpoint channel: heap length exceeds payload"});
-  for (auto& msg : ch.heap) persist(ar, msg);
-  ar.array(ch.arena);
-  ar(ch.liveEntries);
-  ar.array(ch.awaitingAck);
-  ar(ch.nextSeq, ch.nextOrder, ch.scheduledWakeUs, w.wakeSeq, ch.rngState);
+  auto [heap, arena, liveEntries, awaitingAck, nextSeq, nextOrder, wakeUs,
+        rng] = fields(w.channel);
+  ar.count(heap, Fits{kShuffleMsgBytes,
+                      "checkpoint channel: heap length exceeds payload"});
+  for (auto& msg : heap) persist(ar, msg);
+  ar.array(arena);
+  persistSize(ar, liveEntries);
+  // Deliveries read each record's spans straight out of the arena, and
+  // the drain subtracts them from liveEntries.
+  std::uint64_t spanned = 0;
+  for (const auto& msg : heap) {
+    ar.check(std::uint64_t{msg.payloadOffset} + msg.payloadCount <=
+                     arena.size() &&
+                 std::uint64_t{msg.echoOffset} + msg.echoCount <=
+                     arena.size(),
+             "checkpoint channel: message span outside the arena");
+    spanned += std::uint64_t{msg.payloadCount} + msg.echoCount;
+  }
+  ar.check(spanned == liveEntries,
+           "checkpoint channel: live entry count does not match the heap");
+  std::vector<std::uint64_t> ackSeqs;
+  if constexpr (!Ar::kLoading) ackSeqs = sortedAcks(awaitingAck);
+  ar.array(ackSeqs);
+  if constexpr (Ar::kLoading) {
+    awaitingAck.insert(ackSeqs.begin(), ackSeqs.end());
+  }
+  ar(nextSeq, nextOrder, wakeUs, w.wakeSeq);
+  persist(ar, rng);
 }
 
 /// FEED: both directory sides plus the seal timer.
 template <class Ar>
 void persistFeed(Ar& ar, World<Ar>& w) {
-  auto& f = w.feed;
-  ar.count(f.frozenBuckets,
-           SameSize{"checkpoint feed: bucket count mismatch"});
-  for (auto& bucket : f.frozenBuckets) ar.array(bucket);
-  ar(f.frozenPopulation);
-  ar.count(f.buildingBuckets,
-           SameSize{"checkpoint feed: bucket count mismatch"});
-  for (auto& bucket : f.buildingBuckets) ar.array(bucket);
-  ar(f.buildingPopulation);
-  ar.array(f.publishedInEpoch);
-  ar.check(f.publishedInEpoch.size() == w.ctx.hosts,
+  auto [frozen, frozenPopulation, building, buildingPopulation,
+        publishedInEpoch, sealedEpochs] = fields(w.feed);
+  ar.count(frozen, SameSize{"checkpoint feed: bucket count mismatch"});
+  for (auto& bucket : frozen) ar.array(bucket);
+  persistSize(ar, frozenPopulation);
+  ar.count(building, SameSize{"checkpoint feed: bucket count mismatch"});
+  for (auto& bucket : building) ar.array(bucket);
+  persistSize(ar, buildingPopulation);
+  ar.array(publishedInEpoch);
+  ar.check(publishedInEpoch.size() == w.ctx.hosts,
            "checkpoint feed: population mismatch");
-  ar(f.sealedEpochs, f.sealNextFireAtUs, w.sealSeq);
+  ar(sealedEpochs, w.sealFireAtUs, w.sealSeq);
 }
 
 /// NETW: wire counters and the latency RNG.
 template <class Ar>
 void persistNetw(Ar& ar, World<Ar>& w) {
-  auto& st = w.network.stats;
+  auto [st, rng] = fields(w.network);
   ar(st.sent, st.delivered, st.rejected, st.droppedOffline, st.acksSent,
-     st.ackTimeouts, st.bytesSent, st.duplicated, st.injectedDrops,
-     w.network.rngState);
+     st.ackTimeouts, st.bytesSent, st.duplicated, st.injectedDrops);
+  persist(ar, rng);
 }
 
 /// FALT: the fault injector's counter streams, tallies, and attacker
 /// campaign timers. The campaign itself is not serialized — the config
-/// fingerprint already pins it.
+/// fingerprint already pins it, so a stage count other than the plan's
+/// means a corrupt or hand-edited file, not a config drift.
 template <class Ar>
 void persistFalt(Ar& ar, World<Ar>& w) {
-  auto& f = w.fault;
-  ar(f.wireSeq, f.stats.injectedDrops, f.stats.duplicated, f.stats.delayed,
-     f.stats.attackSweeps, f.stats.attackTargets, f.stats.attackAccepted);
-  ar.count(w.attackTimers,
-           Fits{kAttackRecordBytes,
-                "checkpoint fault: attack count exceeds payload"});
-  if constexpr (Ar::kLoading) {
-    f.attackSweepsDone.resize(w.attackTimers.size());
-  }
-  for (std::size_t i = 0; i < w.attackTimers.size(); ++i) {
+  auto [wireSeq, st, sweepsDone] = fields(w.fault);
+  ar(wireSeq, st.injectedDrops, st.duplicated, st.delayed, st.attackSweeps,
+     st.attackTargets, st.attackAccepted);
+  ar.count(sweepsDone,
+           SameSize{"checkpoint fault: attack stage count mismatch"});
+  if constexpr (Ar::kLoading) w.attackTimers.resize(sweepsDone.size());
+  for (std::size_t i = 0; i < sweepsDone.size(); ++i) {
     persist(ar, w.attackTimers[i]);
-    ar(f.attackSweepsDone[i]);
+    ar(sweepsDone[i]);
   }
 }
 
 /// AVMN: the fold cursor, ping accounting, the epoch-task timer, and the
-/// materialized counter cells (monitor lists are a pure hash, rebuilt and
-/// cross-checked on restore).
+/// materialized counter cells in ascending target order (monitor lists
+/// are a pure hash, rebuilt and cross-checked on restore).
 template <class Ar>
 void persistAvmn(Ar& ar, World<Ar>& w) {
-  auto& s = w.avmon;
-  ar(s.advancedEpochs);
+  ar(w.avmonCursor);
   // The fold cursor never passes the last epoch (AvmonSystem::start); a
   // larger one would make the next materialization's catch-up read past
   // the trace.
-  ar.check(s.advancedEpochs < w.ctx.traceEpochs,
+  ar.check(w.avmonCursor < w.ctx.traceEpochs,
            "checkpoint avmon: fold cursor past the trace's last epoch");
-  ar(s.pings.sent, s.pings.delivered, s.pings.lostToFaults, s.pings.bytes);
+  auto [pings, cells] = fields(w.avmon);
+  ar(pings.sent, pings.delivered, pings.lostToFaults, pings.bytes);
   persist(ar, w.avmonTimer);
-  ar.count(s.cells, AtMost{w.ctx.hosts,
+  std::vector<net::NodeIndex> targets;
+  if constexpr (!Ar::kLoading) {
+    for (std::size_t t = 0; t < cells.size(); ++t) {
+      if (cells[t] != nullptr) targets.push_back(static_cast<net::NodeIndex>(t));
+    }
+  }
+  ar.count(targets, AtMost{w.ctx.hosts,
                            "checkpoint avmon: cell count exceeds population"});
-  for (std::size_t i = 0; i < s.cells.size(); ++i) {
-    auto& cell = s.cells[i];
-    ar(cell.target);
-    // The writer emits distinct in-range targets in ascending order; a
-    // duplicate would silently replace the earlier cell's counters.
-    ar.check(cell.target < w.ctx.hosts &&
-                 (i == 0 || cell.target > s.cells[i - 1].target),
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    ar(targets[i]);
+    // A duplicate target would silently replace the earlier cell's
+    // counters.
+    ar.check(targets[i] < w.ctx.hosts &&
+                 (i == 0 || targets[i] > targets[i - 1]),
              "checkpoint avmon: cell targets out of range or not strictly "
              "ascending");
-    ar.array(cell.samples);
-    ar.array(cell.up);
+    auto& cell = cells[targets[i]];
+    if constexpr (Ar::kLoading) {
+      cell = std::make_unique<avmon::AvmonSystem::TargetCell>();
+    }
+    ar.array(cell->samples);
+    ar.array(cell->up);
   }
 }
 
@@ -431,7 +531,7 @@ void persistAvmn(Ar& ar, World<Ar>& w) {
 /// post-restore anycast batches identical to a straight-through run.
 template <class Ar>
 void persistSrng(Ar& ar, World<Ar>& w) {
-  ar(w.facadeRng);
+  persist(ar, w.facadeRng);
 }
 
 /// MRKV: the Markov trace's per-host cursors. Pure caches — omitting them
@@ -517,11 +617,11 @@ std::vector<SavedEvent> savedEvents(World<Writer>& w) {
   for (auto& wheel : w.wheels) {
     for (SlotRecord& r : wheel) events.push_back({r.fireAtUs, &r.seq});
   }
-  const std::int64_t wakeUs = w.shuffle.channel.scheduledWakeUs;
-  if (wakeUs != net::ShuffleChannel::kNoWakeSaved) {
+  const std::int64_t wakeUs = w.channel->scheduledWakeMicros();
+  if (wakeUs != net::ShuffleChannel::kNoWake) {
     events.push_back({wakeUs, &w.wakeSeq});
   }
-  if (w.ctx.hasFeed) events.push_back({w.feed.sealNextFireAtUs, &w.sealSeq});
+  if (w.ctx.hasFeed) events.push_back({w.sealFireAtUs, &w.sealSeq});
   for (TimerRecord& t : w.attackTimers) {
     if (t.running != 0) events.push_back({t.fireAtUs, &t.seq});
   }
@@ -580,6 +680,28 @@ TimerRecord timerOf(const sim::Simulator& simulator,
   if (!task.running()) return {};
   return {1, task.nextFireAt().toMicros(),
           liveSeqOf(simulator, task.pendingHandle(), what)};
+}
+
+/// Restore-time check of one wheel: its saved records must arm exactly the
+/// populated slots of the assignment its RNG state reproduces, in the
+/// ascending slot order the writer emits.
+void checkWheel(const sim::ShardedScheduler::Slots& slots,
+                const std::vector<SlotRecord>& recs, const char* name) {
+  const auto populated = static_cast<std::size_t>(
+      std::count_if(slots.begin(), slots.end(),
+                    [](const auto& slot) { return !slot.empty(); }));
+  bool ok = recs.size() == populated;
+  for (std::size_t i = 0; ok && i < recs.size(); ++i) {
+    const std::uint32_t s = recs[i].slot;
+    ok = s < slots.size() && !slots[s].empty() &&
+         (i == 0 || s > recs[i - 1].slot);
+  }
+  if (!ok) {
+    throw CheckpointFormatError(
+        std::string("checkpoint: ") + name +
+        " wheel armed slots do not match the slot assignment its RNG "
+        "state reproduces");
+  }
 }
 
 /// One deferred re-arm, executed in ascending (fireAt, savedSeq) order so
@@ -706,30 +828,31 @@ void CheckpointAccess::save(const AvmemSimulation& sim, std::ostream& out) {
       collectWheel(*sim.sim_, sim.engine_->discoveryScheduler(), "discovery"),
       collectWheel(*sim.sim_, sim.engine_->refreshScheduler(), "refresh"),
       collectWheel(*sim.sim_, sim.shuffle_->scheduler(), "shuffle")};
-  w.shuffle = sim.shuffle_->saveState();
-  if (w.shuffle.channel.scheduledWakeUs !=
-      net::ShuffleChannel::kNoWakeSaved) {
-    w.wakeSeq = liveSeqOf(*sim.sim_, sim.shuffle_->channel().wakeHandle(),
-                          "channel wake");
+  w.shuffle = sim.shuffle_.get();
+  w.channel = &sim.shuffle_->channel();
+  if (w.channel->scheduledWakeMicros() != net::ShuffleChannel::kNoWake) {
+    w.wakeSeq = liveSeqOf(*sim.sim_, w.channel->wakeHandle(), "channel wake");
   }
   if (sim.feed_ != nullptr) {
-    w.feed = sim.feed_->saveState();
-    w.sealSeq = liveSeqOf(*sim.sim_, sim.feed_->sealTask().pendingHandle(),
-                          "feed seal");
+    w.feed = sim.feed_.get();
+    const sim::PeriodicTask& seal = sim.feed_->sealTask();
+    w.sealFireAtUs = seal.nextFireAt().toMicros();
+    w.sealSeq = liveSeqOf(*sim.sim_, seal.pendingHandle(), "feed seal");
   }
-  w.network = sim.network_->saveState();
+  w.network = sim.network_.get();
   if (sim.fault_ != nullptr) {
-    w.fault = sim.fault_->saveState();
+    w.fault = sim.fault_.get();
     for (const auto& task : sim.attackTasks_) {
       w.attackTimers.push_back(timerOf(*sim.sim_, *task, "attack campaign"));
     }
   }
   if (sim.avmonSystem_ != nullptr) {
-    w.avmon = sim.avmonSystem_->saveState();
+    w.avmonCursor = sim.avmonSystem_->advancedEpochs();
+    w.avmon = sim.avmonSystem_.get();
     w.avmonTimer = timerOf(*sim.sim_, sim.avmonSystem_->epochTask(),
                            "avmon epoch fold");
   }
-  w.facadeRng = sim.rng_.saveState();
+  w.facadeRng = sim.rng_;
   if (w.ctx.hasMarkov) {
     w.markovCursors = markovOf(sim.trace_.get())->saveCursors();
   }
@@ -777,7 +900,7 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
     throw CheckpointConfigError("checkpoint: population mismatch");
   }
 
-  // --- parse every section into staging state (skipping unknown tags) ---
+  // --- parse every section into staged values (skipping unknown tags) ---
 
   World<Reader> w;
   w.ctx = contextOf(sim.nodes_.size(), sim.trace_.get(), sim.feed_ != nullptr,
@@ -788,11 +911,14 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
     nodes.emplace_back(static_cast<net::NodeIndex>(i), *sim.ctx_);
   }
   w.nodes = nodes;
-  w.shuffle.views.resize(n);
-  if (w.ctx.hasFeed) {
-    w.feed.frozenBuckets.resize(sim.feed_->bucketCount());
-    w.feed.buildingBuckets.resize(sim.feed_->bucketCount());
-  }
+  // Staged values start as copies of the fresh owners', so SameSize
+  // bounds see their population and bucket counts.
+  w.shuffle = sim.shuffle_->persistedState();
+  w.channel = sim.shuffle_->channel().persistedState();
+  if (w.ctx.hasFeed) w.feed = sim.feed_->persistedState();
+  w.network = sim.network_->persistedState();
+  if (w.ctx.hasFault) w.fault = sim.fault_->persistedState();
+  if (w.ctx.hasAvmon) std::get<avmon::AvmonSystem::Cells>(w.avmon).resize(n);
 
   std::set<std::uint32_t> seen;
   std::uint32_t id = 0;
@@ -826,88 +952,74 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
                                   tagName(s.tag));
     }
   }
-  // The fingerprint already pins the campaign, so a mismatch here means
-  // a corrupt or hand-edited file, not a config drift.
-  if (w.ctx.hasFault && w.attackTimers.size() != sim.attackTasks_.size()) {
-    throw CheckpointFormatError(
-        "checkpoint fault: attack stage count mismatch");
-  }
-  // AVMN cells are checked against monitor sets rebuilt from the hash;
-  // each target is scanned once, here, and the install below only moves
-  // the staged cells in.
-  std::optional<avmon::AvmonSystem::StagedRestore> avmonStaged;
-  if (sim.avmonSystem_ != nullptr) {
+
+  // --- validate what needs more than one section or the target system ---
+
+  // Wheel slot membership is not saved: the staged RNG state reproduces
+  // it, once per wheel, and the install below builds the wheels from
+  // these same assignments.
+  std::array<sim::ShardedScheduler::Slots, 3> slots = {
+      sim.engine_->discoverySlots(), sim.engine_->refreshSlots(),
+      sim.shuffle_->slotsFor(std::get<sim::Rng>(w.shuffle))};
+  checkWheel(slots[0], w.wheels[0], "discovery");
+  checkWheel(slots[1], w.wheels[1], "refresh");
+  checkWheel(slots[2], w.wheels[2], "shuffle");
+
+  if (w.ctx.hasAvmon) {
+    // The epoch-fold timer is where AvmonSystem::start() arms it for the
+    // staged fold cursor.
+    const std::optional<sim::SimTime> fold =
+        sim.avmonSystem_->nextFold(w.avmonCursor);
+    const bool running = w.avmonTimer.running != 0;
+    if (running != fold.has_value() ||
+        (running && fold->toMicros() != w.avmonTimer.fireAtUs)) {
+      throw CheckpointFormatError(
+          "checkpoint avmon: epoch-fold timer does not match the fold "
+          "cursor");
+    }
+    // Cells are checked against monitor sets rebuilt from the hash; each
+    // target is scanned once, here, and the install only moves them in.
     try {
-      avmonStaged = sim.avmonSystem_->restoreStage(std::move(w.avmon));
+      sim.avmonSystem_->restoreStage(
+          std::get<avmon::AvmonSystem::Cells>(w.avmon));
     } catch (const std::invalid_argument& e) {
       throw CheckpointFormatError(std::string("checkpoint avmon: ") +
                                   e.what());
     }
   }
 
-  // --- install state (no events scheduled yet) ---
-
-  sim.started_ = true;
-  sim.sim_->restoreClock(sim::SimTime::micros(w.nowUs), w.executed);
-  for (std::size_t i = 0; i < n; ++i) sim.nodes_[i] = std::move(nodes[i]);
-  sim.engine_->prepareResume();
-  sim.engine_->restoreStats(w.engine);
-  sim.shuffle_->restoreState(std::move(w.shuffle));
-  const std::int64_t sealFireAtUs = w.feed.sealNextFireAtUs;
-  if (sim.feed_ != nullptr) sim.feed_->restoreState(std::move(w.feed));
-  sim.network_->restoreState(w.network);
-  sim.rng_ = sim::Rng::fromState(w.facadeRng);
-  if (sim.fault_ != nullptr) sim.fault_->restoreState(w.fault);
-  if (avmonStaged) sim.avmonSystem_->restoreInstall(std::move(*avmonStaged));
-  if (w.ctx.hasMarkov && seen.contains(fourcc('M', 'R', 'K', 'V'))) {
-    markovOf(sim.trace_.get())->restoreCursors(w.markovCursors);
-  }
-
-  // --- re-arm every saved event in (fireAt, saved tie-break seq) order ---
-  //
-  // The fresh queue assigns seqs 0..k-1 in arming order, so sorting by the
-  // saved keys reproduces every same-instant tie outcome; events scheduled
-  // after the restore sort behind all of these, exactly as events
-  // scheduled after time T sorted behind the then-pending set in the
-  // straight-through run.
-
+  // Every saved event re-arms at its saved instant, in (fireAt, saved
+  // tie-break seq) order: the fresh queue assigns seqs 0..k-1 in arming
+  // order, so this reproduces every same-instant tie outcome, and events
+  // scheduled after the restore sort behind all of these, exactly as
+  // events scheduled after time T sorted behind the then-pending set in
+  // the straight-through run. The queue refuses instants before the
+  // restored clock, so those are rejected here.
   std::vector<ArmRequest> arms;
-  auto armWheel = [&](sim::ShardedScheduler& wheel,
-                      const std::vector<SlotRecord>& recs, const char* name) {
-    if (recs.size() != wheel.activeShardCount()) {
-      throw CheckpointFormatError(
-          std::string("checkpoint: ") + name +
-          " wheel armed-slot count does not match the rebuilt wheel "
-          "(slot assignment failed to reproduce)");
-    }
+  auto armWheel = [&arms](sim::ShardedScheduler& wheel,
+                          const std::vector<SlotRecord>& recs) {
     for (const SlotRecord& rec : recs) {
-      if (rec.slot >= wheel.shardCount() ||
-          wheel.slotTask(rec.slot) == nullptr) {
-        throw CheckpointFormatError(
-            std::string("checkpoint: ") + name +
-            " wheel slot assignment mismatch");
-      }
       arms.push_back({rec.fireAtUs, rec.seq,
                       [&wheel, slot = rec.slot, at = rec.fireAtUs] {
                         wheel.armSlot(slot, sim::SimTime::micros(at));
                       }});
     }
   };
-  armWheel(sim.engine_->discoveryWheel(), w.wheels[0], "discovery");
-  armWheel(sim.engine_->refreshWheel(), w.wheels[1], "refresh");
-  armWheel(sim.shuffle_->wheel(), w.wheels[2], "shuffle");
+  armWheel(sim.engine_->discoveryWheel(), w.wheels[0]);
+  armWheel(sim.engine_->refreshWheel(), w.wheels[1]);
+  armWheel(sim.shuffle_->wheel(), w.wheels[2]);
 
   net::ShuffleChannel& channel = sim.shuffle_->channel();
-  if (channel.scheduledWakeMicros() != net::ShuffleChannel::kNoWakeSaved) {
-    arms.push_back({channel.scheduledWakeMicros(), w.wakeSeq,
-                    [&channel] { channel.armWake(); }});
+  const auto wakeUs = std::get<std::int64_t>(w.channel);
+  if (wakeUs != net::ShuffleChannel::kNoWake) {
+    arms.push_back({wakeUs, w.wakeSeq, [&channel] { channel.armWake(); }});
   }
-  if (sim.feed_ != nullptr) {
+  if (w.ctx.hasFeed) {
     arms.push_back(
-        {sealFireAtUs, w.sealSeq, [&sim, sealFireAtUs] {
+        {w.sealFireAtUs, w.sealSeq, [&sim, at = w.sealFireAtUs] {
            sim.feed_->armSeal(*sim.sim_,
                               sim.config_.protocol.discoveryPeriod,
-                              sim::SimTime::micros(sealFireAtUs));
+                              sim::SimTime::micros(at));
          }});
   }
   for (std::size_t i = 0; i < w.attackTimers.size(); ++i) {
@@ -922,30 +1034,47 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
                [simPtr = &sim, i] { simPtr->fireAttackStage(i); });
          }});
   }
-
   if (w.avmonTimer.running != 0) {
+    // Lands at the saved instant: checked against nextFold() above.
     arms.push_back({w.avmonTimer.fireAtUs, w.avmonTimer.seq,
-                    [&sim, at = w.avmonTimer.fireAtUs] {
-                      // start() recomputes the next boundary from the
-                      // restored fold cursor; it must land exactly where
-                      // the saved timer was armed.
-                      sim.avmonSystem_->start();
-                      const sim::PeriodicTask& task =
-                          sim.avmonSystem_->epochTask();
-                      if (!task.running() ||
-                          task.nextFireAt().toMicros() != at) {
-                        throw CheckpointFormatError(
-                            "checkpoint avmon: epoch-task re-arm landed at "
-                            "a different instant than the saved timer");
-                      }
-                    }});
+                    [&sim] { sim.avmonSystem_->start(); }});
   }
-
+  for (const ArmRequest& req : arms) {
+    if (req.atUs < w.nowUs) {
+      throw CheckpointFormatError(
+          "checkpoint: a saved event fires before the saved clock");
+    }
+  }
   std::sort(arms.begin(), arms.end(),
             [](const ArmRequest& a, const ArmRequest& b) {
               return a.atUs != b.atUs ? a.atUs < b.atUs
                                       : a.savedSeq < b.savedSeq;
             });
+
+  // --- install: every check has passed, and nothing below throws ---
+
+  sim.started_ = true;
+  sim.sim_->restoreClock(sim::SimTime::micros(w.nowUs), w.executed);
+  for (std::size_t i = 0; i < n; ++i) sim.nodes_[i] = std::move(nodes[i]);
+  sim.engine_->prepareResume(std::move(slots[0]), std::move(slots[1]));
+  sim.engine_->restoreStats(w.engine);
+  sim.shuffle_->persistedState() = std::move(w.shuffle);
+  channel.persistedState() = std::move(w.channel);
+  sim.shuffle_->resume(std::move(slots[2]));
+  if (w.ctx.hasFeed) sim.feed_->persistedState() = std::move(w.feed);
+  sim.network_->persistedState() = std::move(w.network);
+  sim.rng_ = w.facadeRng;
+  if (w.ctx.hasFault) sim.fault_->persistedState() = std::move(w.fault);
+  if (w.ctx.hasAvmon) {
+    auto& [pings, cells] = w.avmon;
+    sim.avmonSystem_->restoreInstall(w.avmonCursor, pings, std::move(cells));
+  }
+  if (w.ctx.hasMarkov && seen.contains(fourcc('M', 'R', 'K', 'V'))) {
+    markovOf(sim.trace_.get())->restoreCursors(w.markovCursors);
+  }
+
+  // --- re-arm ---
+
   for (const ArmRequest& req : arms) req.arm();
 }
 

@@ -23,14 +23,18 @@
 // live event is accounted for by a known owner (wheel slots, the channel
 // wake, the feed seal) and refuses otherwise — a mid-anycast world throws
 // CheckpointUnsupportedError rather than snapshotting partially. Restore
-// installs all owner state without scheduling, then arms the saved events
-// in ascending (fire-time, saved tie-break seq) order: the fresh queue
-// assigns them seqs 0..k-1, preserving every same-instant tie outcome,
-// and anything scheduled afterwards sorts behind them exactly as it would
-// have in the original run. Wheel slot *assignment* is never serialized —
-// it is a pure function of the saved jitter RNG state, so prepare-style
-// restarts reproduce it and the writer's per-slot records are
-// cross-checked against the rebuilt wheels (mismatch = format error).
+// parses every section into staged values (read through the owners'
+// persistedState() ties), validates them, installs them without
+// scheduling anything, then arms the saved events in ascending
+// (fire-time, saved tie-break seq) order: the fresh queue assigns them
+// seqs 0..k-1, preserving every same-instant tie outcome, and anything
+// scheduled afterwards sorts behind them exactly as it would have in the
+// original run. Wheel slot *assignment* is never serialized — it is a
+// pure function of the saved jitter RNG state, so the validation stage
+// recomputes it and checks the writer's per-slot records against it
+// (mismatch = format error), and the install builds the wheels from that
+// same assignment. Every check runs before the install, so a rejected
+// restore leaves the target as fresh as it was.
 //
 // What is deliberately NOT saved (and why that is sound):
 //  * the anycast/multicast engines' RNGs — checkpoints are taken at

@@ -109,7 +109,8 @@ class MarkovChurnModel final : public AvailabilityModel {
   /// Warm-state checkpointing (snapshot/): the per-host packed cursors.
   /// Pure caches — answers never depend on them — but restoring them
   /// makes the first post-restore epoch queries O(1) instead of replaying
-  /// a block per host, which matters at 1M hosts.
+  /// a block per host, which matters at 1M hosts. restoreCursors() takes
+  /// one cursor per host (the checkpoint reader checks the count).
   [[nodiscard]] std::vector<std::uint64_t> saveCursors() const {
     std::vector<std::uint64_t> out;
     out.reserve(chains_.size());
@@ -118,11 +119,7 @@ class MarkovChurnModel final : public AvailabilityModel {
     }
     return out;
   }
-  void restoreCursors(const std::vector<std::uint64_t>& cursors) {
-    if (cursors.size() != chains_.size()) {
-      throw std::invalid_argument(
-          "MarkovChurnModel::restoreCursors: host count mismatch");
-    }
+  void restoreCursors(const std::vector<std::uint64_t>& cursors) noexcept {
     for (std::size_t h = 0; h < chains_.size(); ++h) {
       chains_[h].packedCursor.store(cursors[h], std::memory_order_relaxed);
     }

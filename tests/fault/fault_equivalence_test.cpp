@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
@@ -120,8 +122,9 @@ TEST(FaultEquivalenceTest, NeverActivePlanMatchesPlanlessRun) {
   EXPECT_EQ(db.fault.injectedDrops, 0u);
   EXPECT_EQ(db.fault.duplicated, 0u);
   EXPECT_EQ(db.fault.delayed, 0u);
-  const auto saved = b.faultInjector()->saveState();
-  for (const std::uint64_t seq : saved.wireSeq) EXPECT_EQ(seq, 0u);
+  const auto& wireSeq = std::get<0>(
+      std::as_const(*b.faultInjector()).persistedState());
+  for (const std::uint64_t seq : wireSeq) EXPECT_EQ(seq, 0u);
 }
 
 TEST(FaultEquivalenceTest, ActiveCampaignIsThreadCountInvariant) {

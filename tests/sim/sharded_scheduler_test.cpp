@@ -20,7 +20,9 @@ void startSerial(ShardedScheduler& sched, Simulator& sim, SimDuration period,
                  std::size_t shardCount, std::size_t memberCount, Rng jitter,
                  std::function<void(std::uint32_t)> fn) {
   sched.start(
-      sim, period, shardCount, memberCount, jitter, nullptr,
+      sim, period,
+      ShardedScheduler::assignSlots(memberCount, shardCount, period, jitter),
+      nullptr,
       [](std::uint32_t, std::size_t) {},
       [fn = std::move(fn)](std::uint32_t m, std::size_t) { fn(m); },
       /*arm=*/true);
@@ -123,7 +125,9 @@ recordParallel(std::size_t threads) {
   std::vector<std::uint64_t> lanes(64, 0);
   std::vector<std::tuple<std::int64_t, char, std::uint32_t, std::size_t>> seq;
   sched.start(
-      sim, SimDuration::seconds(2), 6, 40, Rng(11), &pool,
+      sim, SimDuration::seconds(2),
+      ShardedScheduler::assignSlots(40, 6, SimDuration::seconds(2), Rng(11)),
+      &pool,
       [&lanes](std::uint32_t m, std::size_t lane) {
         lanes[lane] = Rng::stream(5, m, 0).next();  // plan: lane-local only
       },
@@ -171,7 +175,9 @@ TEST(ShardedSchedulerTest, MaxSlotPopulationBoundsLaneBuffers) {
   ShardedScheduler sched;
   std::size_t maxLane = 0;
   sched.start(
-      sim, SimDuration::seconds(1), 4, 100, Rng(3), nullptr,
+      sim, SimDuration::seconds(1),
+      ShardedScheduler::assignSlots(100, 4, SimDuration::seconds(1), Rng(3)),
+      nullptr,
       [](std::uint32_t, std::size_t) {},
       [&maxLane](std::uint32_t, std::size_t lane) {
         maxLane = std::max(maxLane, lane);

@@ -15,6 +15,7 @@
 
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
+#include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "snapshot/checkpoint.hpp"
 
@@ -52,33 +53,44 @@ const std::string& goodBytes() {
   return bytes;
 }
 
+/// Restore hostile `bytes` into a fresh `config` world and expect a
+/// CheckpointError that passes `check`. A rejected restore must install
+/// nothing: the same victim then takes `good`, the checkpoint of the
+/// donor `config` describes, and re-saves it byte for byte.
 void expectRestoreThrows(
     const std::string& bytes, void (*check)(const CheckpointError&),
-    const core::SimulationConfig& config = donorScenario().config) {
+    const core::SimulationConfig& config = donorScenario().config,
+    const std::string& good = goodBytes()) {
   AvmemSimulation victim(config);
-  std::istringstream in(bytes, std::ios::binary);
-  try {
-    victim.restoreCheckpoint(in);
-    FAIL() << "restore accepted hostile input";
-  } catch (const CheckpointError& e) {
-    check(e);
+  {
+    std::istringstream in(bytes, std::ios::binary);
+    try {
+      victim.restoreCheckpoint(in);
+      FAIL() << "restore accepted hostile input";
+    } catch (const CheckpointError& e) {
+      check(e);
+    }
   }
-  // A rejected restore must leave the system unstarted and event-free —
-  // usable for a later, valid restore.
-  EXPECT_EQ(victim.membershipEngine().stats().discoveryRounds, 0u);
+  std::istringstream in(good, std::ios::binary);
+  ASSERT_NO_THROW(victim.restoreCheckpoint(in))
+      << "a rejected restore left the victim unusable";
+  std::ostringstream out(std::ios::binary);
+  victim.saveCheckpoint(out);
+  EXPECT_EQ(out.str(), good);
 }
 
 template <typename Expected>
 void expectRestoreError(
     const std::string& bytes,
-    const core::SimulationConfig& config = donorScenario().config) {
+    const core::SimulationConfig& config = donorScenario().config,
+    const std::string& good = goodBytes()) {
   expectRestoreThrows(
       bytes,
       [](const CheckpointError& e) {
         EXPECT_NE(dynamic_cast<const Expected*>(&e), nullptr)
             << "wrong error type: " << e.what();
       },
-      config);
+      config, good);
 }
 
 /// A section frame located inside the raw byte string.
@@ -135,6 +147,34 @@ std::vector<std::pair<std::uint32_t, std::string>> sectionsOf(
   return out;
 }
 
+/// `good` with section `tag`'s payload run through `mutate`, re-framed
+/// behind valid CRCs.
+template <typename Mutate>
+std::string mutateSection(const std::string& good, std::uint32_t tag,
+                          Mutate mutate) {
+  auto sections = sectionsOf(good);
+  bool found = false;
+  for (auto& [id, payload] : sections) {
+    if (id != tag) continue;
+    found = true;
+    mutate(payload);
+  }
+  EXPECT_TRUE(found) << "donor checkpoint lacks the section to mutate";
+  return reframe(good.substr(0, kHeaderBytes), sections);
+}
+
+/// `payload` with the `recordBytes`-wide record at `at` removed and the
+/// u64 count at `countAt` (which must cover it) lowered by one.
+void dropRecord(std::string& payload, std::size_t countAt, std::size_t at,
+                std::size_t recordBytes) {
+  std::uint64_t count = 0;
+  std::memcpy(&count, payload.data() + countAt, 8);
+  ASSERT_GT(count, 0u);
+  --count;
+  std::memcpy(payload.data() + countAt, &count, 8);
+  payload.erase(at, recordBytes);
+}
+
 /// The donor world on the AVMON backend (kFast64 monitor relation), so
 /// its checkpoint carries an AVMN section with materialized cells.
 Scenario avmonDonorScenario() {
@@ -185,16 +225,7 @@ std::vector<std::string> avmnCells(const std::string& payload) {
 /// re-framed behind valid CRCs.
 template <typename Mutate>
 std::string mutateAvmn(Mutate mutate) {
-  const std::string& good = goodAvmonBytes();
-  auto sections = sectionsOf(good);
-  bool found = false;
-  for (auto& [id, payload] : sections) {
-    if (id != fourcc('A', 'V', 'M', 'N')) continue;
-    found = true;
-    mutate(payload);
-  }
-  EXPECT_TRUE(found) << "donor checkpoint has no AVMN section";
-  return reframe(good.substr(0, kHeaderBytes), sections);
+  return mutateSection(goodAvmonBytes(), fourcc('A', 'V', 'M', 'N'), mutate);
 }
 
 TEST(SnapshotHostileTest, EmptyAndGarbageStreams) {
@@ -318,6 +349,71 @@ TEST(SnapshotHostileTest, LyingNodeCountBehindValidCrc) {
       reframe(good.substr(0, kHeaderBytes), sections));
 }
 
+TEST(SnapshotHostileTest, SavedEventBeforeClockBehindValidCrc) {
+  // The event queue refuses instants before the restored clock. A SIMU
+  // clock moved past every saved event must fail before the install,
+  // not while re-arming after it.
+  expectRestoreError<CheckpointFormatError>(mutateSection(
+      goodBytes(), fourcc('S', 'I', 'M', 'U'), [](std::string& payload) {
+        std::int64_t nowUs = 0;
+        std::memcpy(&nowUs, payload.data(), 8);
+        nowUs += std::int64_t{1'000'000'000'000};
+        std::memcpy(payload.data(), &nowUs, 8);
+      }));
+}
+
+TEST(SnapshotHostileTest, ShuffleRoundCountMismatchBehindValidCrc) {
+  // SHFV ends with the per-node round array (u64 length, u32 per node),
+  // three u64 counters and seeds, and the four-word RNG. One round short
+  // is a parse-time format error, not an owner's throw mid-install.
+  constexpr std::size_t kTailBytes = 3 * 8 + 4 * 8;
+  expectRestoreError<CheckpointFormatError>(mutateSection(
+      goodBytes(), fourcc('S', 'H', 'F', 'V'), [](std::string& payload) {
+        const std::size_t hosts = donorScenario().config.trace.hosts;
+        const std::size_t roundsAt = payload.size() - kTailBytes - 4 * hosts;
+        dropRecord(payload, roundsAt - 8, payload.size() - kTailBytes - 4, 4);
+      }));
+}
+
+TEST(SnapshotHostileTest, ChannelSpanOutsideArenaBehindValidCrc) {
+  // CHAN: the heap count, 57-byte records (kind u8, src, dst, payload
+  // offset and count, echo offset and count as u32, then four u64/i64),
+  // the length-prefixed u32 arena, then the live-entry count. Deliveries
+  // read each record's spans straight out of the arena.
+  constexpr std::size_t kMsgBytes = 1 + 6 * 4 + 4 * 8;
+  const auto chan = [](auto edit) {
+    return mutateSection(goodBytes(), fourcc('C', 'H', 'A', 'N'),
+                         [&](std::string& payload) {
+                           std::uint64_t heap = 0;
+                           std::memcpy(&heap, payload.data(), 8);
+                           ASSERT_GT(heap, 0u);
+                           edit(payload, heap);
+                         });
+  };
+  {
+    SCOPED_TRACE("payload span past the arena");
+    expectRestoreError<CheckpointFormatError>(
+        chan([](std::string& payload, std::uint64_t) {
+          const std::uint32_t offset = 50'000'000;
+          std::memcpy(payload.data() + 8 + 1 + 2 * 4, &offset, 4);
+        }));
+  }
+  {
+    SCOPED_TRACE("live entries off by one");
+    expectRestoreError<CheckpointFormatError>(
+        chan([](std::string& payload, std::uint64_t heap) {
+          const std::size_t arenaAt = 8 + heap * kMsgBytes;
+          std::uint64_t arena = 0;
+          std::memcpy(&arena, payload.data() + arenaAt, 8);
+          const std::size_t liveAt = arenaAt + 8 + 4 * arena;
+          std::uint64_t live = 0;
+          std::memcpy(&live, payload.data() + liveAt, 8);
+          ++live;
+          std::memcpy(payload.data() + liveAt, &live, 8);
+        }));
+  }
+}
+
 TEST(SnapshotHostileTest, AvmonCellsOutOfOrderBehindValidCrc) {
   // The writer emits each materialized target once, ascending. A repeated
   // target would silently overwrite the earlier cell's counters.
@@ -343,13 +439,14 @@ TEST(SnapshotHostileTest, AvmonCellsOutOfOrderBehindValidCrc) {
   {
     SCOPED_TRACE("duplicate target");
     expectRestoreError<CheckpointFormatError>(
-        withCells([](std::vector<std::string>& c) { c[1] = c[0]; }), config);
+        withCells([](std::vector<std::string>& c) { c[1] = c[0]; }), config,
+        goodAvmonBytes());
   }
   {
     SCOPED_TRACE("descending targets");
     expectRestoreError<CheckpointFormatError>(
         withCells([](std::vector<std::string>& c) { std::swap(c[0], c[1]); }),
-        config);
+        config, goodAvmonBytes());
   }
   {
     SCOPED_TRACE("target past the population");
@@ -358,7 +455,7 @@ TEST(SnapshotHostileTest, AvmonCellsOutOfOrderBehindValidCrc) {
           const auto target = static_cast<std::uint32_t>(hosts);
           std::memcpy(c.back().data(), &target, 4);
         }),
-        config);
+        config, goodAvmonBytes());
   }
 }
 
@@ -373,39 +470,57 @@ TEST(SnapshotHostileTest, AvmonFoldCursorPastTraceBehindValidCrc) {
         std::memcpy(payload.data(), &epochs, 8);
         payload[kAvmnRunningOffset] = 0;
       }),
-      config);
+      config, goodAvmonBytes());
+}
+
+TEST(SnapshotHostileTest, AvmonTimerMismatchBehindValidCrc) {
+  // The saved epoch-fold timer must sit where the fold cursor puts the
+  // next boundary. This check used to run only after the install, leaving
+  // a half-restored victim behind.
+  expectRestoreError<CheckpointFormatError>(
+      mutateAvmn([](std::string& payload) {
+        ASSERT_NE(payload[kAvmnRunningOffset], 0);
+        std::int64_t fireAtUs = 0;
+        std::memcpy(&fireAtUs, payload.data() + kAvmnRunningOffset + 1, 8);
+        ++fireAtUs;
+        std::memcpy(payload.data() + kAvmnRunningOffset + 1, &fireAtUs, 8);
+      }),
+      avmonDonorScenario().config, goodAvmonBytes());
 }
 
 TEST(SnapshotHostileTest, AvmonCellCounterLengthMismatchBehindValidCrc) {
   // A cell whose counter arrays are one longer than its target's monitor
   // set passes every parse check: only the monitor scan, which rebuilds
-  // the set from the hash, can see it. That scan runs before anything is
-  // installed, so the failed restore leaves the victim fresh, and the same
-  // object then takes the good checkpoint.
-  const core::SimulationConfig config = avmonDonorScenario().config;
-  const std::string bad = mutateAvmn([](std::string& payload) {
-    std::vector<std::string> cells = avmnCells(payload);
-    ASSERT_FALSE(cells.empty());
-    std::string& cell = cells.front();
-    std::uint64_t samples = 0;
-    std::memcpy(&samples, cell.data() + 4, 8);
-    cell.insert(4 + 8 + 4 * static_cast<std::size_t>(samples), 4, '\0');
-    ++samples;
-    std::memcpy(cell.data() + 4, &samples, 8);
-    payload.resize(kAvmnCellsOffset);
-    for (const std::string& c : cells) payload += c;
-  });
+  // the set from the hash, can see it.
+  expectRestoreError<CheckpointFormatError>(
+      mutateAvmn([](std::string& payload) {
+        std::vector<std::string> cells = avmnCells(payload);
+        ASSERT_FALSE(cells.empty());
+        std::string& cell = cells.front();
+        std::uint64_t samples = 0;
+        std::memcpy(&samples, cell.data() + 4, 8);
+        cell.insert(4 + 8 + 4 * static_cast<std::size_t>(samples), 4, '\0');
+        ++samples;
+        std::memcpy(cell.data() + 4, &samples, 8);
+        payload.resize(kAvmnCellsOffset);
+        for (const std::string& c : cells) payload += c;
+      }),
+      avmonDonorScenario().config, goodAvmonBytes());
+}
 
-  AvmemSimulation victim(config);
-  {
-    std::istringstream in(bad, std::ios::binary);
-    EXPECT_THROW(victim.restoreCheckpoint(in), CheckpointFormatError);
-  }
-  std::istringstream in(goodAvmonBytes(), std::ios::binary);
-  ASSERT_NO_THROW(victim.restoreCheckpoint(in));
-  std::ostringstream out(std::ios::binary);
-  victim.saveCheckpoint(out);
-  EXPECT_EQ(out.str(), goodAvmonBytes());
+TEST(SnapshotHostileTest, WheelSlotCountMismatchBehindValidCrc) {
+  // Slot membership is reassigned from RNG state on restore; a wheel
+  // whose saved records miss one populated slot must be rejected before
+  // anything is installed, not after the clock and nodes went in.
+  constexpr std::size_t kSlotRecordBytes = 4 + 8 + 8;
+  expectRestoreError<CheckpointFormatError>(mutateSection(
+      goodBytes(), fourcc('W', 'H', 'L', 'S'), [](std::string& payload) {
+        std::uint64_t slots = 0;
+        std::memcpy(&slots, payload.data(), 8);
+        ASSERT_GT(slots, 0u);
+        dropRecord(payload, 0, 8 + (slots - 1) * kSlotRecordBytes,
+                   kSlotRecordBytes);
+      }));
 }
 
 /// The donor world under a loss + flooding-attack campaign open at the
@@ -419,6 +534,18 @@ Scenario campaignDonorScenario() {
       "[attack]\nfrom_h = 0.1\nto_h = 0.3\nperiod_s = 60\n"
       "kind = flooding\n");
   return s;
+}
+
+const std::string& goodCampaignBytes() {
+  static const std::string bytes = [] {
+    AvmemSimulation donor(campaignDonorScenario().config);
+    donor.warmup(sim::SimDuration::minutes(10));
+    EXPECT_NE(donor.faultInjector(), nullptr);
+    std::ostringstream out(std::ios::binary);
+    donor.saveCheckpoint(out);
+    return out.str();
+  }();
+  return bytes;
 }
 
 /// `bytes` with section `tag` written twice in a row, both copies framed
@@ -447,15 +574,28 @@ TEST(SnapshotHostileTest, DuplicateSectionBehindValidCrc) {
   }
   {
     SCOPED_TRACE("repeated FALT");
-    const core::SimulationConfig config = campaignDonorScenario().config;
-    AvmemSimulation donor(config);
-    donor.warmup(sim::SimDuration::minutes(10));
-    ASSERT_NE(donor.faultInjector(), nullptr);
-    std::ostringstream out(std::ios::binary);
-    donor.saveCheckpoint(out);
     expectRestoreError<CheckpointFormatError>(
-        withRepeatedSection(out.str(), fourcc('F', 'A', 'L', 'T')), config);
+        withRepeatedSection(goodCampaignBytes(), fourcc('F', 'A', 'L', 'T')),
+        campaignDonorScenario().config, goodCampaignBytes());
   }
+}
+
+TEST(SnapshotHostileTest, FaultAttackCountMismatchBehindValidCrc) {
+  // The fingerprint pins the campaign, so a FALT section with one attack
+  // stage fewer than the plan is a corrupt file, caught while parsing.
+  // FALT layout: the per-kind wire counters, six tallies, the stage
+  // count, then per stage a timer (running u8, fire-at i64, seq u64) and
+  // its sweep count (u64).
+  constexpr std::size_t kCountAt = fault::kWireKindCount * 8 + 6 * 8;
+  constexpr std::size_t kStageBytes = 1 + 8 + 8 + 8;
+  expectRestoreError<CheckpointFormatError>(
+      mutateSection(goodCampaignBytes(), fourcc('F', 'A', 'L', 'T'),
+                    [](std::string& payload) {
+                      ASSERT_EQ(payload.size(), kCountAt + 8 + kStageBytes);
+                      dropRecord(payload, kCountAt, kCountAt + 8,
+                                 kStageBytes);
+                    }),
+      campaignDonorScenario().config, goodCampaignBytes());
 }
 
 TEST(SnapshotHostileTest, TrailingBytesInKnownSectionBehindValidCrc) {

@@ -26,14 +26,6 @@ matrix jobs. detlint makes them static, enforced per commit:
                    from counter-based ``Rng::stream(seed, salt, seq)``:
                    raw ``Rng`` construction, ``fork()`` and sequential
                    draws from member generators are flagged.
-  ckpt-pairing     Every field of a ``SavedState`` struct must be
-                   referenced on the save path, on the restore path, and
-                   in a checkpoint ``persist`` body. Adding a member to
-                   ``ShuffleChannel::SavedState`` that the owner saves and
-                   restores but the CHAN section never persists fails
-                   this lint, not a 77 MB artifact diff three PRs later.
-                   (Write/read symmetry needs no lint: one ``persist``
-                   function per section serves both directions.)
 
 Function facts come from a self-contained lexer + structural parser, so
 the verdicts depend on nothing installed on the host.
@@ -83,10 +75,6 @@ CHECKS = {
         "plan-phase randomness must be counter-based Rng::stream(seed, "
         "salt, seq); raw construction, fork() and member-generator draws "
         "are order-dependent"
-    ),
-    "ckpt-pairing": (
-        "a SavedState field is not referenced on the save path, the "
-        "restore path, or in a checkpoint persist body"
     ),
     "unused-allow": (
         "a detlint allow() comment suppressed nothing; remove it or fix "
@@ -706,105 +694,6 @@ def check_rng_stream(ff: FileFacts) -> List[Finding]:
     return out
 
 
-def check_ckpt_pairing(all_facts: List[FileFacts]) -> List[Finding]:
-    """Every SavedState field must be referenced somewhere in the tree on
-    the save path, on the restore path, and in a ``persist`` body."""
-    corpora: Dict[str, List[str]] = {"save": [], "restore": [],
-                                     "persist": []}
-    for ff in all_facts:
-        for f in ff.functions:
-            for path, pattern in (("save", r"^save([A-Z]|$)"),
-                                  ("restore", r"^restore([A-Z]|$)"),
-                                  ("persist", r"^persist([A-Z]|$)")):
-                if re.match(pattern, f.name):
-                    corpora[path].append(f.body)
-    texts = {path: "\n".join(bodies) for path, bodies in corpora.items()}
-    out: List[Finding] = []
-    for ff in all_facts:
-        for cls, fields, line_by_field in _saved_state_structs(ff):
-            owner = cls.rsplit("::", 1)[0] if "::" in cls else cls
-            aggregate = {path: _aggregate_covers(text, len(fields))
-                         for path, text in texts.items()}
-            for fld in fields:
-                word = re.compile(r"\b" + re.escape(fld) + r"\b")
-                missing = [path for path, text in texts.items()
-                           if not (aggregate[path] or word.search(text))]
-                if not missing:
-                    continue
-                out.append(Finding(
-                    ff.rel, line_by_field[fld], "ckpt-pairing",
-                    f"'{owner}::SavedState::{fld}' is not referenced on "
-                    f"the {' or '.join(missing)} path — a checkpoint "
-                    f"would silently drop it (save it in the owner, "
-                    f"persist it in its section, restore it in the "
-                    f"owner)"))
-    return out
-
-
-def _aggregate_covers(corpus: str, n_fields: int) -> bool:
-    """True if the corpus aggregate-initializes a SavedState with exactly
-    n_fields positional arguments (covers all fields without naming)."""
-    for m in re.finditer(r"\bSavedState\s*\{", corpus):
-        open_idx = corpus.find("{", m.start())
-        close = _match_fwd(corpus, open_idx, "{", "}")
-        if close == -1:
-            continue
-        inner = corpus[open_idx + 1:close].strip()
-        if not inner:
-            continue
-        depth = 0
-        args = 1
-        for ch in inner:
-            if ch in "({[<":
-                depth += 1
-            elif ch in ")}]>":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                args += 1
-        if args == n_fields:
-            return True
-    return False
-
-
-def _saved_state_structs(
-        ff: FileFacts) -> List[Tuple[str, List[str], Dict[str, int]]]:
-    """(qualified SavedState name, field names, field -> line)."""
-    results = []
-    for m in re.finditer(r"\bstruct\s+SavedState\s*\{", ff.code):
-        open_idx = ff.code.find("{", m.start())
-        close = _match_fwd(ff.code, open_idx, "{", "}")
-        if close == -1:
-            continue
-        body = ff.code[open_idx + 1:close]
-        fields: List[str] = []
-        lines: Dict[str, int] = {}
-        # Field declarations: "<type soup> name ( = init | {init} )? ;"
-        for dm in re.finditer(
-                r"^[^;{}()]*?([A-Za-z_]\w*)\s*(?:=\s*[^;]*|\{[^;{}]*\})?;",
-                body, re.M):
-            decl = dm.group(0)
-            if re.search(r"\b(using|typedef|static|friend)\b", decl):
-                continue
-            name = dm.group(1)
-            fields.append(name)
-            lines[name] = ff.code.count("\n", 0,
-                                        open_idx + 1 + dm.start(1)) + 1
-        if not fields:
-            continue
-        # Owning class: innermost class/struct whose brace span encloses
-        # this SavedState declaration.
-        owner = ""
-        for cm in re.finditer(r"\b(?:class|struct)\s+([A-Za-z_]\w*)[^;{=()]*\{",
-                              ff.code[:m.start()]):
-            brace = ff.code.find("{", cm.start())
-            end = _match_fwd(ff.code, brace, "{", "}")
-            if end != -1 and end > m.start():
-                owner = cm.group(1)
-        results.append((f"{owner}::SavedState" if owner else "SavedState",
-                        fields, lines))
-    return results
-
-
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -849,7 +738,6 @@ def run_checks(facts: List[FileFacts],
         findings += check_nondet_source(ff)
         findings += check_unordered(ff, global_members)
         findings += check_rng_stream(ff)
-    findings += check_ckpt_pairing(facts)
     if only:
         findings = [f for f in findings if f.check in only]
 

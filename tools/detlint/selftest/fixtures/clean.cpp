@@ -1,9 +1,8 @@
 // detlint selftest fixture: a TU that exercises every pattern detlint
 // inspects and must produce ZERO findings. Legitimate idioms the lint
 // must not flag: const plan methods, lane-writer plan methods,
-// Rng::stream draws, steady_clock host timing, point queries into an
-// unordered map held as a local, and a SavedState whose every field is
-// saved, persisted and restored. This TU is never compiled by the main
+// Rng::stream draws, steady_clock host timing, and point queries into an
+// unordered map held as a local. This TU is never compiled by the main
 // build.
 
 #include <chrono>
@@ -82,27 +81,3 @@ class Engine {
   int lanes_[8] = {};
 };
 
-class Counter {
- public:
-  struct SavedState {
-    std::uint64_t ticks = 0;
-    std::uint64_t drops = 0;
-  };
-
-  SavedState saveState() const { return SavedState{ticks_, drops_}; }
-
-  void restoreState(const SavedState& s) {
-    ticks_ = s.ticks;
-    drops_ = s.drops;
-  }
-
- private:
-  std::uint64_t ticks_ = 0;
-  std::uint64_t drops_ = 0;
-};
-
-// The section's single traversal carries every field to the bytes.
-template <class Ar>
-void persistCounter(Ar& ar, Counter::SavedState& s) {
-  ar(s.ticks, s.drops);
-}

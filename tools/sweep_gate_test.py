@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
-"""End-to-end thread-invariance gate over real scale_sweep output.
+"""End-to-end thread-invariance and restore gates over real scale_sweep
+output.
 
 Usage: sweep_gate_test.py path/to/scale_sweep
 
 Runs the 2000-node smoke sweep with --json at AVMEM_THREADS=1 and 4 and
 diffs the two files with check_sim_equivalence.py --min-mean-degree 10,
-the same command CI's thread-matrix step runs. It then pins the class
-(bench/sweep_columns.hpp) of the columns the CI gates lean on, so none
-of them can drift to `perf` and leave the comparison unnoticed:
+the same command CI's thread-matrix step runs.
+
+The restore gate follows, once per availability backend (oracle and
+avmon): a threads=1 sweep saves its warm state with --checkpoint-out, a
+threads=4 sweep restores it with --checkpoint-in instead of warming up,
+and check_sim_equivalence.py requires every sim column to match.
+
+Last, it pins the class (bench/sweep_columns.hpp) of the columns the CI
+gates lean on, so none of them can drift to `perf` and leave the
+comparison unnoticed:
 
   * restore_s and threads are perf: a restored run and a fresh one, or
     two thread counts, may disagree on them;
@@ -49,25 +57,43 @@ def main() -> int:
         print(__doc__, file=sys.stderr)
         return 2
     sweep = sys.argv[1]
-    # Only the thread count may vary: drop every other AVMEM_* override.
+    # Only the thread count and the backend may vary: drop every other
+    # AVMEM_* override.
     env = {k: v for k, v in os.environ.items() if not k.startswith("AVMEM_")}
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for threads in ("1", "4"):
-            path = os.path.join(tmp, f"scale_t{threads}.json")
+
+        def run(name, threads, *flags, backend=None):
+            """One smoke sweep; returns the path of its --json file."""
+            path = os.path.join(tmp, f"{name}.json")
+            run_env = dict(env, AVMEM_THREADS=threads)
+            if backend is not None:
+                run_env["AVMEM_AVAIL_BACKEND"] = backend
             subprocess.run(
-                [sweep, "--smoke", "--json", path],
-                env=dict(env, AVMEM_THREADS=threads),
+                [sweep, "--smoke", "--json", path, *flags],
+                env=run_env,
                 stdout=subprocess.DEVNULL,
                 check=True,
             )
-            paths.append(path)
-        checked = subprocess.run(
-            [sys.executable, str(CHECKER), "--min-mean-degree", "10", *paths]
-        )
-        if checked.returncode != 0:
+            return path
+
+        def same(*args):
+            return subprocess.run(
+                [sys.executable, str(CHECKER), *args]).returncode == 0
+
+        t1 = run("scale_t1", "1")
+        if not same("--min-mean-degree", "10", t1, run("scale_t4", "4")):
             return 1
-        with open(paths[0], encoding="utf-8") as f:
+        for backend in ("oracle", "avmon"):
+            ckpt = os.path.join(tmp, f"warm_{backend}.avmem")
+            fresh = run(f"fresh_{backend}", "1", "--checkpoint-out", ckpt,
+                        backend=backend)
+            restored = run(f"restored_{backend}", "4", "--checkpoint-in",
+                           ckpt, backend=backend)
+            if not same(fresh, restored):
+                print(f"restore gate failed on the {backend} backend",
+                      file=sys.stderr)
+                return 1
+        with open(t1, encoding="utf-8") as f:
             classes = json.load(f)["classes"]
 
     failures = 0
