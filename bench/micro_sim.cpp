@@ -1,14 +1,20 @@
 // Micro-benchmarks: discrete-event engine throughput, the worker pool's
-// fork/join cost, and the CYCLON view merge.
+// fork/join cost, the CYCLON view merge, and the ground-truth
+// availability query.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "avmon/availability_service.hpp"
 #include "avmon/view_merge.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/worker_pool.hpp"
+#include "trace/markov_churn.hpp"
 
 namespace {
 
@@ -147,6 +153,51 @@ void BM_ViewMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ViewMerge);
+
+void BM_AvailabilityQuery(benchmark::State& state) {
+  // "Availability of h now" as the chaos worlds ask it: a 2000-host
+  // Markov model under an outage overlay (one outage, one flash crowd,
+  // both behind the clock), queried for 1024 pre-drawn hosts in turn.
+  // Arg 0 asks the model (AvailabilityModel::availabilityAt); arg 1 asks
+  // OracleAvailabilityService::query, served from its per-epoch table.
+  constexpr std::size_t kHosts = 2000;
+  constexpr std::size_t kTargets = 1024;
+  trace::OvernetTraceConfig traceConfig;
+  traceConfig.hosts = kHosts;
+  fault::FaultPlan plan;
+  plan.regions = 4;
+  fault::OutageStage outage;
+  outage.fromUs = sim::SimTime::hours(1).toMicros();
+  outage.toUs = sim::SimTime::hours(3).toMicros();
+  outage.region = 1;
+  outage.fraction = 0.5;
+  plan.outages.push_back(outage);
+  fault::FlashCrowdStage crowd;
+  crowd.fromUs = sim::SimTime::hours(5).toMicros();
+  crowd.toUs = sim::SimTime::hours(6).toMicros();
+  crowd.fraction = 0.3;
+  plan.flashCrowds.push_back(crowd);
+  const fault::OutageOverlayModel model(
+      std::make_unique<trace::MarkovChurnModel>(traceConfig), plan);
+  sim::Simulator sim;
+  sim.runUntil(sim::SimTime::hours(8));
+  avmon::OracleAvailabilityService oracle(model, sim);
+
+  sim::Rng rng(5);
+  std::vector<net::NodeIndex> targets(kTargets);
+  for (auto& t : targets) t = static_cast<net::NodeIndex>(rng.below(kHosts));
+  const bool viaOracle = state.range(0) == 1;
+  (void)oracle.query(0, 0);  // the epoch's table is built once, untimed
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const net::NodeIndex h = targets[k];
+    k = k + 1 == kTargets ? 0 : k + 1;
+    const double av = viaOracle ? *oracle.query(0, h)
+                                : model.availabilityAt(h, sim.now());
+    benchmark::DoNotOptimize(av);
+  }
+}
+BENCHMARK(BM_AvailabilityQuery)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -327,8 +327,7 @@ int main(int argc, char** argv) {
         const auto est =
             system.availabilityService().query(querier, target);
         if (!est) continue;
-        const double truth =
-            system.trace().availabilityAt(target, system.simulator().now());
+        const double truth = system.trueAvailability(target);
         errs.push_back(std::abs(*est - truth));
       }
       avmonCoverage =

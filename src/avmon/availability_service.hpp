@@ -22,8 +22,12 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <optional>
+#include <vector>
 
 #include "net/network.hpp"
 #include "sim/random.hpp"
@@ -50,23 +54,82 @@ class AvailabilityService {
                                                     NodeIndex target) = 0;
 };
 
-/// Ground truth: fraction uptime from trace start to the current instant.
+/// Ground truth: "is h online now" and "h's fraction uptime from trace
+/// start to now", served from one table per churn epoch.
+///
+/// Both answers are pure functions of (host, epoch) and an epoch lasts
+/// many maintenance rounds, so the first read in a new epoch fills two
+/// per-host arrays (an online flag and an availability) from the model's
+/// own onlineInEpoch()/availabilityUpToEpoch(), and every later read in
+/// that epoch is one array load: bit-identical to asking the model, in
+/// O(hosts) once per epoch and ~9 B per host. A host index out of range
+/// falls through to the model, which throws std::out_of_range.
+///
+/// Concurrency contract: the simulated clock moves only in serial code
+/// between worker-pool fan-outs, so all concurrent readers share one
+/// epoch. The rebuild runs under a mutex behind a double-checked
+/// acquire/release epoch tag, so racing first readers fill the table once
+/// and a rebuild never overlaps a read of the older table. Reads of "now"
+/// (the network's and the engines' online gates, the oracle query, the
+/// simulation's ground truth) go through here; the model itself still
+/// serves direct and historical queries.
 class OracleAvailabilityService final : public AvailabilityService {
  public:
   OracleAvailabilityService(const trace::AvailabilityModel& trace,
-                            const sim::Simulator& sim) noexcept
-      : trace_(trace), sim_(sim) {}
+                            const sim::Simulator& sim)
+      : trace_(trace),
+        sim_(sim),
+        online_(trace.hostCount()),
+        availability_(trace.hostCount()) {}
 
-  /// Model reads are const and data-race-free (the Markov backend's
-  /// cursor is a relaxed atomic; a recorded trace is immutable).
   [[nodiscard]] std::optional<double> query(NodeIndex /*querier*/,
                                             NodeIndex target) override {
-    return trace_.availabilityAt(target, sim_.now());
+    return availability(target);
+  }
+
+  /// trace.onlineAt(h, now).
+  [[nodiscard]] bool online(NodeIndex h) const {
+    if (h >= online_.size()) return trace_.onlineAt(h, sim_.now());
+    syncToNow();
+    return online_[h] != 0;
+  }
+
+  /// trace.availabilityAt(h, now).
+  [[nodiscard]] double availability(NodeIndex h) const {
+    if (h >= availability_.size()) {
+      return trace_.availabilityAt(h, sim_.now());
+    }
+    syncToNow();
+    return availability_[h];
   }
 
  private:
+  static constexpr std::size_t kNoEpoch = ~std::size_t{0};
+
+  void syncToNow() const {
+    const std::size_t e = trace_.epochAt(sim_.now());
+    if (builtEpoch_.load(std::memory_order_acquire) != e) rebuild(e);
+  }
+
+  void rebuild(std::size_t e) const {
+    const std::lock_guard<std::mutex> lock(rebuildMutex_);
+    if (builtEpoch_.load(std::memory_order_relaxed) == e) return;
+    const auto n = static_cast<trace::HostIndex>(online_.size());
+    for (trace::HostIndex h = 0; h < n; ++h) {
+      online_[h] = trace_.onlineInEpoch(h, e) ? 1 : 0;
+      availability_[h] = trace_.availabilityUpToEpoch(h, e);
+    }
+    builtEpoch_.store(e, std::memory_order_release);
+  }
+
   const trace::AvailabilityModel& trace_;
   const sim::Simulator& sim_;
+  /// Serializes rebuilds; readers synchronize through builtEpoch_.
+  mutable std::mutex rebuildMutex_;
+  mutable std::vector<std::uint8_t> online_;
+  mutable std::vector<double> availability_;
+  /// Epoch the arrays hold; stored (release) after they are filled.
+  mutable std::atomic<std::size_t> builtEpoch_{kNoEpoch};
 };
 
 /// Deterministic noise + staleness wrapper.

@@ -84,14 +84,14 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   sim_ = std::make_unique<sim::Simulator>();
   ids_ = makeNodeIds(n, rng_.fork("node-ids").next());
 
+  // Ground truth, one table per churn epoch: the oracle answers every
+  // "online now" and "availability now" read below.
+  oracle_ = std::make_unique<avmon::OracleAvailabilityService>(*trace_, *sim_);
+  auto* oraclePtr = oracle_.get();
+
   // Network: delivery gated on trace-online at the delivery instant.
-  auto* tracePtr = trace_.get();
-  auto* simPtr = sim_.get();
   network_ = std::make_unique<net::Network>(
-      *sim_,
-      [tracePtr, simPtr](NodeIndex i) {
-        return tracePtr->onlineAt(i, simPtr->now());
-      },
+      *sim_, [oraclePtr](NodeIndex i) { return oraclePtr->online(i); },
       net::paperDefaultLatency(), rng_.fork("latency"));
 
   // Fault injection: consulted by the network and the shuffle channel at
@@ -107,7 +107,6 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   }
 
   // Availability monitoring.
-  oracle_ = std::make_unique<avmon::OracleAvailabilityService>(*trace_, *sim_);
   switch (config.backend) {
     case AvailabilityBackend::kOracle:
       service_ = oracle_.get();
@@ -230,8 +229,8 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   }
 
   // The shuffle service shares the pool: its plan phase reads only the
-  // node's own view, the churn oracle (concurrency-safe in every trace
-  // backend), and counter-based RNG streams.
+  // node's own view, the oracle's per-epoch online table (through the
+  // network), and counter-based RNG streams.
   avmon::ShuffleConfig shuffleConfig = config.shuffle;
   if (shuffleConfig.shards == 0) {
     shuffleConfig.shards = config.maintenanceShards;
@@ -271,9 +270,7 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
       [shufflePtr](NodeIndex i) {
         return std::span<const NodeIndex>(shufflePtr->viewOf(i));
       },
-      [tracePtr, simPtr](NodeIndex i) {
-        return tracePtr->onlineAt(i, simPtr->now());
-      },
+      [oraclePtr](NodeIndex i) { return oraclePtr->online(i); },
       engineConfig, rng_.fork("task-stagger"), pool_.get(),
       std::move(feedFn), std::move(publishFn));
 

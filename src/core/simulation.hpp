@@ -313,10 +313,10 @@ class AvmemSimulation {
 
   /// Ground-truth (trace) availability of node `i` at the current time.
   [[nodiscard]] double trueAvailability(net::NodeIndex i) const {
-    return trace_->availabilityAt(i, sim_->now());
+    return oracle_->availability(i);
   }
   [[nodiscard]] bool isOnline(net::NodeIndex i) const {
-    return trace_->onlineAt(i, sim_->now());
+    return oracle_->online(i);
   }
   /// All currently-online node indices.
   [[nodiscard]] std::vector<net::NodeIndex> onlineNodes() const;

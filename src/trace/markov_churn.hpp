@@ -18,8 +18,11 @@
 // case) are O(1) amortized via a per-host cursor. Answers never depend on
 // query order (asserted by tests/trace/markov_churn_test.cpp), and
 // concurrent queries are safe: the cursor is one relaxed atomic word, so
-// the parallel maintenance plan phase may read the model from many
-// threads with no locks and no effect on answers.
+// many threads may read the model with no locks and no effect on answers.
+// The simulation's reads of "now" go through the oracle's per-epoch table
+// (avmon::OracleAvailabilityService), which walks every cursor once per
+// epoch; the cursor otherwise serves direct and historical queries (AVMON
+// catch-up and epoch fold, the outage overlay's inner reads).
 //
 // Model fidelity: P(online in epoch e) = p_up exactly, for every e — the
 // block re-seed preserves the stationary distribution, and long-term
@@ -137,11 +140,12 @@ class MarkovChurnModel final : public AvailabilityModel {
   /// Per-host chain parameters plus the forward cursor. The cursor is a
   /// cache only — every answer is a pure function of (seed, host, epoch) —
   /// and makes time-monotone queries O(1) amortized. It is packed into one
-  /// relaxed atomic word (31-bit epoch | on bit | 32-bit up-count) so the
-  /// parallel maintenance plan phase may query concurrently: racing
-  /// threads each load a whole valid cursor, recompute the (pure) answer,
-  /// and store another whole valid cursor — no torn state, no effect on
-  /// answers, only possibly duplicated walk work.
+  /// relaxed atomic word (31-bit epoch | on bit | 32-bit up-count) so
+  /// parallel readers (AVMON's query-time catch-up and epoch fold) may
+  /// query concurrently: racing threads each load a whole valid
+  /// cursor, recompute the (pure) answer, and store another whole valid
+  /// cursor — no torn state, no effect on answers, only possibly
+  /// duplicated walk work.
   struct HostChain {
     double pUp = 0.0;
     double pOff = 0.0;

@@ -2,9 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
+#include "sim/worker_pool.hpp"
 #include "trace/churn_trace.hpp"
+#include "trace/markov_churn.hpp"
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <iterator>
+#include <memory>
+#include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
 
 namespace avmem::avmon {
 namespace {
@@ -32,6 +44,173 @@ TEST(OracleServiceTest, ReportsTraceAvailability) {
   EXPECT_NEAR(*svc.query(0, 2), 0.1, 0.04);
   // Oracle answers are querier-independent.
   EXPECT_DOUBLE_EQ(*svc.query(1, 2), *svc.query(2, 2));
+}
+
+std::unique_ptr<trace::MarkovChurnModel> makeMarkov(std::size_t hosts = 64) {
+  std::vector<double> pUp;
+  sim::Rng rng(404);
+  for (std::size_t h = 0; h < hosts; ++h) {
+    pUp.push_back(0.05 + 0.9 * rng.uniform());
+  }
+  trace::MarkovChurnConfig cfg;
+  cfg.horizonEpochs = 120;  // 40 h of 20-minute epochs
+  cfg.seed = 77;
+  return std::make_unique<trace::MarkovChurnModel>(std::move(pUp), cfg);
+}
+
+/// One outage (region 1, epochs 3..8) and one flash crowd (half of all
+/// hosts, epochs 15..17) over a Markov model.
+std::unique_ptr<fault::OutageOverlayModel> makeOverlay() {
+  fault::FaultPlan plan;
+  plan.regions = 4;
+  fault::OutageStage outage;
+  outage.fromUs = sim::SimTime::hours(1).toMicros();
+  outage.toUs = sim::SimTime::hours(3).toMicros();
+  outage.region = 1;
+  plan.outages.push_back(outage);
+  fault::FlashCrowdStage crowd;
+  crowd.fromUs = sim::SimTime::hours(5).toMicros();
+  crowd.toUs = sim::SimTime::hours(6).toMicros();
+  crowd.fraction = 0.5;
+  plan.flashCrowds.push_back(crowd);
+  return std::make_unique<fault::OutageOverlayModel>(makeMarkov(), plan);
+}
+
+/// Walk the clock through t=0, mid-epoch, the last instant of an epoch,
+/// exactly the next boundary (the first read after a crossing, so a stale
+/// table fails), an instant inside each forcing window, and past the
+/// horizon (clamped). At each, every table answer must equal the model's
+/// own answer bit for bit.
+void expectTableMatchesModel(const trace::AvailabilityModel& model) {
+  sim::Simulator sim;
+  OracleAvailabilityService oracle(model, sim);
+  const sim::SimDuration epoch = model.epochDuration();
+  const sim::SimTime instants[] = {
+      sim::SimTime::zero(),
+      epoch * 5 + sim::SimDuration::minutes(7),
+      epoch * 6 - sim::SimDuration::micros(1),
+      epoch * 6,
+      epoch * 16 + sim::SimDuration::minutes(3),
+      epoch * static_cast<std::int64_t>(model.epochCount() + 10),
+  };
+  const auto n = static_cast<NodeIndex>(model.hostCount());
+  std::vector<std::uint64_t> previous;
+  for (const sim::SimTime t : instants) {
+    sim.runUntil(t);
+    std::vector<std::uint64_t> answers;
+    for (NodeIndex h = 0; h < n; ++h) {
+      const bool online = oracle.online(h);
+      const double av = oracle.availability(h);
+      ASSERT_EQ(online, model.onlineAt(h, t))
+          << "host " << h << " at " << t.toMicros();
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(av),
+                std::bit_cast<std::uint64_t>(model.availabilityAt(h, t)))
+          << "host " << h << " at " << t.toMicros();
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(*oracle.query((h + 1) % n, h)),
+                std::bit_cast<std::uint64_t>(av));
+      answers.push_back(std::bit_cast<std::uint64_t>(av));
+    }
+    // Every instant lies in a new epoch except the boundary's
+    // predecessor; each new epoch must change some answer, so the
+    // comparison above would catch a table that was not rebuilt.
+    if (!previous.empty() && t != epoch * 6 - sim::SimDuration::micros(1)) {
+      EXPECT_NE(answers, previous) << "no answer moved at " << t.toMicros();
+    }
+    previous = std::move(answers);
+  }
+}
+
+TEST(OracleServiceTest, TableMatchesRecordedTraceBitForBit) {
+  expectTableMatchesModel(makeTrace());
+}
+
+TEST(OracleServiceTest, TableMatchesMarkovModelBitForBit) {
+  expectTableMatchesModel(*makeMarkov());
+}
+
+TEST(OracleServiceTest, TableMatchesOutageOverlayBitForBit) {
+  expectTableMatchesModel(*makeOverlay());
+}
+
+TEST(OracleServiceTest, OutOfRangeHostThrows) {
+  const auto markov = makeMarkov();
+  const auto recorded = makeTrace();
+  for (const trace::AvailabilityModel* model :
+       {static_cast<const trace::AvailabilityModel*>(markov.get()),
+        static_cast<const trace::AvailabilityModel*>(&recorded)}) {
+    sim::Simulator sim;
+    OracleAvailabilityService oracle(*model, sim);
+    sim.runUntil(sim::SimTime::hours(2));
+    const auto n = static_cast<NodeIndex>(model->hostCount());
+    EXPECT_NO_THROW((void)oracle.online(n - 1));
+    EXPECT_THROW((void)oracle.online(n), std::out_of_range);
+    EXPECT_THROW((void)oracle.availability(n), std::out_of_range);
+    EXPECT_THROW((void)oracle.query(0, n), std::out_of_range);
+  }
+}
+
+TEST(OracleServiceTest, ConcurrentFirstReadMatchesSerialAnswers) {
+  // The first read of each new epoch comes from whichever reader gets
+  // there first; every reader must still see exactly the serial answers.
+  // Even instants read from pool lanes, as the plan phase does. Odd
+  // instants read from free threads released by one flag: pool lanes
+  // claim tasks through shared atomics that already order a late reader
+  // after the rebuilding lane, so only free threads let ThreadSanitizer
+  // (in CI) see a table published without acquire/release.
+  constexpr std::size_t kHosts = 256;
+  constexpr std::size_t kReaders = 8;
+  const auto model = makeMarkov(kHosts);
+  const auto reference = makeMarkov(kHosts);
+  sim::Simulator sim;
+  const OracleAvailabilityService oracle(*model, sim);
+  sim::WorkerPool pool(4);
+
+  const std::int64_t minutes[] = {0, 30, 50, 61, 300, 330, 2000, 2500};
+  for (std::size_t k = 0; k < std::size(minutes); ++k) {
+    sim.runUntil(sim::SimTime::minutes(minutes[k]));
+    const sim::SimTime now = sim.now();
+    std::vector<std::vector<std::uint8_t>> online(
+        kReaders, std::vector<std::uint8_t>(kHosts));
+    std::vector<std::vector<double>> av(kReaders,
+                                        std::vector<double>(kHosts));
+    const auto readAll = [&](std::size_t reader) {
+      // Readers walk the hosts from different offsets so their first
+      // reads land on different hosts.
+      for (std::size_t i = 0; i < kHosts; ++i) {
+        const auto h = static_cast<NodeIndex>((i + reader * 37) % kHosts);
+        online[reader][h] = oracle.online(h) ? 1 : 0;
+        av[reader][h] = oracle.availability(h);
+      }
+    };
+    if (k % 2 == 0) {
+      pool.run(kReaders, readAll);
+    } else {
+      std::atomic<bool> go{false};
+      std::vector<std::thread> threads;
+      for (std::size_t reader = 0; reader < kReaders; ++reader) {
+        threads.emplace_back([&go, &readAll, reader] {
+          while (!go.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+          readAll(reader);
+        });
+      }
+      go.store(true, std::memory_order_release);
+      for (auto& th : threads) th.join();
+    }
+    for (std::size_t reader = 0; reader < kReaders; ++reader) {
+      for (NodeIndex h = 0; h < kHosts; ++h) {
+        ASSERT_EQ(online[reader][h] != 0, reference->onlineAt(h, now))
+            << "reader " << reader << " host " << h << " at "
+            << now.toMicros();
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(av[reader][h]),
+                  std::bit_cast<std::uint64_t>(
+                      reference->availabilityAt(h, now)))
+            << "reader " << reader << " host " << h << " at "
+            << now.toMicros();
+      }
+    }
+  }
 }
 
 TEST(NoisyServiceTest, ErrorIsBoundedAndClamped) {
