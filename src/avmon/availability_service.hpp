@@ -48,10 +48,11 @@ class AvailabilityService {
   /// nullopt when the service has no estimate (e.g. never-observed node).
   ///
   /// Called concurrently from the parallel maintenance plan phase: the
-  /// answer must be a pure function of (querier, target, sim time), with
-  /// no unsynchronized mutable state on the query path.
-  [[nodiscard]] virtual std::optional<double> query(NodeIndex querier,
-                                                    NodeIndex target) = 0;
+  /// answer must be a pure function of (querier, target, sim time). The
+  /// method is const, so a cache on the query path must be `mutable` and
+  /// synchronized.
+  [[nodiscard]] virtual std::optional<double> query(
+      NodeIndex querier, NodeIndex target) const = 0;
 };
 
 /// Ground truth: "is h online now" and "h's fraction uptime from trace
@@ -83,7 +84,7 @@ class OracleAvailabilityService final : public AvailabilityService {
         availability_(trace.hostCount()) {}
 
   [[nodiscard]] std::optional<double> query(NodeIndex /*querier*/,
-                                            NodeIndex target) override {
+                                            NodeIndex target) const override {
     return availability(target);
   }
 
@@ -142,7 +143,7 @@ class OracleAvailabilityService final : public AvailabilityService {
 /// overlay's behaviour without prescribing its internals.
 class NoisyAvailabilityService final : public AvailabilityService {
  public:
-  NoisyAvailabilityService(AvailabilityService& inner,
+  NoisyAvailabilityService(const AvailabilityService& inner,
                            const sim::Simulator& sim, double maxError,
                            sim::SimDuration stalenessPeriod,
                            std::uint64_t seed) noexcept
@@ -153,7 +154,7 @@ class NoisyAvailabilityService final : public AvailabilityService {
         seed_(seed) {}
 
   [[nodiscard]] std::optional<double> query(NodeIndex querier,
-                                            NodeIndex target) override {
+                                            NodeIndex target) const override {
     const auto base = inner_.query(querier, target);
     if (!base) return std::nullopt;
 
@@ -174,7 +175,7 @@ class NoisyAvailabilityService final : public AvailabilityService {
   }
 
  private:
-  AvailabilityService& inner_;
+  const AvailabilityService& inner_;
   const sim::Simulator& sim_;
   double maxError_;
   sim::SimDuration stalenessPeriod_;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "hash/fast64_batch.hpp"
 #include "net/network.hpp"
@@ -98,14 +100,19 @@ void AvmonSystem::foldEpoch(std::uint64_t e) {
   foldTargetUp_.resize(count);
 
   // Plan (read-only, disjoint output slices): who was online in epoch e.
-  const auto planOne = [this, e](std::size_t i) {
-    const NodeIndex t = foldTargets_[i];
-    const TargetCell& cell = *cells_[t];
-    foldTargetUp_[i] = trace_.onlineInEpoch(t, e) ? 1 : 0;
-    const std::size_t off = foldOffsets_[i];
+  // The task sees the system only as const; its two output spans are the
+  // only thing it can write.
+  const auto planOne = [&self = std::as_const(*this), e,
+                        targetUp = std::span<std::uint8_t>(foldTargetUp_),
+                        monitorUp = std::span<std::uint8_t>(foldMonitorUp_)](
+                           std::size_t i) {
+    const NodeIndex t = self.foldTargets_[i];
+    const TargetCell& cell = *self.cells_[t];
+    targetUp[i] = self.trace_.onlineInEpoch(t, e) ? 1 : 0;
+    const std::size_t off = self.foldOffsets_[i];
     for (std::size_t j = 0; j < cell.monitors.size(); ++j) {
-      foldMonitorUp_[off + j] =
-          trace_.onlineInEpoch(cell.monitors[j], e) ? 1 : 0;
+      monitorUp[off + j] =
+          self.trace_.onlineInEpoch(cell.monitors[j], e) ? 1 : 0;
     }
   };
   if (pool_ != nullptr) {
@@ -305,8 +312,8 @@ void AvmonSystem::restoreInstall(std::uint64_t advancedEpochs,
   }
 }
 
-std::optional<double> AvmonAvailabilityService::query(NodeIndex querier,
-                                                      NodeIndex target) {
+std::optional<double> AvmonAvailabilityService::query(
+    NodeIndex querier, NodeIndex target) const {
   const AvmonSystem::TargetCell& cell = system_.ensureCell(target);
   if (cell.monitors.empty()) return std::nullopt;
   // One epoch lookup per query: onlineAt(m, now) is

@@ -289,7 +289,7 @@ class AvmonAvailabilityService final : public AvailabilityService {
   /// the memoized monitor cell (atomic publication), and the trace's
   /// online oracle — all safe under the parallel plan phase.
   [[nodiscard]] std::optional<double> query(NodeIndex querier,
-                                            NodeIndex target) override;
+                                            NodeIndex target) const override;
 
  private:
   const AvmonSystem& system_;

@@ -32,7 +32,7 @@ ShuffleService::ShuffleService(sim::Simulator& sim, net::Network& network,
                                std::size_t nodeCount,
                                const ShuffleConfig& config, sim::Rng rng,
                                sim::WorkerPool* pool)
-    : sim_(sim),
+    : sim_(&sim),
       network_(network),
       viewSize_(config.viewSize),
       gossipLength_(config.gossipLength),
@@ -115,12 +115,13 @@ void ShuffleService::startSchedule(sim::ShardedScheduler::Slots slots,
   // queue holds O(shards) timers, and each slot firing fans its members'
   // plan phases across the pool before committing requests in slot order.
   schedule_.start(
-      sim_, period_, std::move(slots), pool_,
+      *sim_, period_, std::move(slots), pool_,
       [this](std::uint32_t i, std::size_t lane) {
-        planExchange(static_cast<NodeIndex>(i), lane);
+        std::as_const(*this).planExchange(static_cast<NodeIndex>(i),
+                                          lanes_[lane]);
       },
       [this](std::uint32_t i, std::size_t lane) {
-        commitExchange(static_cast<NodeIndex>(i), lane);
+        commitExchange(static_cast<NodeIndex>(i), lanes_[lane]);
       },
       arm);
   lanes_.resize(schedule_.maxSlotPopulation());
@@ -144,8 +145,8 @@ void ShuffleService::sampleSubsetInto(const std::vector<NodeIndex>& view,
   out.resize(take);
 }
 
-void ShuffleService::planExchange(NodeIndex initiator, std::size_t lane) {
-  ExchangePlan& plan = lanes_[lane];
+void ShuffleService::planExchange(NodeIndex initiator,
+                                  ExchangePlan& plan) const {
   plan.reset();
   const auto& view = views_[initiator];
   if (view.empty()) return;
@@ -160,8 +161,8 @@ void ShuffleService::planExchange(NodeIndex initiator, std::size_t lane) {
   plan.active = true;
 }
 
-void ShuffleService::commitExchange(NodeIndex initiator, std::size_t lane) {
-  ExchangePlan& plan = lanes_[lane];
+void ShuffleService::commitExchange(NodeIndex initiator,
+                                    const ExchangePlan& plan) {
   // Advance the stream counter every firing, planned or not, so a node's
   // randomness is a pure function of (seed, node, firing count).
   ++rounds_[initiator];

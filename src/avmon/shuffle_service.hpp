@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <experimental/propagate_const>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -73,8 +74,8 @@ class ShuffleService final : public net::ShuffleSink {
  public:
   /// `pool` (optional) fans the plan phases (initiation and delivery
   /// batches) across worker threads; results are identical at any thread
-  /// count (the caller gates pool use on its online oracle being
-  /// concurrency-safe, as for MembershipEngine).
+  /// count. `network` carries the typed channel's traffic; the service
+  /// itself only asks it who is online.
   ShuffleService(sim::Simulator& sim, net::Network& network,
                  std::size_t nodeCount, const ShuffleConfig& config,
                  sim::Rng rng, sim::WorkerPool* pool = nullptr);
@@ -210,14 +211,13 @@ class ShuffleService final : public net::ShuffleSink {
     }
   };
 
-  /// Initiation plan phase: read-only against shared state (own view,
-  /// online oracle, counter-based RNG stream); writes only the lane
-  /// buffer.
-  void planExchange(net::NodeIndex initiator, std::size_t lane);
+  /// Initiation plan phase: reads its own view, the online oracle and a
+  /// counter-based RNG stream; writes only `plan`.
+  void planExchange(net::NodeIndex initiator, ExchangePlan& plan) const;
   /// Initiation commit phase: serial, slot order — enqueue the planned
   /// request onto the typed channel (latency sampling and accounting
   /// happen here, in deterministic order).
-  void commitExchange(net::NodeIndex initiator, std::size_t lane);
+  void commitExchange(net::NodeIndex initiator, const ExchangePlan& plan);
 
   /// Delivery plan phase for one group: replay the group's deliveries in
   /// batch order against a working copy of the node's view. Read-only
@@ -240,8 +240,9 @@ class ShuffleService final : public net::ShuffleSink {
   static void eraseSorted(std::vector<net::NodeIndex>& view,
                           net::NodeIndex dead);
 
-  sim::Simulator& sim_;
-  net::Network& network_;
+  /// propagate_const keeps the simulator const inside the const plans.
+  std::experimental::propagate_const<sim::Simulator*> sim_;
+  const net::Network& network_;
   std::size_t viewSize_;
   std::size_t gossipLength_;
   sim::SimDuration period_;

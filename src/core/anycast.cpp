@@ -21,7 +21,7 @@ void AnycastEngine::start(NodeIndex initiator, const AnycastParams& params,
   auto op = std::make_shared<Operation>();
   op->params = params;
   op->done = std::move(done);
-  op->startedAt = ctx_.sim.now();
+  op->startedAt = sim_.now();
 
   // Watchdog: fire-and-forget hops can die silently (offline or rejecting
   // next hop); bound the operation's lifetime generously past the worst
@@ -31,7 +31,7 @@ void AnycastEngine::start(NodeIndex initiator, const AnycastParams& params,
       (params.ackTimeout.toMicros() / 1000 + 200) *
       std::max(1, params.retryBudget) *
       (1 + std::max(0, params.lossRetries)));
-  op->watchdog = ctx_.sim.schedule(bound, [this, op] {
+  op->watchdog = sim_.schedule(bound, [this, op] {
     settle(op, AnycastOutcome::kDropped, /*hops=*/-1);
   });
 
@@ -54,7 +54,7 @@ void AnycastEngine::settle(std::shared_ptr<Operation> op,
   // it to 0 made watchdog-settled kDropped operations look like 0-hop
   // deliveries to any hop aggregation.
   result.hops = hops;
-  result.latency = ctx_.sim.now() - op->startedAt;
+  result.latency = sim_.now() - op->startedAt;
   result.deliveredTo = deliveredTo;
   op->done(result);
 }

@@ -25,6 +25,7 @@
 #include "core/range.hpp"
 #include "net/network.hpp"
 #include "sim/random.hpp"
+#include "sim/simulator.hpp"
 
 namespace avmem::core {
 
@@ -94,9 +95,9 @@ class AnycastEngine {
  public:
   using CompletionFn = std::function<void(const AnycastResult&)>;
 
-  AnycastEngine(ProtocolContext& ctx, net::Network& network,
+  AnycastEngine(sim::Simulator& sim, net::Network& network,
                 std::vector<AvmemNode>& nodes, sim::Rng rng)
-      : ctx_(ctx), network_(network), nodes_(nodes), rng_(rng) {}
+      : sim_(sim), network_(network), nodes_(nodes), rng_(rng) {}
 
   AnycastEngine(const AnycastEngine&) = delete;
   AnycastEngine& operator=(const AnycastEngine&) = delete;
@@ -123,7 +124,7 @@ class AnycastEngine {
                      std::vector<NeighborEntry> candidates, std::size_t next,
                      int budget, int resendsLeft, int ttl, int hops);
 
-  ProtocolContext& ctx_;
+  sim::Simulator& sim_;
   net::Network& network_;
   std::vector<AvmemNode>& nodes_;
   sim::Rng rng_;

@@ -240,24 +240,6 @@ void AvmemNode::commitRefresh(const MaintenancePlan& plan) {
   for (const auto& [peer, av] : toHs) hs_.upsert(peer, av, ctx_->sim.now());
 }
 
-void AvmemNode::discoverBatch(std::span<const NodeIndex> view) {
-  MaintenancePlan plan;
-  planDiscovery(view, plan);
-  commitDiscovery(plan);
-}
-
-void AvmemNode::adoptCoarseView(std::span<const NodeIndex> view) {
-  MaintenancePlan plan;
-  planAdopt(view, plan);
-  commitAdopt(plan);
-}
-
-void AvmemNode::refreshBatch() {
-  MaintenancePlan plan;
-  planRefresh(plan);
-  commitRefresh(plan);
-}
-
 bool AvmemNode::verifyIncoming(NodeIndex sender) {
   ++stats_.messagesVerified;
   // The receiver judges the *sender's* claim M(sender, self) with its own

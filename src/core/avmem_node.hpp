@@ -22,10 +22,13 @@
 namespace avmem::core {
 
 /// Everything a node's protocol logic needs from its environment; owned by
-/// the simulation harness, shared by reference across all nodes.
+/// the simulation harness, shared by reference across all nodes. Every
+/// member is read-only to a node: a node can read the clock and query
+/// the monitoring service, but cannot schedule an event or mutate the
+/// service, so a plan phase holding the context cannot touch shared state.
 struct ProtocolContext {
-  sim::Simulator& sim;
-  avmon::AvailabilityService& availability;
+  const sim::Simulator& sim;
+  const avmon::AvailabilityService& availability;
   const AvmemPredicate& predicate;
   const std::vector<NodeId>& ids;
   hashing::PairHasher pairHash;
@@ -56,8 +59,8 @@ struct ProtocolContext {
 /// scheduler slot may run concurrently, commits always run in slot order).
 /// A plan captures everything the round observed — the self-availability
 /// answer, the per-peer predicate evaluations, and how many service
-/// queries it made — so committing it reproduces the serial batch
-/// entry points bit for bit.
+/// queries it made — so committing it applies exactly what the round
+/// observed, at any thread count.
 struct MaintenancePlan {
   /// Was the node online when the round fired (engine-filled; offline
   /// rounds plan nothing and commit only the skip counter)?
@@ -127,7 +130,8 @@ struct NodeStats {
 /// One AVMEM participant.
 class AvmemNode {
  public:
-  AvmemNode(NodeIndex self, ProtocolContext& ctx) : self_(self), ctx_(&ctx) {}
+  AvmemNode(NodeIndex self, const ProtocolContext& ctx)
+      : self_(self), ctx_(&ctx) {}
 
   [[nodiscard]] NodeIndex index() const noexcept { return self_; }
 
@@ -161,10 +165,9 @@ class AvmemNode {
   //
   // Every round is split so the engine may run many nodes' plan phases
   // concurrently: a plan method is const, reads only this node's state
-  // plus concurrency-safe shared services, and writes nothing but the
-  // caller's plan buffer; the matching commit method applies the plan.
-  // The serial batch entry points below are exactly plan-then-commit, so
-  // both execution modes share one code path and cannot drift.
+  // plus the read-only context, and writes nothing but the caller's plan
+  // buffer; the matching commit method applies the plan. The compiler
+  // holds plans to this: a const member sees the context only as const.
 
   /// Plan one Discovery round: scan the coarse `view`, test the predicate
   /// against monitoring-service availabilities, record peers to admit.
@@ -184,22 +187,25 @@ class AvmemNode {
   /// Plan a coarse-view adoption round (baseline overlays): fetch an
   /// availability for every view peer.
   void planAdopt(std::span<const NodeIndex> view, MaintenancePlan& plan) const;
-  /// Apply an adoption plan: replace the membership state with the view.
+  /// Apply an adoption plan: replace the membership state with the view
+  /// (baseline overlays only — see SimulationConfig::useCoarseViewOverlay).
+  /// Every planned peer lands in the vertical sliver; the horizontal
+  /// sliver is cleared.
   void commitAdopt(const MaintenancePlan& plan);
 
-  /// One Discovery round over a batch of candidates (plan + commit).
-  /// No-op while this node is offline (callers gate on churn; see
-  /// MembershipEngine).
-  void discoverBatch(std::span<const NodeIndex> view);
-
-  /// One Refresh round over both slivers (plan + commit).
-  void refreshBatch();
-
-  /// Single-round conveniences (unit tests drive these directly).
+  /// One Discovery / Refresh round as plan-then-commit: unit-test
+  /// conveniences (the engine plans and commits separately). Neither
+  /// gates on churn; MembershipEngine skips offline nodes.
   void discoverOnce(const std::vector<NodeIndex>& view) {
-    discoverBatch(view);
+    MaintenancePlan plan;
+    planDiscovery(view, plan);
+    commitDiscovery(plan);
   }
-  void refreshOnce() { refreshBatch(); }
+  void refreshOnce() {
+    MaintenancePlan plan;
+    planRefresh(plan);
+    commitRefresh(plan);
+  }
 
   /// Receiver-side verification (paper Section 4.1): would this node
   /// accept a message from `sender`? Re-evaluates M(sender, self) with
@@ -214,12 +220,6 @@ class AvmemNode {
 
   /// Re-fetch this node's own availability estimate.
   void updateSelfAvailability();
-
-  /// Replace the membership state with the raw coarse `view` (baseline
-  /// overlays only — see SimulationConfig::useCoarseViewOverlay). All
-  /// entries land in the vertical sliver with freshly-queried
-  /// availabilities; the horizontal sliver is cleared.
-  void adoptCoarseView(std::span<const NodeIndex> view);
 
   /// Checkpointing (snapshot/): the protocol state a warm restore carries
   /// — self-estimate, counters and both slivers. A restore fills a staged
@@ -292,7 +292,7 @@ class AvmemNode {
                              std::vector<std::pair<NodeIndex, double>>& moved);
 
   NodeIndex self_;
-  ProtocolContext* ctx_;
+  const ProtocolContext* ctx_;
   double selfAv_ = 0.0;
   SliverList hs_;
   SliverList vs_;

@@ -15,23 +15,28 @@
 // WorkerPool, a slot firing fans the plan phase of all its members across
 // the pool and joins before committing serially in slot order (the
 // scheduler's barrier mode) — simulated time never moves while workers
-// run, and because plans only read concurrency-safe shared state and
-// write lane-private buffers, stats, slivers, and overlays are
-// bit-identical for any thread count.
+// run, and because plans only read shared state and write lane-private
+// buffers, stats, slivers, and overlays are bit-identical for any thread
+// count. The plan phase is a const member: it sees the nodes, the
+// simulator and the candidate feed only as const (the mutable ones sit
+// behind propagate_const), so a plan that tried to commit, schedule or
+// publish would not compile.
 //
-// The engine is policy-free: it does not know which availability backend,
-// predicate, or view substrate is plugged in. AvmemSimulation assembles
-// those and hands the engine its two read seams — the coarse-view and
-// churn-oracle callables consumed by the plan phase — plus the optional
-// worker pool.
+// The engine is policy-free: it does not know which availability backend
+// or predicate the nodes evaluate. AvmemSimulation assembles those and
+// hands the engine what its plan phase reads — the shuffle service's
+// coarse views, the oracle's "online now" answers and, optionally, the
+// rendezvous candidate feed — plus the optional worker pool.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
+#include <experimental/propagate_const>
 #include <vector>
 
+#include "avmon/availability_service.hpp"
+#include "avmon/shuffle_service.hpp"
 #include "core/avmem_node.hpp"
+#include "core/candidate_feed.hpp"
 #include "sim/random.hpp"
 #include "sim/sharded_scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -64,43 +69,23 @@ struct MembershipEngineStats {
 /// Owns discovery/refresh scheduling for all nodes.
 class MembershipEngine {
  public:
-  /// The current coarse view of a node (the shuffle substrate).
-  using ViewFn =
-      std::function<std::span<const net::NodeIndex>(net::NodeIndex)>;
-  /// Is a node online right now (the churn oracle)?
-  using OnlineFn = std::function<bool(net::NodeIndex)>;
-  /// The second candidate seam beside ViewFn: append extra Discovery
-  /// candidates for `node`'s round number `round` to `out` (which already
-  /// holds the coarse view — implementations must not duplicate entries
-  /// or add `node` itself). Called from the plan phase, so it must be
-  /// read-only against shared state and deterministic in (node, round) —
-  /// the availability-bucketed rendezvous feed (core/candidate_feed.hpp)
-  /// is the canonical implementation.
-  using FeedFn = std::function<void(net::NodeIndex node, double selfAv,
-                                    std::uint64_t round,
-                                    std::vector<net::NodeIndex>& out)>;
-  /// Directory publication hook, invoked in the serial commit phase after
-  /// every committed (online) maintenance round with the node's current
-  /// self-availability estimate.
-  using PublishFn = std::function<void(net::NodeIndex, double av)>;
-
-  /// `pool` (optional) parallelizes the plan phase of slot firings; the
-  /// caller must only pass a pool when the view/online/feed seams and the
-  /// node's plan-phase reads (availability service, pair hasher, churn
-  /// model) are safe to call concurrently — AvmemSimulation gates this on
-  /// the backends' declared capabilities. `feed`/`publish` (optional)
-  /// plug in the rendezvous candidate directory.
+  /// Discovery scans `views` (the shuffle substrate's coarse views);
+  /// offline nodes, as `oracle` reports them, skip their rounds. `pool`
+  /// (optional) parallelizes the plan phase of slot firings. `feed`
+  /// (optional) is the rendezvous candidate directory: the plan phase
+  /// merges its draws into the coarse view, and every committed round
+  /// republishes the node's self-availability to it.
   MembershipEngine(sim::Simulator& sim, std::vector<AvmemNode>& nodes,
-                   ViewFn view, OnlineFn online,
+                   const avmon::ShuffleService& views,
+                   const avmon::OracleAvailabilityService& oracle,
                    const MembershipEngineConfig& config, sim::Rng rng,
-                   sim::WorkerPool* pool = nullptr, FeedFn feed = nullptr,
-                   PublishFn publish = nullptr)
-      : sim_(sim),
-        nodes_(nodes),
-        view_(std::move(view)),
-        online_(std::move(online)),
-        feed_(std::move(feed)),
-        publish_(std::move(publish)),
+                   sim::WorkerPool* pool = nullptr,
+                   CandidateFeed* feed = nullptr)
+      : sim_(&sim),
+        nodes_(&nodes),
+        feed_(feed),
+        views_(views),
+        oracle_(oracle),
         config_(config),
         rng_(rng),
         pool_(pool) {}
@@ -187,31 +172,36 @@ class MembershipEngine {
   void startImpl(sim::ShardedScheduler::Slots discovery,
                  sim::ShardedScheduler::Slots refresh, bool arm);
 
-  /// Plan phase: read-only against shared state, writes only the member's
-  /// lane buffer; safe to run concurrently for all members of a slot.
-  void planTick(Round round, net::NodeIndex i, std::size_t lane);
-  /// Commit phase: applies the lane buffer; runs serially in slot order.
-  void commitTick(Round round, net::NodeIndex i, std::size_t lane);
+  /// One plan-phase buffer set, reused across slot firings (the plan's
+  /// evals capacity survives reset()).
+  struct Lane {
+    MaintenancePlan plan;
+    /// Discovery candidates with a feed: the coarse view plus feed draws.
+    std::vector<net::NodeIndex> candidates;
+    /// Entries the feed contributed, folded into stats_ at commit.
+    std::uint32_t feedCount = 0;
+  };
 
-  sim::Simulator& sim_;
-  std::vector<AvmemNode>& nodes_;
-  ViewFn view_;
-  OnlineFn online_;
-  FeedFn feed_;
-  PublishFn publish_;
+  /// Plan phase: reads shared state and writes only `lane`; safe to run
+  /// concurrently for all members of a slot.
+  void planTick(Round round, net::NodeIndex i, Lane& lane) const;
+  /// Commit phase: applies `lane`; runs serially in slot order.
+  void commitTick(Round round, net::NodeIndex i, const Lane& lane);
+
+  // What commits mutate sits behind propagate_const: a plain pointer or
+  // reference member would stay mutable inside the const plan phase.
+  std::experimental::propagate_const<sim::Simulator*> sim_;
+  std::experimental::propagate_const<std::vector<AvmemNode>*> nodes_;
+  std::experimental::propagate_const<CandidateFeed*> feed_;
+  const avmon::ShuffleService& views_;
+  const avmon::OracleAvailabilityService& oracle_;
   MembershipEngineConfig config_;
   sim::Rng rng_;
   sim::WorkerPool* pool_ = nullptr;
   sim::ShardedScheduler discovery_;
   sim::ShardedScheduler refresh_;
-  /// Lane-indexed plan buffers, sized to the largest slot and reused
-  /// across firings (evals capacity survives reset()).
-  std::vector<MaintenancePlan> lanes_;
-  /// Lane-indexed merged candidate buffers (coarse view + feed draws) and
-  /// the per-lane count of feed-contributed entries, folded into stats_
-  /// at commit (plan phases must not touch shared counters).
-  std::vector<std::vector<net::NodeIndex>> candidateLanes_;
-  std::vector<std::uint32_t> laneFeedCounts_;
+  /// Indexed by slot lane, sized to the largest slot.
+  std::vector<Lane> lanes_;
   MembershipEngineStats stats_;
   bool started_ = false;
 };

@@ -12,7 +12,7 @@ MulticastEngine::Handle MulticastEngine::launch(
   auto op = std::make_shared<Operation>();
   op->params = params;
   op->params.entryAnycast.range = params.range;
-  op->startedAt = ctx_.sim.now();
+  op->startedAt = sim_.now();
 
   // Ground-truth eligible set: online nodes whose true availability lies
   // in R at launch ("number could have been delivered", Figures 12-13).
@@ -107,7 +107,7 @@ void MulticastEngine::receiveAt(std::shared_ptr<Operation> op,
   if (sender != node && !nodes_[node].verifyIncoming(sender)) return;
 
   Delivery d;
-  d.at = ctx_.sim.now();
+  d.at = sim_.now();
   d.inRange = op->params.range.contains(groundTruthAv_(node));
   op->deliveries.emplace(node, d);
   op->reachedRange = op->reachedRange || d.inRange;
@@ -149,7 +149,7 @@ void MulticastEngine::gossipFrom(std::shared_ptr<Operation> op,
   auto roundsLeft = std::make_shared<int>(op->params.rounds);
 
   task->start(
-      ctx_.sim, ctx_.sim.now(), op->params.gossipPeriod,
+      sim_, sim_.now(), op->params.gossipPeriod,
       [this, op, node, task, sentTo, roundsLeft] {
         if (*roundsLeft <= 0) {
           task->stop();

@@ -93,11 +93,11 @@ class MulticastEngine {
 
   /// `groundTruthAv(n)` must return node n's true availability (used only
   /// for metric classification, never for protocol decisions).
-  MulticastEngine(ProtocolContext& ctx, net::Network& network,
+  MulticastEngine(sim::Simulator& sim, net::Network& network,
                   std::vector<AvmemNode>& nodes, AnycastEngine& anycast,
                   std::function<double(net::NodeIndex)> groundTruthAv,
                   sim::Rng rng)
-      : ctx_(ctx),
+      : sim_(sim),
         network_(network),
         nodes_(nodes),
         anycast_(anycast),
@@ -143,7 +143,7 @@ class MulticastEngine {
   void floodFrom(std::shared_ptr<Operation> op, net::NodeIndex node);
   void gossipFrom(std::shared_ptr<Operation> op, net::NodeIndex node);
 
-  ProtocolContext& ctx_;
+  sim::Simulator& sim_;
   net::Network& network_;
   std::vector<AvmemNode>& nodes_;
   AnycastEngine& anycast_;

@@ -254,30 +254,14 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   engineConfig.refreshPeriod = config.protocol.refreshPeriod;
   engineConfig.shards = config.maintenanceShards;
   engineConfig.coarseViewOverlay = config.useCoarseViewOverlay;
-  auto* shufflePtr = shuffle_.get();
-  MembershipEngine::FeedFn feedFn;
-  MembershipEngine::PublishFn publishFn;
-  if (feed_ != nullptr) {
-    auto* feedPtr = feed_.get();
-    feedFn = [feedPtr](NodeIndex i, double selfAv, std::uint64_t round,
-                       std::vector<NodeIndex>& out) {
-      feedPtr->drawCandidates(i, selfAv, round, out);
-    };
-    publishFn = [feedPtr](NodeIndex i, double av) { feedPtr->publish(i, av); };
-  }
   engine_ = std::make_unique<MembershipEngine>(
-      *sim_, nodes_,
-      [shufflePtr](NodeIndex i) {
-        return std::span<const NodeIndex>(shufflePtr->viewOf(i));
-      },
-      [oraclePtr](NodeIndex i) { return oraclePtr->online(i); },
-      engineConfig, rng_.fork("task-stagger"), pool_.get(),
-      std::move(feedFn), std::move(publishFn));
+      *sim_, nodes_, *shuffle_, *oracle_, engineConfig,
+      rng_.fork("task-stagger"), pool_.get(), feed_.get());
 
   anycastEngine_ = std::make_unique<AnycastEngine>(
-      *ctx_, *network_, nodes_, rng_.fork("anycast"));
+      *sim_, *network_, nodes_, rng_.fork("anycast"));
   multicastEngine_ = std::make_unique<MulticastEngine>(
-      *ctx_, *network_, nodes_, *anycastEngine_,
+      *sim_, *network_, nodes_, *anycastEngine_,
       [this](NodeIndex i) { return trueAvailability(i); },
       rng_.fork("multicast"));
 }

@@ -278,7 +278,8 @@ class AvmemSimulation {
   [[nodiscard]] const AvmemPredicate& predicate() const noexcept {
     return *predicate_;
   }
-  [[nodiscard]] avmon::AvailabilityService& availabilityService() noexcept {
+  [[nodiscard]] const avmon::AvailabilityService& availabilityService()
+      const noexcept {
     return *service_;
   }
   /// The AVMON overlay behind the service when backend == kAvmon, else
@@ -380,7 +381,7 @@ class AvmemSimulation {
   std::unique_ptr<avmon::OracleAvailabilityService> oracle_;
   std::unique_ptr<avmon::AvmonSystem> avmonSystem_;
   std::unique_ptr<avmon::AvailabilityService> serviceOwned_;
-  avmon::AvailabilityService* service_ = nullptr;
+  const avmon::AvailabilityService* service_ = nullptr;
 
   std::unique_ptr<avmon::ShuffleService> shuffle_;
   std::unique_ptr<AvmemPredicate> predicate_;

@@ -25,7 +25,7 @@ struct DeadPeerWorld {
               return world.trace.onlineAt(i, world.sim.now());
             },
             net::paperDefaultLatency(), sim::Rng(5)),
-        engine(world.ctx, network, world.nodes, sim::Rng(7)) {
+        engine(world.sim, network, world.nodes, sim::Rng(7)) {
     // Move past node 1's death so sends to it drop offline.
     world.sim.runUntil(sim::SimTime::minutes(20 * 300));
   }

@@ -17,11 +17,11 @@ namespace avmem::fault::testing {
 /// An availability service that can be degraded mid-run.
 class FlakyAvailabilityService final : public avmon::AvailabilityService {
  public:
-  explicit FlakyAvailabilityService(avmon::AvailabilityService& inner)
+  explicit FlakyAvailabilityService(const avmon::AvailabilityService& inner)
       : inner_(inner) {}
 
   std::optional<double> query(net::NodeIndex querier,
-                              net::NodeIndex target) override {
+                              net::NodeIndex target) const override {
     if (outage_) return std::nullopt;
     auto v = inner_.query(querier, target);
     if (v && lieFactor_ != 0.0) {
@@ -34,7 +34,7 @@ class FlakyAvailabilityService final : public avmon::AvailabilityService {
   void setLie(double delta) noexcept { lieFactor_ = delta; }
 
  private:
-  avmon::AvailabilityService& inner_;
+  const avmon::AvailabilityService& inner_;
   bool outage_ = false;
   double lieFactor_ = 0.0;
 };

@@ -1,15 +1,11 @@
 #!/usr/bin/env python3
-"""detlint: determinism & plan-purity static analysis for the AVMEM tree.
+"""detlint: determinism static analysis for the AVMEM tree.
 
 Every guarantee the simulator makes — bit-identical runs at any thread
 count and across checkpoint/restore — rests on
 contracts that used to live only in review comments and expensive runtime
-matrix jobs. detlint makes them static, enforced per commit:
+matrix jobs. detlint makes the textual ones static, enforced per commit:
 
-  plan-purity      Plan-phase functions (``plan*`` methods, producers into
-                   ``MaintenancePlan`` lanes, worker-pool plan callbacks)
-                   must be ``const`` or write only their own lane buffer,
-                   and must never touch ``Network::send*``-family APIs.
   nondet-source    ``std::rand``, ``std::random_device``, ``time()``,
                    ``std::chrono::system_clock`` and default-seeded
                    ``<random>`` engines are banned everywhere; all
@@ -22,13 +18,13 @@ matrix jobs. detlint makes them static, enforced per commit:
   unordered-state  Declaring an unordered container as long-lived state
                    (a class member) requires a written justification that
                    its ordering never escapes.
-  rng-stream       Inside plan-phase functions all randomness must come
-                   from counter-based ``Rng::stream(seed, salt, seq)``:
-                   raw ``Rng`` construction, ``fork()`` and sequential
-                   draws from member generators are flagged.
 
-Function facts come from a self-contained lexer + structural parser, so
-the verdicts depend on nothing installed on the host.
+Plan-phase purity is not linted: plan functions are const members that
+see shared state only through const access, so the compiler rejects a
+plan that mutates it (tests/core/plan_contract_test.cpp pins this).
+
+Facts come from a self-contained lexer and a brace-matched class scan,
+so the verdicts depend on nothing installed on the host.
 
 Suppressions: ``// detlint: allow(<check>) <justification>`` on the same
 line or the line above. The justification is mandatory; a bare allow()
@@ -54,10 +50,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 # --------------------------------------------------------------------------
 
 CHECKS = {
-    "plan-purity": (
-        "plan-phase functions must be read-only against shared state "
-        "(const or lane-buffer writers) and must not send on the network"
-    ),
     "nondet-source": (
         "banned nondeterminism source (std::rand, random_device, time(), "
         "system_clock, default-seeded <random> engine)"
@@ -70,11 +62,6 @@ CHECKS = {
     "unordered-state": (
         "unordered container held as long-lived state; justify why its "
         "ordering never escapes (point queries only)"
-    ),
-    "rng-stream": (
-        "plan-phase randomness must be counter-based Rng::stream(seed, "
-        "salt, seq); raw construction, fork() and member-generator draws "
-        "are order-dependent"
     ),
     "unused-allow": (
         "a detlint allow() comment suppressed nothing; remove it or fix "
@@ -238,20 +225,8 @@ def harvest_suppressions(
 
 
 # --------------------------------------------------------------------------
-# Facts: functions, classes, members
+# Facts: unordered-container class members
 # --------------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class FunctionFact:
-    name: str              # unqualified
-    qualname: str          # Class::name when known
-    cls: str               # enclosing/owning class ("" for free functions)
-    params: str            # parameter list text
-    is_const: bool
-    line: int              # 1-based line of the header
-    body: str              # body text (blanked code), braces included
-    body_line: int         # 1-based line the body starts on
 
 
 @dataclasses.dataclass
@@ -264,39 +239,26 @@ class MemberFact:
 
 @dataclasses.dataclass
 class FileFacts:
-    path: Path
     rel: str
-    text: str                      # raw text
-    code: str                      # blanked code, same offsets
-    code_lines: List[str]
+    code: str                      # blanked code, same offsets as the file
     suppressions: List[Suppression]
-    functions: List[FunctionFact]
     members: List[MemberFact]
 
     def line_of(self, offset: int) -> int:
         return self.code.count("\n", 0, offset) + 1
 
 
-_QUALIFIER_TOKENS = {"const", "noexcept", "override", "final", "mutable",
-                     "try", "&", "&&"}
-
-_SCOPE_KEY_RE = re.compile(
-    r"\b(namespace|class|struct|union|enum)\b(?:\s+(?:class|struct)\b)?"
+# A class/struct/union definition up to its opening brace: keyword,
+# attributes, optional name, optional ``final`` and base clause.
+# ``enum class`` is captured (group 1) so it can be skipped; template
+# parameters (``class T>``) and declarations (``class X;``) never reach
+# a brace and do not match.
+_CLASS_RE = re.compile(
+    r"\b(enum\s+)?(?:class|struct|union)\b"
     r"(?:\s+(?:alignas\s*\([^)]*\)|\[\[[^\]]*\]\]))*"
-    r"\s*([A-Za-z_]\w*)?")
-
-
-def _match_back_paren(code: str, close: int) -> int:
-    """Index of the '(' matching code[close] == ')' (or -1)."""
-    depth = 0
-    for k in range(close, -1, -1):
-        if code[k] == ")":
-            depth += 1
-        elif code[k] == "(":
-            depth -= 1
-            if depth == 0:
-                return k
-    return -1
+    r"(?:\s+([A-Za-z_]\w*))?\s*(?:\bfinal\s*)?(?::[^;{}]*)?\{")
+_UNORDERED_RE = re.compile(
+    r"(?:std\s*::\s*)?unordered_(?:map|set|multimap|multiset)\s*<")
 
 
 def _match_fwd(code: str, open_idx: int, open_c: str, close_c: str) -> int:
@@ -311,87 +273,24 @@ def _match_fwd(code: str, open_idx: int, open_c: str, close_c: str) -> int:
     return -1
 
 
-def _segment_function_header(
-        seg: str) -> Optional[Tuple[str, str, bool]]:
-    """Parse a pre-'{' segment as a function header.
-
-    Returns (name, params, is_const) or None. Handles constructor
-    initializer lists (``Ctor(args) : a_(x), b_{y}``) by taking the first
-    top-level parenthesized group as the parameter list.
-    """
-    # Find the first '(' at angle/paren depth 0 preceded by an identifier.
-    depth_p = depth_a = 0
-    first_open = -1
-    k = 0
-    while k < len(seg):
-        ch = seg[k]
-        if ch == "(":
-            if depth_p == 0 and depth_a == 0:
-                m = re.search(r"(~?[A-Za-z_][\w]*)\s*$",
-                              seg[:k])
-                if m and m.group(1) not in (
-                        "if", "for", "while", "switch", "return",
-                        "sizeof", "alignof", "decltype", "catch"):
-                    first_open = k
-                    break
-            depth_p += 1
-        elif ch == ")":
-            depth_p -= 1
-        elif ch == "<":
-            depth_a += 1
-        elif ch == ">":
-            depth_a = max(0, depth_a - 1)
-        k += 1
-    if first_open == -1:
-        return None
-    close = _match_fwd(seg, first_open, "(", ")")
-    if close == -1:
-        return None
-    params = seg[first_open + 1:close]
-    # Name: longest qualified identifier ending right before '('.
-    m = re.search(r"((?:[A-Za-z_]\w*\s*::\s*)*~?[A-Za-z_]\w*"
-                  r"(?:\s*<[^<>]*>)?)\s*$", seg[:first_open])
-    if not m:
-        return None
-    name = re.sub(r"\s+", "", m.group(1))
-    trailer = seg[close + 1:]
-    # Trailer may be qualifiers, a trailing return type, an initializer
-    # list (": a_(x), b_{y}") or "= delete/default" (no body follows then,
-    # but those end with ';' so we never get here).
-    stripped = trailer.strip()
-    is_const = bool(re.match(r"^const\b", stripped)) or \
-        bool(re.search(r"\bconst\b(?!\s*[\w&*<])",
-                       re.sub(r"->.*$", "", stripped)))
-    if "=" in re.sub(r"(->.*$)|(:\s*.*$)", "", stripped):
-        return None  # assignment/initializer, not a function header
-    return name, params, is_const
-
-
-def _builtin_extract(path: Path, rel: str) -> FileFacts:
-    text = path.read_text(encoding="utf-8", errors="replace")
-    code, comments = blank_noncode(text)
-    code_lines = code.split("\n")
-    sups = harvest_suppressions(comments, code_lines)
-
-    functions: List[FunctionFact] = []
+def _class_members(code: str) -> List[MemberFact]:
+    """Unordered containers declared at the top level of a class body."""
+    # (open brace, close brace, name) of every class body, outermost first.
+    bodies: List[Tuple[int, int, str]] = []
+    for m in _CLASS_RE.finditer(code):
+        if m.group(1):
+            continue  # enum class / enum struct
+        close = _match_fwd(code, m.end() - 1, "{", "}")
+        if close != -1:
+            bodies.append((m.end() - 1, close, m.group(2) or ""))
     members: List[MemberFact] = []
-
-    # Scope walk: classify every top-level-ish '{'.
-    # stack entries: (kind, name, brace_open_idx)
-    stack: List[Tuple[str, str, int]] = []
-    seg_start = 0
-    i = 0
-    n = len(code)
-
-    def cls_path() -> str:
-        names = [nm for kd, nm, _ in stack if kd in ("class",) and nm]
-        return "::".join(names)
-
-    def scan_members(body_a: int, body_b: int, cls: str) -> None:
-        body = code[body_a:body_b]
+    for open_idx, close, name in bodies:
+        cls = "::".join(nm for a, b, nm in bodies
+                        if a <= open_idx and close <= b and nm)
+        body = code[open_idx + 1:close]
         # Depth map: member declarations live at brace depth 0 of the
         # class body; anything deeper is a method body or a nested type
-        # (scanned separately when its own brace closes).
+        # (scanned as its own body).
         depth_at = [0] * len(body)
         d = 0
         for k, ch in enumerate(body):
@@ -400,167 +299,32 @@ def _builtin_extract(path: Path, rel: str) -> FileFacts:
             elif ch == "}":
                 d = max(0, d - 1)
             depth_at[k] = d if ch != "{" else d - 1
-        for m in re.finditer(
-                r"(?:std\s*::\s*)?unordered_(?:map|set|multimap|multiset)\s*<",
-                body):
+        for m in _UNORDERED_RE.finditer(body):
             if depth_at[m.start()] != 0:
                 continue
-            close = _match_fwd(body, body.find("<", m.start()), "<", ">")
-            if close == -1:
+            end = _match_fwd(body, body.find("<", m.start()), "<", ">")
+            if end == -1:
                 continue
-            rest = body[close + 1:]
-            vm = re.match(r"\s*([A-Za-z_]\w*)\s*(?:;|=|\{)", rest)
+            vm = re.match(r"\s*([A-Za-z_]\w*)\s*(?:;|=|\{)", body[end + 1:])
             if not vm:
                 continue
-            line = code.count("\n", 0, body_a + m.start()) + 1
+            line = code.count("\n", 0, open_idx + 1 + m.start()) + 1
             members.append(MemberFact(
-                cls, vm.group(1), body[m.start():close + 1], line))
+                cls, vm.group(1), body[m.start():end + 1], line))
+    return members
 
-    while i < n:
-        c = code[i]
-        if c == ";" and not stack or (c == ";" and stack and
-                                      stack[-1][0] != "function"):
-            seg_start = i + 1
-            i += 1
-            continue
-        if c == "{":
-            in_function = any(k == "function" for k, _, _ in stack)
-            if in_function:
-                stack.append(("block", "", i))
-                i += 1
-                seg_start = i
-                continue
-            seg = code[seg_start:i]
-            km = None
-            for m in _SCOPE_KEY_RE.finditer(seg):
-                km = m  # last scope keyword in the segment wins
-            header = _segment_function_header(seg)
-            if km and km.group(1) == "namespace" and header is None:
-                stack.append(("namespace", km.group(2) or "", i))
-            elif km and km.group(1) in ("class", "struct", "union") and (
-                    header is None or
-                    # "struct Foo {" with no parens, or the keyword comes
-                    # after any parens (e.g. alignas) — treat as a class.
-                    km.start() > seg.rfind(")")):
-                stack.append(("class", km.group(2) or "", i))
-            elif km and km.group(1) == "enum":
-                stack.append(("enum", km.group(2) or "", i))
-            elif header is not None:
-                name, params, is_const = header
-                uq = name.split("::")[-1]
-                owner = cls_path()
-                if "::" in name:
-                    owner = name.rsplit("::", 1)[0]
-                qual = f"{owner}::{uq}" if owner else uq
-                functions.append(FunctionFact(
-                    name=uq, qualname=qual, cls=owner, params=params,
-                    is_const=is_const,
-                    line=code.count("\n", 0, seg_start + len(seg) -
-                                    len(seg.lstrip())) + 1,
-                    body="",  # filled when the brace closes
-                    body_line=code.count("\n", 0, i) + 1))
-                stack.append(("function", name, i))
-            else:
-                # Braced initializer at class/namespace scope (member
-                # default init, array init) — skip it wholesale.
-                j = _match_fwd(code, i, "{", "}")
-                if j == -1:
-                    j = n - 1
-                i = j + 1
-                seg_start = i
-                continue
-            i += 1
-            seg_start = i
-            continue
-        if c == "}":
-            if stack:
-                kind, name, open_idx = stack.pop()
-                if kind == "function":
-                    # attach body to the most recent matching function
-                    for f in reversed(functions):
-                        if f.body == "" and f.body_line == \
-                                code.count("\n", 0, open_idx) + 1:
-                            f.body = code[open_idx:i + 1]
-                            break
-                elif kind == "class":
-                    cls = "::".join(
-                        [nm for kd, nm, _ in stack if kd == "class" and nm]
-                        + ([name] if name else []))
-                    scan_members(open_idx + 1, i, cls)
-            i += 1
-            seg_start = i
-            continue
-        i += 1
 
-    # Unclosed functions (truncated file): drop empty bodies.
-    functions = [f for f in functions if f.body]
-
-    return FileFacts(path=path, rel=rel, text=text, code=code,
-                     code_lines=code_lines, suppressions=sups,
-                     functions=functions, members=members)
+def extract(path: Path, rel: str) -> FileFacts:
+    text = path.read_text(encoding="utf-8", errors="replace")
+    code, comments = blank_noncode(text)
+    sups = harvest_suppressions(comments, code.split("\n"))
+    return FileFacts(rel=rel, code=code, suppressions=sups,
+                     members=_class_members(code))
 
 
 # --------------------------------------------------------------------------
 # Checks
 # --------------------------------------------------------------------------
-
-_PLAN_NAME_RE = re.compile(r"^plan[A-Z_]")
-_SEND_RE = re.compile(r"\b(?:\w+(?:_|\b)\s*(?:\.|->)\s*)?"
-                      r"(send\w*)\s*\(")
-_LANE_PARAM_RE = re.compile(
-    r"(\bMaintenancePlan\s*&)|(\b\w*(?:Plan|Group|Lane)\w*\s*&\s*\w+)|"
-    r"(\blane\b)")
-_CONST_PLAN_PARAM_RE = re.compile(r"const\s+MaintenancePlan\s*&")
-
-
-def _plan_functions(ff: FileFacts) -> List[FunctionFact]:
-    plans = []
-    for f in ff.functions:
-        if _PLAN_NAME_RE.match(f.name):
-            plans.append(f)
-        elif re.search(r"(?<!const )\bMaintenancePlan\s*&", f.params) and \
-                not _CONST_PLAN_PARAM_RE.search(f.params):
-            plans.append(f)
-    return plans
-
-
-def _body_line(ff: FileFacts, f: FunctionFact, m_start: int) -> int:
-    return f.body_line + f.body.count("\n", 0, m_start)
-
-
-def check_plan_purity(ff: FileFacts) -> List[Finding]:
-    out: List[Finding] = []
-    for f in _plan_functions(ff):
-        if not f.is_const and f.cls:
-            if not _LANE_PARAM_RE.search(f.params):
-                out.append(Finding(
-                    ff.rel, f.line, "plan-purity",
-                    f"plan-phase method '{f.qualname}' is non-const and "
-                    f"takes no lane/plan output parameter; plan phases "
-                    f"run concurrently and may only write their own lane "
-                    f"span"))
-        for m in _SEND_RE.finditer(f.body):
-            out.append(Finding(
-                ff.rel, _body_line(ff, f, m.start()), "plan-purity",
-                f"plan-phase function '{f.qualname}' calls "
-                f"'{m.group(1)}' — network sends mutate shared wire "
-                f"state and must happen in the serial commit phase"))
-    # Worker-pool plan callbacks: lambdas named plan*.
-    for f in ff.functions:
-        for lm in re.finditer(
-                r"\b(plan\w*)\s*=\s*\[[^\]]*\]\s*(?:\([^)]*\))?\s*\{",
-                f.body):
-            open_idx = f.body.find("{", lm.end() - 1)
-            close = _match_fwd(f.body, open_idx, "{", "}")
-            lam_body = f.body[open_idx:close + 1]
-            for m in _SEND_RE.finditer(lam_body):
-                out.append(Finding(
-                    ff.rel, _body_line(ff, f, open_idx + m.start()),
-                    "plan-purity",
-                    f"worker-pool plan callback '{lm.group(1)}' calls "
-                    f"'{m.group(1)}' — plan callbacks must not send"))
-    return out
-
 
 _NONDET_PATTERNS: List[Tuple[re.Pattern, str]] = [
     (re.compile(r"(?<![\w.>:])std\s*::\s*rand\b|(?<![\w.>:])s?rand\s*\("),
@@ -599,9 +363,7 @@ def _unordered_names(ff: FileFacts) -> Dict[str, int]:
     names: Dict[str, int] = {}
     for mem in ff.members:
         names[mem.name] = mem.line
-    decl_re = re.compile(
-        r"(?:std\s*::\s*)?unordered_(?:map|set|multimap|multiset)\s*<")
-    for m in decl_re.finditer(ff.code):
+    for m in _UNORDERED_RE.finditer(ff.code):
         close = _match_fwd(ff.code, ff.code.find("<", m.start()), "<", ">")
         if close == -1:
             continue
@@ -652,70 +414,14 @@ def check_unordered(ff: FileFacts,
     return out
 
 
-_RNG_CTOR_RE = re.compile(
-    r"\b(?:sim\s*::\s*)?Rng\s+(\w+)\s*(\(|\{|=)")
-_RNG_FORK_RE = re.compile(r"\.\s*fork\s*\(")
-_RNG_MEMBER_DRAW_RE = re.compile(
-    r"\b(\w*rng_?)\s*(?:\.|->)\s*"
-    r"(next|uniform|below|between|chance|index|exponential|shuffle|"
-    r"operator\(\))\s*[(<]")
-
-
-def check_rng_stream(ff: FileFacts) -> List[Finding]:
-    out: List[Finding] = []
-    for f in _plan_functions(ff):
-        for m in _RNG_CTOR_RE.finditer(f.body):
-            tail = f.body[m.end() - 1:m.end() + 120]
-            if "Rng::stream" in tail or "stream(" in tail.split(";")[0]:
-                continue
-            out.append(Finding(
-                ff.rel, _body_line(ff, f, m.start()), "rng-stream",
-                f"plan-phase function '{f.qualname}' constructs Rng "
-                f"'{m.group(1)}' outside Rng::stream(seed, salt, seq); "
-                f"sequential generators are draw-order-dependent"))
-        for m in _RNG_FORK_RE.finditer(f.body):
-            out.append(Finding(
-                ff.rel, _body_line(ff, f, m.start()), "rng-stream",
-                f"plan-phase function '{f.qualname}' calls fork() — "
-                f"fork order is shared sequential state; derive a "
-                f"counter stream instead"))
-        for m in _RNG_MEMBER_DRAW_RE.finditer(f.body):
-            if m.group(1) in ("rng", "rng_") and \
-                    f"Rng {m.group(1)}" in f.body or \
-                    re.search(r"\bRng\s+" + re.escape(m.group(1)) + r"\b",
-                              f.body):
-                continue  # draw from a local stream-derived generator
-            out.append(Finding(
-                ff.rel, _body_line(ff, f, m.start()), "rng-stream",
-                f"plan-phase function '{f.qualname}' draws "
-                f"'{m.group(1)}.{m.group(2)}()' from a member "
-                f"generator — sequential draws depend on plan "
-                f"execution order; use Rng::stream"))
-    return out
-
-
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
 
-def discover_files(repo_root: Path, paths: Sequence[str],
-                   compile_commands: Optional[Path]) -> List[Path]:
-    roots = [repo_root / p for p in paths]
+def discover_files(repo_root: Path, paths: Sequence[str]) -> List[Path]:
     files: Set[Path] = set()
-    if compile_commands and compile_commands.exists():
-        try:
-            for entry in json.loads(compile_commands.read_text()):
-                f = Path(entry["directory"], entry["file"]).resolve()
-                if any(str(f).startswith(str(r.resolve()) + os.sep)
-                       for r in roots):
-                    files.add(f)
-        except (ValueError, KeyError) as e:
-            print(f"detlint: warning: unreadable compile_commands "
-                  f"({e}); falling back to a glob", file=sys.stderr)
-    # Headers never appear in compile_commands; sources might be missing
-    # if the database is stale. Union with a glob so coverage is total.
-    for root in roots:
+    for root in (repo_root / p for p in paths):
         if root.is_file():
             files.add(root.resolve())
             continue
@@ -725,7 +431,7 @@ def discover_files(repo_root: Path, paths: Sequence[str],
 
 
 def analyze(repo_root: Path, files: Sequence[Path]) -> List[FileFacts]:
-    return [_builtin_extract(path, os.path.relpath(path, repo_root))
+    return [extract(path, os.path.relpath(path, repo_root))
             for path in files]
 
 
@@ -734,10 +440,8 @@ def run_checks(facts: List[FileFacts],
     findings: List[Finding] = []
     global_members = {mem.name for ff in facts for mem in ff.members}
     for ff in facts:
-        findings += check_plan_purity(ff)
         findings += check_nondet_source(ff)
         findings += check_unordered(ff, global_members)
-        findings += check_rng_stream(ff)
     if only:
         findings = [f for f in findings if f.check in only]
 
@@ -807,9 +511,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repo-root", type=Path,
                     default=Path(__file__).resolve().parents[2])
-    ap.add_argument("--compile-commands", type=Path, default=None,
-                    help="CMake-exported compile_commands.json (used for "
-                         "the TU list; headers are always globbed)")
     ap.add_argument("--paths", nargs="*", default=list(DEFAULT_PATHS),
                     help="paths (relative to repo root) to scan")
     ap.add_argument("--check", action="append", default=None,
@@ -835,12 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     repo_root = args.repo_root.resolve()
-    cc = args.compile_commands
-    if cc is None:
-        candidate = repo_root / "build" / "compile_commands.json"
-        cc = candidate if candidate.exists() else None
-
-    files = discover_files(repo_root, args.paths, cc)
+    files = discover_files(repo_root, args.paths)
     if not files:
         print("detlint: no source files found", file=sys.stderr)
         return 2
