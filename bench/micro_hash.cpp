@@ -76,6 +76,35 @@ void BM_Sha1Pair6(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1Pair6)->Arg(0)->Arg(1);
 
+// The multi-pair SHA-1 entry, one row per lane, as AVMON materializes a
+// monitor set: one target fixed on the right against every id of a
+// 1442-id table. Arg: 0 = the sha1Pair6 loop, 1 = AVX-512 (reported as an
+// error on CPUs without it). Items are pairs, so the time per item reads
+// against BM_Sha1Pair6's.
+void BM_Sha1Pair6Many(benchmark::State& state) {
+  const bool avx512 = state.range(0) == 1;
+  if (avx512 && !hashing::sha1_lanes::avx512Supported()) {
+    state.SkipWithError("CPU has no AVX-512F");
+    return;
+  }
+  const auto lane = avx512 ? &hashing::sha1_lanes::pair6ManyAvx512
+                           : &hashing::sha1_lanes::pair6ManyLoop;
+  std::vector<std::uint64_t> words(1442);
+  sim::Rng rng(5);
+  for (auto& w : words) w = rng.next() & ((std::uint64_t{1} << 48) - 1);
+  std::vector<std::uint64_t> out(words.size());
+  std::size_t target = 0;
+  for (auto _ : state) {
+    lane(words[target], words, hashing::PairSide::kRight, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    if (++target == words.size()) target = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(words.size()));
+}
+BENCHMARK(BM_Sha1Pair6Many)->Arg(0)->Arg(1);
+
 // The raw mixer, without the PairHasher dispatch: what Discovery pays per
 // predicate evaluation in scale mode.
 void BM_Fast64Pair(benchmark::State& state) {

@@ -1,13 +1,15 @@
 // Micro-benchmarks: discrete-event engine throughput, the worker pool's
-// fork/join cost, the CYCLON view merge, and the ground-truth
-// availability query.
+// fork/join cost, the CYCLON view merge, the ground-truth availability
+// query and the AVMON availability query.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "avmon/availability_service.hpp"
+#include "avmon/avmon_monitors.hpp"
 #include "avmon/view_merge.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -15,6 +17,7 @@
 #include "sim/simulator.hpp"
 #include "sim/worker_pool.hpp"
 #include "trace/markov_churn.hpp"
+#include "trace/overnet_generator.hpp"
 
 namespace {
 
@@ -198,6 +201,42 @@ void BM_AvailabilityQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AvailabilityQuery)->Arg(0)->Arg(1);
+
+void BM_AvmonQuery(benchmark::State& state) {
+  // AvmonAvailabilityService::query on the paper's setup: 1442 hosts,
+  // SHA-1 monitor sets of ~8, two simulated days of folded epochs, every
+  // target materialized, 1024 pre-drawn (querier, target) pairs asked in
+  // turn (some queriers offline). The (epoch, fold) table is built once,
+  // untimed, so a row reads the per-query cost.
+  constexpr std::size_t kHosts = 1442;
+  constexpr std::size_t kPairs = 1024;
+  trace::OvernetTraceConfig traceConfig;
+  traceConfig.hosts = kHosts;
+  traceConfig.epochs = 300;
+  const trace::ChurnTrace model = trace::generateOvernetTrace(traceConfig);
+  const std::vector<core::NodeId> ids = core::makeNodeIds(kHosts, 5);
+  sim::Simulator sim;
+  avmon::AvmonSystem system(model, sim, ids, avmon::AvmonConfig{});
+  system.start();
+  for (net::NodeIndex t = 0; t < kHosts; ++t) (void)system.monitorsOf(t);
+  sim.runUntil(sim::SimTime::days(2) + sim::SimDuration::minutes(7));
+  const avmon::AvmonAvailabilityService service(system);
+
+  sim::Rng rng(5);
+  std::vector<std::pair<net::NodeIndex, net::NodeIndex>> pairs(kPairs);
+  for (auto& [querier, target] : pairs) {
+    querier = static_cast<net::NodeIndex>(rng.below(kHosts));
+    target = static_cast<net::NodeIndex>(rng.below(kHosts));
+  }
+  (void)service.query(0, 0);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const auto [querier, target] = pairs[k];
+    k = k + 1 == kPairs ? 0 : k + 1;
+    benchmark::DoNotOptimize(service.query(querier, target));
+  }
+}
+BENCHMARK(BM_AvmonQuery);
 
 }  // namespace
 

@@ -19,7 +19,6 @@ AvmonSystem::AvmonSystem(const trace::AvailabilityModel& trace,
       sim_(sim),
       ids_(ids),
       hasher_(config.hashAlgorithm, config.hashSeed),
-      hashSeed_(config.hashSeed),
       threshold_(config.expectedMonitorsPerTarget /
                  static_cast<double>(trace.hostCount())) {
   if (ids_.size() != trace_.hostCount()) {
@@ -38,12 +37,16 @@ AvmonSystem::AvmonSystem(const trace::AvailabilityModel& trace,
   for (std::size_t i = 0; i < n; ++i) {
     ready_[i].store(0, std::memory_order_relaxed);
   }
-  if (config.hashAlgorithm == hashing::PairHashAlgorithm::kFast64) {
-    idTails_.reserve(n);
-    for (const core::NodeId& id : ids_) {
-      idTails_.push_back(hashing::fast64Tail6(id.ip, id.port));
-    }
+  if (trace_.epochCount() >= (std::uint64_t{1} << 32)) {
+    throw std::invalid_argument(
+        "AvmonSystem: the query table key holds epochs below 2^32");
   }
+  idWords_.reserve(n);
+  for (const core::NodeId& id : ids_) {
+    idWords_.push_back(hashing::fast64Tail6(id.ip, id.port));
+  }
+  tableOnline_.resize(n);
+  tableSums_.resize(n);
 }
 
 std::optional<sim::SimTime> AvmonSystem::nextFold(
@@ -184,26 +187,17 @@ bool AvmonSystem::billPing(NodeIndex m, NodeIndex target, bool targetUp,
 
 void AvmonSystem::scanMonitors(NodeIndex target,
                                std::vector<NodeIndex>& out) const {
+  // Target fixed on the right: H(m, target) for every candidate m, one
+  // batch at a time; bit-identical to isMonitor's scalar hash.
   const auto n = static_cast<NodeIndex>(ids_.size());
-  if (!idTails_.empty()) {
-    // Batched kernel, target fixed as the right operand; bit-identical to
-    // the scalar hasher (tests/hash/fast64_batch_test.cpp).
-    const hashing::Fast64TargetBatch batch(hashSeed_, idTails_[target]);
-    std::array<double, 256> buf;
-    for (NodeIndex base = 0; base < n; base += 256) {
-      const std::size_t chunk = std::min<std::size_t>(256, n - base);
-      batch.hashMany({idTails_.data() + base, chunk}, {buf.data(), chunk});
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const NodeIndex m = base + static_cast<NodeIndex>(i);
-        if (m != target && buf[i] <= threshold_) out.push_back(m);
-      }
-    }
-    return;
-  }
-  for (NodeIndex m = 0; m < n; ++m) {
-    if (m == target) continue;
-    if (hasher_(ids_[m].bytes(), ids_[target].bytes()) <= threshold_) {
-      out.push_back(m);
+  std::array<double, 256> buf;
+  for (NodeIndex base = 0; base < n; base += 256) {
+    const std::size_t chunk = std::min<std::size_t>(256, n - base);
+    hasher_.hashMany(idWords_[target], {idWords_.data() + base, chunk},
+                     hashing::PairSide::kRight, {buf.data(), chunk});
+    for (std::size_t i = 0; i < chunk; ++i) {
+      const NodeIndex m = base + static_cast<NodeIndex>(i);
+      if (m != target && buf[i] <= threshold_) out.push_back(m);
     }
   }
 }
@@ -310,27 +304,90 @@ void AvmonSystem::restoreInstall(std::uint64_t advancedEpochs,
   for (std::size_t t = 0; t < cells_.size(); ++t) {
     if (cells_[t] != nullptr) ready_[t].store(1, std::memory_order_release);
   }
+  tableKey_.store(kNoTable, std::memory_order_release);
 }
 
-std::optional<double> AvmonAvailabilityService::query(
-    NodeIndex querier, NodeIndex target) const {
-  const AvmonSystem::TargetCell& cell = system_.ensureCell(target);
-  if (cell.monitors.empty()) return std::nullopt;
-  // One epoch lookup per query: onlineAt(m, now) is
-  // onlineInEpoch(m, epochAt(now)) for every monitor m.
-  const trace::AvailabilityModel& trace = system_.trace_;
-  const std::size_t epoch = trace.epochAt(system_.sim_.now());
+void AvmonSystem::rebuildQueryTable(std::size_t epoch,
+                                    std::uint64_t key) const {
+  const std::lock_guard<std::mutex> lock(tableMutex_);
+  if (tableKey_.load(std::memory_order_relaxed) == key) return;
+  const std::size_t n = ids_.size();
+  for (std::size_t h = 0; h < n; ++h) {
+    tableOnline_[h] =
+        trace_.onlineInEpoch(static_cast<trace::HostIndex>(h), epoch) ? 1 : 0;
+  }
+  for (std::size_t t = 0; t < n; ++t) {
+    TargetSums& sums = tableSums_[t];
+    if (ready_[t].load(std::memory_order_acquire) == 0) {
+      sums = TargetSums{};
+      continue;
+    }
+    const TargetCell& cell = *cells_[t];
+    sums.up = 0.0;
+    sums.samples = 0.0;
+    for (std::size_t j = 0; j < cell.monitors.size(); ++j) {
+      if (tableOnline_[cell.monitors[j]] == 0 || cell.samples[j] == 0) {
+        continue;
+      }
+      sums.up += cell.up[j];
+      sums.samples += cell.samples[j];
+    }
+  }
+  tableKey_.store(key, std::memory_order_release);
+}
+
+std::optional<double> AvmonSystem::query(NodeIndex querier,
+                                         NodeIndex target) const {
+  if (target >= ids_.size()) {
+    throw std::out_of_range("AvmonSystem: target index out of range");
+  }
+  const std::size_t epoch = trace_.epochAt(sim_.now());
+  const std::uint64_t key =
+      (std::uint64_t{epoch} << 32) |
+      advancedEpochs_.load(std::memory_order_acquire);
+  if (tableKey_.load(std::memory_order_acquire) != key) {
+    rebuildQueryTable(epoch, key);
+  }
+  const TargetSums& sums = tableSums_[target];
+  if (sums.samples < 0.0) return queryByWalk(querier, target, epoch);
+  double up = sums.up;
+  double samples = sums.samples;
+  if (querier < ids_.size() && tableOnline_[querier] == 0) {
+    // An offline querier is not among the online sums, yet it still
+    // reads its own counters when it monitors the target.
+    const TargetCell& cell = *cells_[target];
+    const auto it =
+        std::lower_bound(cell.monitors.begin(), cell.monitors.end(), querier);
+    const auto j = static_cast<std::size_t>(it - cell.monitors.begin());
+    if (it != cell.monitors.end() && *it == querier && cell.samples[j] != 0) {
+      up += cell.up[j];
+      samples += cell.samples[j];
+    }
+  }
+  if (samples == 0.0) return std::nullopt;
+  return up / samples;
+}
+
+std::optional<double> AvmonSystem::queryByWalk(NodeIndex querier,
+                                               NodeIndex target,
+                                               std::size_t epoch) const {
+  const TargetCell& cell = ensureCell(target);
   double up = 0.0;
   double samples = 0.0;
   for (std::size_t j = 0; j < cell.monitors.size(); ++j) {
     const NodeIndex m = cell.monitors[j];
-    if (m != querier && !trace.onlineInEpoch(m, epoch)) continue;
+    if (m != querier && !trace_.onlineInEpoch(m, epoch)) continue;
     if (cell.samples[j] == 0) continue;
     up += cell.up[j];
     samples += cell.samples[j];
   }
   if (samples == 0.0) return std::nullopt;
   return up / samples;
+}
+
+std::optional<double> AvmonAvailabilityService::query(
+    NodeIndex querier, NodeIndex target) const {
+  return system_.query(querier, target);
 }
 
 }  // namespace avmem::avmon

@@ -21,10 +21,11 @@
 // Architecture (PR 9 — see docs/ARCHITECTURE.md "AVMON at scale"):
 //
 //  * Lazy monitor materialization. The monitor set of a target is built on
-//    first query — one O(N) hash scan through the batched kFast64 kernel
-//    (hash/fast64_batch.hpp) for seeded scale runs, or PairHasher for the
-//    paper's SHA-1, whose 6-byte ids take the one-block sha1Pair6 kernel
-//    (SHA-NI where the CPU has it) — then memoized behind an atomic
+//    first query — one O(N) hash scan through PairHasher::hashMany with
+//    the target fixed on the right (the four-mix kFast64 batch for seeded
+//    scale runs; for the paper's SHA-1, sixteen pairs per AVX-512 block
+//    where the CPU has it, else one sha1Pair6 per pair) — then memoized
+//    behind an atomic
 //    ready flag with striped-mutex publication, so concurrent plan-phase
 //    queries materialize safely. The relation stays verifiable: isMonitor
 //    recomputes from the hash, never the table.
@@ -35,6 +36,11 @@
 //    then commits counters serially in ascending target order. query() is
 //    a pure read of frozen counters, so the engine plans in parallel with
 //    the AVMON backend, bit-identically at any thread count.
+//  * One query table per (epoch, fold cursor). An answer depends on the
+//    counters and on who is online now, both fixed under that key, so the
+//    first query under a new key sums each materialized target's online
+//    monitors once, and later queries load the sums (see
+//    AvmonAvailabilityService::query).
 //  * Wire-billed pings. Each committed sample is a ping billed into
 //    NetworkStats (and answered by a pong when the target is up) through a
 //    friend seam on net::Network, consulted against the fault injector's
@@ -225,15 +231,37 @@ class AvmonSystem {
   void restoreStage(Cells& cells) const;
 
   /// Adopt a staged restore; never throws. Only valid on a fresh system.
+  /// Drops the query table, so the next query rebuilds it from the
+  /// restored cells.
   void restoreInstall(std::uint64_t advancedEpochs, const PingStats& pings,
                       Cells cells) noexcept;
 
  private:
-  /// The facade reads cells, the trace and the clock directly (no
-  /// per-monitor binary search or epoch lookup on the hot query path).
+  /// The facade answers through query().
   friend class AvmonAvailabilityService;
 
   static constexpr std::size_t kStripes = 64;
+  static constexpr std::uint64_t kNoTable = ~std::uint64_t{0};
+
+  /// Σup and Σsamples over one target's monitors that are online in the
+  /// table's epoch; samples < 0 marks a target whose cell was not
+  /// materialized when the table was built.
+  struct TargetSums {
+    double up = 0.0;
+    double samples = -1.0;
+  };
+
+  /// AvmonAvailabilityService::query's answer (see there).
+  [[nodiscard]] std::optional<double> query(NodeIndex querier,
+                                            NodeIndex target) const;
+  /// The per-monitor walk query() falls back to for a target the table
+  /// does not cover.
+  [[nodiscard]] std::optional<double> queryByWalk(NodeIndex querier,
+                                                  NodeIndex target,
+                                                  std::size_t epoch) const;
+  /// Fill the query table for `epoch` under the current counters and
+  /// publish it as `key`; the first reader of a new key calls this.
+  void rebuildQueryTable(std::size_t epoch, std::uint64_t key) const;
 
   [[nodiscard]] const TargetCell& ensureCell(NodeIndex target) const;
   void scanMonitors(NodeIndex target, std::vector<NodeIndex>& out) const;
@@ -248,15 +276,28 @@ class AvmonSystem {
   sim::Simulator& sim_;
   const std::vector<core::NodeId>& ids_;
   hashing::PairHasher hasher_;
-  std::uint64_t hashSeed_;
   double threshold_;
-  std::vector<std::uint64_t> idTails_;  ///< kFast64 batch tails (else empty)
+  /// fast64Tail6 of every id: the words PairHasher::hashMany reads.
+  std::vector<std::uint64_t> idWords_;
 
   // Lazy cells: null until materialized; publication is flag-release /
   // query-acquire under a striped mutex (concurrent plan-phase queries).
   mutable Cells cells_;
   mutable std::unique_ptr<std::atomic<std::uint8_t>[]> ready_;
   mutable std::array<std::mutex, kStripes> stripes_;
+
+  // Query table for one (epoch, fold cursor) key: a per-host online flag
+  // and per-target sums. Counters move only at folds and restores, and
+  // the clock only in serial code between plan fan-outs, so every
+  // concurrent reader shares one key. The rebuild runs under a mutex
+  // behind a double-checked acquire/release tag (the pattern of
+  // OracleAvailabilityService).
+  mutable std::mutex tableMutex_;
+  mutable std::vector<std::uint8_t> tableOnline_;
+  mutable std::vector<TargetSums> tableSums_;
+  /// (epoch << 32) | fold cursor of the table; stored (release) after
+  /// the arrays are filled. kNoTable until the first query.
+  mutable std::atomic<std::uint64_t> tableKey_{kNoTable};
 
   std::atomic<std::uint64_t> advancedEpochs_{0};
   sim::PeriodicTask epochTask_;
@@ -282,12 +323,20 @@ class AvmonAvailabilityService final : public AvailabilityService {
   /// monitor set, and pooling the samples is the minimum-variance
   /// combination). Querier-dependence — the inconsistency Figures 5-6
   /// measure — remains: a querier only hears from monitors it can reach,
-  /// i.e. those currently online. nullopt if no informed monitor is
-  /// reachable.
+  /// i.e. those currently online, plus itself when it monitors the
+  /// target. nullopt if no informed monitor is reachable.
   ///
-  /// Reads frozen counters (advanced only at serial epoch-fold events),
-  /// the memoized monitor cell (atomic publication), and the trace's
-  /// online oracle — all safe under the parallel plan phase.
+  /// The answer is a pure function of the target's counters and who is
+  /// online now, so AvmonSystem keeps one table per (epoch, fold cursor)
+  /// holding, per target, Σup and Σsamples over its monitors online now.
+  /// A query is one load of those sums, plus a binary search in the
+  /// monitor list only when the querier is offline (its own counters
+  /// still count). A target materialized after the table was built is
+  /// answered by walking its monitors. Every term is an integer far
+  /// below 2^53, so the double sums are exact in any order and both
+  /// paths return the same bits. The table is rebuilt by the first query
+  /// under a new key (a fold, a new epoch, or a restore) and read
+  /// concurrently under the parallel plan phase.
   [[nodiscard]] std::optional<double> query(NodeIndex querier,
                                             NodeIndex target) const override;
 

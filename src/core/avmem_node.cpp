@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "hash/fast64_batch.hpp"
-
 namespace avmem::core {
 
 std::vector<NeighborEntry> AvmemNode::neighbors(SliverSet set) const {
@@ -29,48 +27,15 @@ double AvmemNode::planSelfAvailability(MaintenancePlan& plan) const {
   return selfAv_;
 }
 
-MaintenancePlan::PeerEval AvmemNode::planEvaluatePeer(
-    NodeIndex peer, const AvmemPredicate::Row& owner,
-    MaintenancePlan& plan) const {
-  ++plan.availabilityQueries;
-  MaintenancePlan::PeerEval ev;
-  ev.peer = peer;
-  const auto peerAv = ctx_->availability.query(self_, peer);
-  if (!peerAv) return ev;
-
-  ev.known = true;
-  ev.av = *peerAv;
-  ev.kind = owner.classify(ev.av);
-  ev.member = owner.evaluate(ctx_->hashOf(self_, peer), ev.av);
-  return ev;
-}
-
 void AvmemNode::planDiscovery(std::span<const NodeIndex> view,
                               MaintenancePlan& plan) const {
   const auto owner = ctx_->predicate.at(planSelfAvailability(plan));
-  if (ctx_->batchHashReady()) {
-    planDiscoveryBatch(view, owner, plan);
-    return;
-  }
-  for (const NodeIndex peer : view) {
-    if (peer == self_ || knows(peer)) continue;
-    const auto ev = planEvaluatePeer(peer, owner, plan);
-    if (ev.known && ev.member) plan.evals.push_back(ev);
-  }
-}
-
-void AvmemNode::planDiscoveryBatch(std::span<const NodeIndex> view,
-                                   const AvmemPredicate::Row& owner,
-                                   MaintenancePlan& plan) const {
+  // The whole candidate span is hashed up front in one batch. Hashes are
+  // pure, so hashing candidates the loop then skips wastes work but
+  // changes nothing; the evaluation order is the view's.
   const std::size_t n = view.size();
-  plan.tailScratch.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    plan.tailScratch[i] = ctx_->idTails[view[i]];
-  }
   plan.hashScratch.resize(n);
-  const hashing::Fast64PairBatch batch(ctx_->pairHash.seed(),
-                                       ctx_->idTails[self_]);
-  batch.hashMany(plan.tailScratch, plan.hashScratch);
+  ctx_->hashMany(self_, view, plan.wordScratch, plan.hashScratch);
 
   for (std::size_t i = 0; i < n; ++i) {
     const NodeIndex peer = view[i];
@@ -127,34 +92,18 @@ void AvmemNode::commitAdopt(const MaintenancePlan& plan) {
 
 void AvmemNode::planRefresh(MaintenancePlan& plan) const {
   const auto owner = ctx_->predicate.at(planSelfAvailability(plan));
-  if (ctx_->batchHashReady()) {
-    planRefreshSliverBatch(hs_.peers(), owner, plan);
-    plan.hsEvalCount = plan.evals.size();
-    planRefreshSliverBatch(vs_.peers(), owner, plan);
-    return;
-  }
-  for (const NodeIndex peer : hs_.peers()) {
-    plan.evals.push_back(planEvaluatePeer(peer, owner, plan));
-  }
+  planRefreshSliver(hs_.peers(), owner, plan);
   plan.hsEvalCount = plan.evals.size();
-  for (const NodeIndex peer : vs_.peers()) {
-    plan.evals.push_back(planEvaluatePeer(peer, owner, plan));
-  }
+  planRefreshSliver(vs_.peers(), owner, plan);
 }
 
-void AvmemNode::planRefreshSliverBatch(std::span<const NodeIndex> peers,
-                                       const AvmemPredicate::Row& owner,
-                                       MaintenancePlan& plan) const {
+void AvmemNode::planRefreshSliver(std::span<const NodeIndex> peers,
+                                  const AvmemPredicate::Row& owner,
+                                  MaintenancePlan& plan) const {
   const std::size_t n = peers.size();
   if (n == 0) return;
-  plan.tailScratch.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    plan.tailScratch[i] = ctx_->idTails[peers[i]];
-  }
   plan.hashScratch.resize(n);
-  const hashing::Fast64PairBatch batch(ctx_->pairHash.seed(),
-                                       ctx_->idTails[self_]);
-  batch.hashMany(plan.tailScratch, plan.hashScratch);
+  ctx_->hashMany(self_, peers, plan.wordScratch, plan.hashScratch);
 
   // Service queries stay sequential (the query order is part of the
   // deterministic contract); their answers land in contiguous arrays so

@@ -16,6 +16,7 @@
 #include "core/membership.hpp"
 #include "core/node_id.hpp"
 #include "core/predicates.hpp"
+#include "hash/fast64_batch.hpp"
 #include "hash/pair_hash.hpp"
 #include "sim/simulator.hpp"
 
@@ -27,30 +28,50 @@ namespace avmem::core {
 /// the monitoring service, but cannot schedule an event or mutate the
 /// service, so a plan phase holding the context cannot touch shared state.
 struct ProtocolContext {
+  ProtocolContext(const sim::Simulator& sim_,
+                  const avmon::AvailabilityService& availability_,
+                  const AvmemPredicate& predicate_,
+                  const std::vector<NodeId>& ids_,
+                  hashing::PairHasher pairHash_, ProtocolConfig config_)
+      : sim(sim_),
+        availability(availability_),
+        predicate(predicate_),
+        ids(ids_),
+        pairHash(pairHash_),
+        config(config_) {
+    idWords.reserve(ids.size());
+    for (const NodeId& id : ids) {
+      idWords.push_back(hashing::fast64Tail6(id.ip, id.port));
+    }
+  }
+
   const sim::Simulator& sim;
   const avmon::AvailabilityService& availability;
   const AvmemPredicate& predicate;
   const std::vector<NodeId>& ids;
   hashing::PairHasher pairHash;
   ProtocolConfig config;
-  /// Precomputed fast64 absorb tails of every id (idTails[i] =
-  /// fast64Tail6(ids[i])), filled by the simulation harness when the pair
-  /// hash is kFast64 and left empty otherwise. Plan-phase batch kernels
-  /// key off batchHashReady(): when set, hashOf(a, b) ==
-  /// Fast64PairBatch(pairHash.seed(), idTails[a]).one(idTails[b]) bit for
-  /// bit (tests/hash/fast64_batch_test.cpp), so the hot scans hash whole
-  /// candidate spans in two mixes per pair instead of dispatching through
-  /// the general absorb path.
-  std::vector<std::uint64_t> idTails{};
+  /// Every id's word for the batched pair-hash lanes (idWords[i] =
+  /// fast64Tail6(ids[i]); its low 48 bits are the wire encoding SHA-1
+  /// reads), for either algorithm.
+  std::vector<std::uint64_t> idWords;
 
   /// H(id(a), id(b)): a pure function, safe from any plan thread.
   [[nodiscard]] double hashOf(NodeIndex a, NodeIndex b) const {
     return pairHash(ids[a].bytes(), ids[b].bytes());
   }
 
-  /// True when the batched kFast64 lane may replace hashOf().
-  [[nodiscard]] bool batchHashReady() const noexcept {
-    return !idTails.empty();
+  /// out[i] = hashOf(self, peers[i]) bit for bit, through the pair
+  /// hasher's batched lanes; `words` is the caller's gather scratch.
+  /// Requires out.size() >= peers.size().
+  void hashMany(NodeIndex self, std::span<const NodeIndex> peers,
+                std::vector<std::uint64_t>& words,
+                std::span<double> out) const {
+    words.resize(peers.size());
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      words[i] = idWords[peers[i]];
+    }
+    pairHash.hashMany(idWords[self], words, hashing::PairSide::kLeft, out);
   }
 };
 
@@ -88,12 +109,12 @@ struct MaintenancePlan {
   std::vector<PeerEval> evals;
   std::size_t hsEvalCount = 0;  ///< refresh only: evals[0, hsEvalCount) = HS
 
-  /// Scratch for the batched plan kernels (gathered hash tails, hashes,
+  /// Scratch for the batched plan kernels (gathered id words, hashes,
   /// availabilities, classifications, membership bits over a contiguous
   /// candidate span). Lane-private like the plan itself; resized before
   /// every use, so reset() leaves them alone and their capacity survives
   /// across firings.
-  std::vector<std::uint64_t> tailScratch;
+  std::vector<std::uint64_t> wordScratch;
   std::vector<double> hashScratch;
   std::vector<double> avScratch;
   std::vector<std::uint8_t> knownScratch;
@@ -253,32 +274,13 @@ class AvmemNode {
   /// none).
   double planSelfAvailability(MaintenancePlan& plan) const;
 
-  /// Plan-phase evaluation of M(self, peer) through `owner`, the
-  /// predicate bound to this node's round availability; counts the query
-  /// and reports classification + membership in the returned eval
-  /// (known = false when the service has no estimate).
-  [[nodiscard]] MaintenancePlan::PeerEval planEvaluatePeer(
-      NodeIndex peer, const AvmemPredicate::Row& owner,
-      MaintenancePlan& plan) const;
-
-  /// Batched-kernel form of the planDiscovery scan (kFast64 only): hash
-  /// the whole candidate span up front through the two-mix batch lane,
-  /// then evaluate survivors against the precomputed hashes. Value-
-  /// identical to the scalar loop — the hashes are bit-equal and the
-  /// evaluation order is unchanged; hashes of skipped candidates are
-  /// wasted work, cheaper than per-survivor dispatch.
-  void planDiscoveryBatch(std::span<const NodeIndex> view,
-                          const AvmemPredicate::Row& owner,
-                          MaintenancePlan& plan) const;
-
-  /// Batched-kernel form of one sliver's Refresh scan (kFast64 only):
-  /// batch-hash every neighbor, gather availabilities into a contiguous
-  /// array, then run the row's classifyMany/evaluateMany over it —
-  /// the vectorized eviction/reclassify scan. Appends one eval per peer
-  /// in list order, exactly as the scalar planEvaluatePeer loop does.
-  void planRefreshSliverBatch(std::span<const NodeIndex> peers,
-                              const AvmemPredicate::Row& owner,
-                              MaintenancePlan& plan) const;
+  /// One sliver's Refresh scan: hash every neighbor in one batch, gather
+  /// availabilities into a contiguous array, then run the row's
+  /// classifyMany/evaluateMany over it. Appends one eval per peer in
+  /// list order (known = false when the service has no estimate).
+  void planRefreshSliver(std::span<const NodeIndex> peers,
+                         const AvmemPredicate::Row& owner,
+                         MaintenancePlan& plan) const;
 
   /// Commit-phase Refresh pass over `own`: evict dead entries in place,
   /// refresh live ones, collect entries that re-classified into the other

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "hash/fast64_batch.hpp"
-
 namespace avmem::core {
 
 using net::NodeIndex;
@@ -86,45 +84,29 @@ void CandidateFeed::drawCandidates(NodeIndex self, double selfAv,
   const std::size_t bandLo = bucketOf(selfAv - eps);
   const std::size_t bandHi = bucketOf(selfAv + eps);
 
-  // Batched hash pre-filter (kFast64 only): a scan visits a contiguous
-  // run of one bucket's entries under one threshold, so the run's tails
-  // are gathered and hashed through the two-mix batch lane, the
-  // branch-free admission mask compares them all at once, and the
-  // per-entry emit pass runs only when something was admitted (rare —
-  // thresholds are the predicate's own admission rate). Hashes are pure,
-  // so entries a scalar scan would not have reached (past an emission-cap
-  // break) being hashed anyway changes nothing; the emitted sequence is
-  // identical to the scalar path's. The scratch is thread-local for the
-  // same reason as `weight` below.
-  thread_local std::vector<std::uint64_t> tails;
+  // Batched hash pre-filter: a scan visits a contiguous run of one
+  // bucket's entries under one threshold, so the run is hashed in one
+  // batch (ProtocolContext::hashMany), the branch-free admission mask
+  // compares them all at once, and the per-entry emit pass runs only
+  // when something was admitted (rare — thresholds are the predicate's
+  // own admission rate). Hashes are pure, so entries a one-by-one scan
+  // would not have reached (past an emission-cap break) being hashed
+  // anyway changes nothing; the emitted sequence is the same. The
+  // scratch is thread-local for the same reason as `weight` below.
+  thread_local std::vector<std::uint64_t> words;
   thread_local std::vector<double> hashes;
   thread_local std::vector<std::uint8_t> mask;
-  const bool batched = ctx_->batchHashReady();
   // Scan `len` entries from `data` under `threshold`; false = cap hit.
   const auto scanRun = [&](const NodeIndex* data, std::size_t len,
                            double threshold) -> bool {
-    if (batched) {
-      tails.resize(len);
-      for (std::size_t i = 0; i < len; ++i) {
-        tails[i] = ctx_->idTails[data[i]];
-      }
-      hashes.resize(len);
-      mask.resize(len);
-      const hashing::Fast64PairBatch batch(ctx_->pairHash.seed(),
-                                           ctx_->idTails[self]);
-      batch.hashMany(tails, hashes);
-      if (admissionMask({hashes.data(), len}, threshold, mask) == 0) {
-        return true;
-      }
-      for (std::size_t i = 0; i < len; ++i) {
-        if (mask[i] != 0 && !emit(data[i])) return false;
-      }
+    hashes.resize(len);
+    mask.resize(len);
+    ctx_->hashMany(self, {data, len}, words, hashes);
+    if (admissionMask({hashes.data(), len}, threshold, mask) == 0) {
       return true;
     }
     for (std::size_t i = 0; i < len; ++i) {
-      if (ctx_->hashOf(self, data[i]) <= threshold && !emit(data[i])) {
-        return false;
-      }
+      if (mask[i] != 0 && !emit(data[i])) return false;
     }
     return true;
   };

@@ -26,8 +26,8 @@
 //
 // Scanned entries are pre-filtered by the pair hash against a slackened
 // per-bucket predicate threshold, so only plausibly-admissible candidates
-// reach the (availability-querying) planEvaluatePeer evaluation — the scan
-// costs one kFast64 hash per entry, the emission costs a full evaluation,
+// reach the (availability-querying) Discovery evaluation — the scan costs
+// one batched pair hash per entry, the emission costs a full evaluation,
 // and the emission rate is the predicate's own admission rate.
 //
 // Concurrency and determinism (the PR 3/4 guarantee is preserved):

@@ -143,31 +143,32 @@ void MulticastEngine::gossipFrom(std::shared_ptr<Operation> op,
   // whom x has not already forwarded M ... for our implementation we use a
   // deterministic iteration through the list ... repeats the above process
   // for Ng protocol periods."
-  auto task = std::make_shared<sim::PeriodicTask>();
-  op->gossipTasks.push_back(task);
-  auto sentTo = std::make_shared<std::vector<NodeIndex>>();
-  auto roundsLeft = std::make_shared<int>(op->params.rounds);
-
+  op->gossipTasks.push_back(std::make_unique<sim::PeriodicTask>());
+  sim::PeriodicTask* task = op->gossipTasks.back().get();
   task->start(
       sim_, sim_.now(), op->params.gossipPeriod,
-      [this, op, node, task, sentTo, roundsLeft] {
-        if (*roundsLeft <= 0) {
+      [this, weakOp = std::weak_ptr<Operation>(op), node, task,
+       sentTo = std::vector<NodeIndex>{},
+       roundsLeft = op->params.rounds]() mutable {
+        if (roundsLeft <= 0) {
           task->stop();
           return;
         }
-        --*roundsLeft;
+        --roundsLeft;
         if (!network_.isOnline(node)) return;  // skip rounds while offline
+        // The operation owns this task, so it is alive while the task runs.
+        const std::shared_ptr<Operation> op = weakOp.lock();
 
         int sentThisRound = 0;
         for (const NeighborEntry& e :
              nodes_[node].neighbors(op->params.slivers)) {
           if (sentThisRound >= op->params.fanout) break;
           if (!op->params.range.contains(e.cachedAv)) continue;
-          if (std::find(sentTo->begin(), sentTo->end(), e.peer) !=
-              sentTo->end()) {
+          if (std::find(sentTo.begin(), sentTo.end(), e.peer) !=
+              sentTo.end()) {
             continue;
           }
-          sentTo->push_back(e.peer);
+          sentTo.push_back(e.peer);
           ++sentThisRound;
           const NodeIndex peer = e.peer;
           network_.send(peer, [this, op, node, peer](sim::SimTime) {

@@ -95,14 +95,12 @@ class MulticastEngine {
   /// for metric classification, never for protocol decisions).
   MulticastEngine(sim::Simulator& sim, net::Network& network,
                   std::vector<AvmemNode>& nodes, AnycastEngine& anycast,
-                  std::function<double(net::NodeIndex)> groundTruthAv,
-                  sim::Rng rng)
+                  std::function<double(net::NodeIndex)> groundTruthAv)
       : sim_(sim),
         network_(network),
         nodes_(nodes),
         anycast_(anycast),
-        groundTruthAv_(std::move(groundTruthAv)),
-        rng_(rng) {}
+        groundTruthAv_(std::move(groundTruthAv)) {}
 
   MulticastEngine(const MulticastEngine&) = delete;
   MulticastEngine& operator=(const MulticastEngine&) = delete;
@@ -132,8 +130,10 @@ class MulticastEngine {
     /// node -> delivery record (presence = accepted the message once).
     // detlint: allow(unordered-state) dedup membership + point queries; finalize() copies into a node-sorted vector before any order-sensitive use
     std::unordered_map<net::NodeIndex, Delivery> deliveries;
-    /// Gossip tasks kept alive for the operation's duration.
-    std::vector<std::shared_ptr<sim::PeriodicTask>> gossipTasks;
+    /// The operation's gossip tasks. The operation owns them and their
+    /// closures hold it only weakly, so finalizing an operation frees its
+    /// tasks, and a task frees its closure once it stops.
+    std::vector<std::unique_ptr<sim::PeriodicTask>> gossipTasks;
   };
 
   /// Message arrival at `node` from `sender` (or from the anycast stage
@@ -148,7 +148,6 @@ class MulticastEngine {
   std::vector<AvmemNode>& nodes_;
   AnycastEngine& anycast_;
   std::function<double(net::NodeIndex)> groundTruthAv_;
-  sim::Rng rng_;
   Handle nextHandle_ = 1;
   // detlint: allow(unordered-state) keyed find/emplace/erase by handle only; never iterated, ordering cannot escape
   std::unordered_map<Handle, std::shared_ptr<Operation>> operations_;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/attack.hpp"
-#include "hash/fast64_batch.hpp"
 #include "net/latency.hpp"
 #include "trace/markov_churn.hpp"
 
@@ -189,19 +188,11 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
     }
   }
 
-  ctx_ = std::make_unique<ProtocolContext>(ProtocolContext{
+  ctx_ = std::make_unique<ProtocolContext>(
       *sim_, *service_, *predicate_, ids_,
       hashing::PairHasher(config.protocol.hashAlgorithm,
                           config.protocol.hashSeed),
-      config.protocol});
-  if (config.protocol.hashAlgorithm == hashing::PairHashAlgorithm::kFast64) {
-    // Precompute every identifier's 6-byte absorb tail so the plan-phase
-    // hot loops can use the batched hash lane (hash/fast64_batch.hpp).
-    ctx_->idTails.reserve(n);
-    for (const NodeId& id : ids_) {
-      ctx_->idTails.push_back(hashing::fast64Tail6(id.ip, id.port));
-    }
-  }
+      config.protocol);
 
   nodes_.reserve(n);
   for (NodeIndex i = 0; i < n; ++i) {
@@ -262,8 +253,7 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
       *sim_, *network_, nodes_, rng_.fork("anycast"));
   multicastEngine_ = std::make_unique<MulticastEngine>(
       *sim_, *network_, nodes_, *anycastEngine_,
-      [this](NodeIndex i) { return trueAvailability(i); },
-      rng_.fork("multicast"));
+      [this](NodeIndex i) { return trueAvailability(i); });
 }
 
 void AvmemSimulation::startAttackCampaigns() {
@@ -340,12 +330,20 @@ std::vector<NodeIndex> AvmemSimulation::onlineNodes() const {
 }
 
 std::optional<NodeIndex> AvmemSimulation::pickInitiator(AvBand band) {
-  std::vector<NodeIndex> eligible;
-  const auto n = static_cast<NodeIndex>(nodes_.size());
-  for (NodeIndex i = 0; i < n; ++i) {
-    if (!isOnline(i)) continue;
-    if (band.contains(trueAvailability(i))) eligible.push_back(i);
+  // Both oracle reads are pure functions of the churn epoch, so the
+  // eligible list holds for every call in one (epoch, band).
+  const std::size_t epoch = trace_->epochAt(sim_->now());
+  if (!pickCache_ || pickCache_->epoch != epoch || pickCache_->band != band) {
+    pickCache_ = PickCache{epoch, band, {}};
+    const auto n = static_cast<NodeIndex>(nodes_.size());
+    for (NodeIndex i = 0; i < n; ++i) {
+      if (!isOnline(i)) continue;
+      if (band.contains(trueAvailability(i))) {
+        pickCache_->eligible.push_back(i);
+      }
+    }
   }
+  const std::vector<NodeIndex>& eligible = pickCache_->eligible;
   if (eligible.empty()) return std::nullopt;
   return eligible[rng_.index(eligible.size())];
 }

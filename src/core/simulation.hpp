@@ -173,6 +173,9 @@ struct AvBand {
   /// LOW/MID stay half-open so the bands partition [0, 1] exactly.
   bool inclusiveHi = false;
 
+  friend constexpr bool operator==(const AvBand&, const AvBand&) noexcept =
+      default;
+
   [[nodiscard]] constexpr bool contains(double av) const noexcept {
     return av >= lo && (av < hi || (inclusiveHi && av <= hi));
   }
@@ -398,6 +401,13 @@ class AvmemSimulation {
   std::unique_ptr<MulticastEngine> multicastEngine_;
   sim::Rng rng_;
   bool started_ = false;
+  /// pickInitiator's eligible list for the last (churn epoch, band).
+  struct PickCache {
+    std::size_t epoch = 0;
+    AvBand band;
+    std::vector<net::NodeIndex> eligible;
+  };
+  std::optional<PickCache> pickCache_;
 };
 
 }  // namespace avmem::core

@@ -10,12 +10,24 @@
 //  * kSha1 — the paper-fidelity default used throughout the evaluation;
 //  * kFast64 — a seeded splitmix-style mixer (hash/fast64.hpp), the scale-
 //    mode option: same consistency and uniformity, no cryptographic cost.
+//
+// Lanes. One pair (operator()) takes sha1Pair6 (SHA-NI where the CPU has
+// it, else a scalar one-block kernel) or fast64Pair. Many pairs sharing
+// one operand (hashMany: a list owner's Discovery and Refresh scans, the
+// candidate feed, AVMON's monitor scans) take sha1Pair6Many (sixteen
+// pairs per AVX-512 block where the CPU has AVX-512F, else sha1Pair6 per
+// pair) or the kFast64 batch lanes (hash/fast64_batch.hpp). Every lane
+// returns the same bits for the same pair, so the lane a host picks is
+// invisible to the protocol.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 
 #include "hash/fast64.hpp"
+#include "hash/fast64_batch.hpp"
 #include "hash/normalized.hpp"
 #include "hash/sha1.hpp"
 
@@ -73,6 +85,35 @@ class PairHasher {
         h.update(a);
         h.update(b);
         return normalizeDigest(h.finish());
+      }
+    }
+  }
+
+  /// H over many pairs that share one operand: out[i] = H(fixed,
+  /// others[i]) for PairSide::kLeft, H(others[i], fixed) for
+  /// PairSide::kRight. Identifiers are id words, fast64Tail6 of each
+  /// NodeId, for either algorithm (sha1Pair6Many reads their low 48 bits,
+  /// the wire encoding). Bit-identical to operator() on the wire bytes of
+  /// every pair: kFast64 runs the two- or four-mix batch lanes
+  /// (fast64_batch.hpp), kSha1 the multi-pair SHA-1 entry.
+  /// Requires out.size() >= others.size().
+  void hashMany(std::uint64_t fixed, std::span<const std::uint64_t> others,
+                PairSide fixedSide, std::span<double> out) const noexcept {
+    if (algorithm_ == PairHashAlgorithm::kFast64) {
+      if (fixedSide == PairSide::kLeft) {
+        Fast64PairBatch(seed_, fixed).hashMany(others, out);
+      } else {
+        Fast64TargetBatch(seed_, fixed).hashMany(others, out);
+      }
+      return;
+    }
+    std::array<std::uint64_t, 256> raw;
+    for (std::size_t base = 0; base < others.size(); base += raw.size()) {
+      const std::size_t len = std::min(raw.size(), others.size() - base);
+      sha1Pair6Many(fixed, others.subspan(base, len), fixedSide,
+                    {raw.data(), len});
+      for (std::size_t i = 0; i < len; ++i) {
+        out[base + i] = normalizeU64(raw[i]);
       }
     }
   }

@@ -1,13 +1,15 @@
 #include "hash/sha1.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <utility>
 
-// The SHA-NI lane needs GCC/Clang target attributes on x86; everything else
-// compiles the generic lane only.
+// The SHA-NI and AVX-512 lanes need GCC/Clang target attributes on x86;
+// everything else compiles the generic lanes only.
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define AVMEM_SHA1_NI_LANE 1
+#define AVMEM_SHA1_X86_LANES 1
 #include <cpuid.h>
 #include <immintrin.h>
 #endif
@@ -78,7 +80,7 @@ inline void sha1TwentyRounds(Sha1Regs& r, std::uint32_t (&w)[16],
   (sha1Step<F>(r, sha1Schedule<20 * F + J>(w)), ...);
 }
 
-#if defined(AVMEM_SHA1_NI_LANE)
+#if defined(AVMEM_SHA1_X86_LANES)
 
 // Rounds 20F..20F+19, as five groups g = 5F..5F+4 of four rounds. Each
 // group takes the next four schedule words (for g >= 4 derived from the
@@ -105,7 +107,130 @@ __attribute__((target("sha,sse4.1"))) inline void sha1NiFiveGroups(
   }
 }
 
+// Sixteen pairs' working registers a..e, one pair per 32-bit lane.
+struct Sha1Regs16 {
+  __m512i a, b, c, d, e;
+};
+
+// vprold by S on every lane. Written as the all-lanes zero-masked form:
+// the same instruction, while GCC 12's unmasked intrinsic reads an
+// undefined pass-through vector that -Wuninitialized flags.
+template <int S>
+__attribute__((target("avx512f"))) inline __m512i rol16(__m512i v) noexcept {
+  return _mm512_maskz_rol_epi32(static_cast<__mmask16>(0xFFFF), v, S);
+}
+
+// sha1Step over sixteen lanes. The round function is one vpternlogd:
+// truth table 0xCA is b ? c : d (choose), 0xE8 majority, 0x96 parity.
+template <int F>
+__attribute__((target("avx512f"))) inline void sha1Step16(
+    Sha1Regs16& r, __m512i w) noexcept {
+  constexpr int kTable = F == 0 ? 0xCA : F == 2 ? 0xE8 : 0x96;
+  constexpr std::uint32_t kK[4] = {0x5A827999u, 0x6ED9EBA1u, 0x8F1BBCDCu,
+                                   0xCA62C1D6u};
+  const __m512i f = _mm512_ternarylogic_epi32(r.b, r.c, r.d, kTable);
+  const __m512i ek =
+      _mm512_add_epi32(r.e, _mm512_set1_epi32(static_cast<int>(kK[F])));
+  const __m512i t = _mm512_add_epi32(
+      _mm512_add_epi32(rol16<5>(r.a), f), _mm512_add_epi32(ek, w));
+  r.e = r.d;
+  r.d = r.c;
+  r.c = rol16<30>(r.b);
+  r.b = r.a;
+  r.a = t;
+}
+
+// sha1Schedule over sixteen lanes: the same compile-time 16-word ring.
+template <int I>
+__attribute__((target("avx512f"))) inline __m512i sha1Schedule16(
+    __m512i (&w)[16]) noexcept {
+  if constexpr (I < 16) {
+    return w[I];
+  } else {
+    __m512i& slot = w[I & 15];
+    slot = rol16<1>(
+        _mm512_xor_si512(_mm512_ternarylogic_epi32(w[(I + 13) & 15],
+                                                   w[(I + 8) & 15],
+                                                   w[(I + 2) & 15], 0x96),
+                         slot));
+    return slot;
+  }
+}
+
+template <int F, int... J>
+__attribute__((target("avx512f"))) inline void sha1TwentyRounds16(
+    Sha1Regs16& r, __m512i (&w)[16],
+    std::integer_sequence<int, J...>) noexcept {
+  (sha1Step16<F>(r, sha1Schedule16<20 * F + J>(w)), ...);
+}
+
+// The AVX-512 multi-pair lane with the fixed operand on side `Side`. Each
+// block of sixteen pairs splits the two 48-bit words into the message
+// words w0..w2 per lane; a short last block is padded with zero words
+// whose digests are never stored.
+template <PairSide Side>
+__attribute__((target("avx512f"))) void pair6Many16(
+    std::uint64_t fixed, std::span<const std::uint64_t> others,
+    std::span<std::uint64_t> out) noexcept {
+  constexpr std::uint64_t kMask48 = (std::uint64_t{1} << 48) - 1;
+  fixed &= kMask48;
+  const std::size_t n = others.size();
+  for (std::size_t base = 0; base < n; base += 16) {
+    const std::size_t len = std::min<std::size_t>(16, n - base);
+    alignas(64) std::uint32_t m0[16];
+    alignas(64) std::uint32_t m1[16];
+    alignas(64) std::uint32_t m2[16];
+    for (std::size_t i = 0; i < 16; ++i) {
+      const std::uint64_t other = i < len ? others[base + i] & kMask48 : 0;
+      const std::uint64_t left = Side == PairSide::kLeft ? fixed : other;
+      const std::uint64_t right = Side == PairSide::kLeft ? other : fixed;
+      // a0..a3 | a4 a5 b0 b1 | b2..b5 (the truncating casts keep the low
+      // 32 bits of each shifted word).
+      m0[i] = static_cast<std::uint32_t>(left >> 16);
+      m1[i] = static_cast<std::uint32_t>((left << 16) | (right >> 32));
+      m2[i] = static_cast<std::uint32_t>(right);
+    }
+    const __m512i zero = _mm512_setzero_si512();
+    __m512i w[16] = {_mm512_load_si512(m0),
+                     _mm512_load_si512(m1),
+                     _mm512_load_si512(m2),
+                     _mm512_set1_epi32(static_cast<int>(0x80000000u)),
+                     zero, zero, zero, zero, zero, zero, zero, zero, zero,
+                     zero, zero,
+                     _mm512_set1_epi32(96)};
+    const __m512i h0 = _mm512_set1_epi32(0x67452301);
+    const __m512i h1 = _mm512_set1_epi32(static_cast<int>(0xEFCDAB89u));
+    Sha1Regs16 r{h0, h1, _mm512_set1_epi32(static_cast<int>(0x98BADCFEu)),
+                 _mm512_set1_epi32(0x10325476),
+                 _mm512_set1_epi32(static_cast<int>(0xC3D2E1F0u))};
+    constexpr auto kTwenty = std::make_integer_sequence<int, 20>{};
+    sha1TwentyRounds16<0>(r, w, kTwenty);
+    sha1TwentyRounds16<1>(r, w, kTwenty);
+    sha1TwentyRounds16<2>(r, w, kTwenty);
+    sha1TwentyRounds16<3>(r, w, kTwenty);
+
+    // H0 and H1 only, as in pair6Generic.
+    alignas(64) std::uint32_t d0[16];
+    alignas(64) std::uint32_t d1[16];
+    _mm512_store_si512(d0, _mm512_add_epi32(r.a, h0));
+    _mm512_store_si512(d1, _mm512_add_epi32(r.b, h1));
+    for (std::size_t i = 0; i < len; ++i) {
+      out[base + i] = (std::uint64_t{d0[i]} << 32) | d1[i];
+    }
+  }
+}
+
 #endif
+
+// The 6-byte wire encoding held in the low 48 bits of `word`.
+std::array<std::uint8_t, 6> wireBytes(std::uint64_t word) noexcept {
+  return {static_cast<std::uint8_t>(word >> 40),
+          static_cast<std::uint8_t>(word >> 32),
+          static_cast<std::uint8_t>(word >> 24),
+          static_cast<std::uint8_t>(word >> 16),
+          static_cast<std::uint8_t>(word >> 8),
+          static_cast<std::uint8_t>(word)};
+}
 
 }  // namespace
 
@@ -254,7 +379,7 @@ std::uint64_t pair6Generic(std::span<const std::uint8_t, 6> a,
   return (std::uint64_t{h0} << 32) | h1;
 }
 
-#if defined(AVMEM_SHA1_NI_LANE)
+#if defined(AVMEM_SHA1_X86_LANES)
 
 bool niSupported() noexcept {
   unsigned eax = 0;
@@ -302,6 +427,33 @@ __attribute__((target("sha,sse4.1"))) std::uint64_t pair6Ni(
   return (std::uint64_t{h0} << 32) | h1;
 }
 
+bool avx512Supported() noexcept {
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & (1u << 27)) == 0) return false;  // no OSXSAVE: no xgetbv
+  unsigned xcr0 = 0;
+  unsigned xcr0Hi = 0;
+  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0Hi) : "c"(0u));
+  // The OS must save the SSE, AVX, opmask and both ZMM state components.
+  if ((xcr0 & 0xE6u) != 0xE6u) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & (1u << 16)) != 0;
+}
+
+void pair6ManyAvx512(std::uint64_t fixed,
+                     std::span<const std::uint64_t> others,
+                     PairSide fixedSide,
+                     std::span<std::uint64_t> out) noexcept {
+  if (fixedSide == PairSide::kLeft) {
+    pair6Many16<PairSide::kLeft>(fixed, others, out);
+  } else {
+    pair6Many16<PairSide::kRight>(fixed, others, out);
+  }
+}
+
 #else
 
 bool niSupported() noexcept { return false; }
@@ -311,7 +463,25 @@ std::uint64_t pair6Ni(std::span<const std::uint8_t, 6> a,
   return pair6Generic(a, b);
 }
 
+bool avx512Supported() noexcept { return false; }
+
+void pair6ManyAvx512(std::uint64_t fixed,
+                     std::span<const std::uint64_t> others,
+                     PairSide fixedSide,
+                     std::span<std::uint64_t> out) noexcept {
+  pair6ManyLoop(fixed, others, fixedSide, out);
+}
+
 #endif
+
+void pair6ManyLoop(std::uint64_t fixed, std::span<const std::uint64_t> others,
+                   PairSide fixedSide, std::span<std::uint64_t> out) noexcept {
+  const std::array<std::uint8_t, 6> f = wireBytes(fixed);
+  for (std::size_t i = 0; i < others.size(); ++i) {
+    const std::array<std::uint8_t, 6> o = wireBytes(others[i]);
+    out[i] = fixedSide == PairSide::kLeft ? sha1Pair6(f, o) : sha1Pair6(o, f);
+  }
+}
 
 }  // namespace sha1_lanes
 
@@ -323,6 +493,16 @@ std::uint64_t sha1Pair6(std::span<const std::uint8_t, 6> a,
                                ? &sha1_lanes::pair6Ni
                                : &sha1_lanes::pair6Generic;
   return lane(a, b);
+}
+
+void sha1Pair6Many(std::uint64_t fixed, std::span<const std::uint64_t> others,
+                   PairSide fixedSide, std::span<std::uint64_t> out) noexcept {
+  using Lane = void (*)(std::uint64_t, std::span<const std::uint64_t>,
+                        PairSide, std::span<std::uint64_t>) noexcept;
+  static const Lane lane = sha1_lanes::avx512Supported()
+                               ? &sha1_lanes::pair6ManyAvx512
+                               : &sha1_lanes::pair6ManyLoop;
+  lane(fixed, others, fixedSide, out);
 }
 
 std::string toHex(const Sha1Digest& digest) {

@@ -6,6 +6,14 @@
 //
 // SHA-1 is used here as a *consistent pseudo-random function*, not for
 // security against collision attacks; that matches the paper's use.
+//
+// Besides the streaming Sha1 class, two entries serve the pair hash over
+// 6-byte NodeId encodings, each with lanes picked once from CPUID:
+// sha1Pair6 (one pair: SHA-NI, or a scalar one-block kernel) and
+// sha1Pair6Many (many pairs sharing one operand: sixteen per AVX-512
+// block, or sha1Pair6 per pair). Running several SHA-NI pairs
+// interleaved measured no faster than one at a time, so there is no such
+// lane.
 #pragma once
 
 #include <array>
@@ -80,8 +88,28 @@ class Sha1 {
     std::span<const std::uint8_t, 6> a,
     std::span<const std::uint8_t, 6> b) noexcept;
 
-/// The individual lanes behind sha1Pair6, for the lane-equivalence test and
-/// the micro-benchmark. Callers outside those use sha1Pair6.
+/// Which operand a multi-pair call holds fixed.
+enum class PairSide : std::uint8_t {
+  kLeft,   ///< out[i] = H(fixed, others[i]): a list owner against candidates
+  kRight,  ///< out[i] = H(others[i], fixed): every monitor of one target
+};
+
+/// sha1Pair6 over many pairs that share one operand. Identifiers are
+/// passed as words whose low 48 bits are the 6-byte wire encoding read
+/// big-endian ((ip << 16) | port); bits 48..63 are ignored, so
+/// fast64Tail6 words serve as they are. out[i] = sha1Pair6(fixed,
+/// others[i]) for PairSide::kLeft and sha1Pair6(others[i], fixed) for
+/// PairSide::kRight. Requires out.size() >= others.size().
+///
+/// The lane is picked once from the CPU: sixteen pairs per AVX-512 block
+/// where the CPU has AVX-512F, else a loop over sha1Pair6. Both return
+/// sha1Pair6's value for every pair (tests/hash/sha1_pair_test.cpp).
+void sha1Pair6Many(std::uint64_t fixed, std::span<const std::uint64_t> others,
+                   PairSide fixedSide, std::span<std::uint64_t> out) noexcept;
+
+/// The individual lanes behind sha1Pair6 and sha1Pair6Many, for the
+/// lane-equivalence tests and the micro-benchmark. Callers outside those
+/// use sha1Pair6 and sha1Pair6Many.
 namespace sha1_lanes {
 
 /// True when this CPU runs the SHA-NI lane (CPUID leaf 7 EBX bit 29 plus
@@ -99,6 +127,24 @@ namespace sha1_lanes {
 [[nodiscard]] std::uint64_t pair6Ni(
     std::span<const std::uint8_t, 6> a,
     std::span<const std::uint8_t, 6> b) noexcept;
+
+/// True when this CPU runs the AVX-512 multi-pair lane (CPUID leaf 7 EBX
+/// bit 16, with the OS saving the opmask and ZMM state). Always false on
+/// non-x86 builds.
+[[nodiscard]] bool avx512Supported() noexcept;
+
+/// The multi-pair fallback lane: sha1Pair6 once per pair.
+void pair6ManyLoop(std::uint64_t fixed, std::span<const std::uint64_t> others,
+                   PairSide fixedSide, std::span<std::uint64_t> out) noexcept;
+
+/// The AVX-512 multi-pair lane: sixteen pairs per block, one pair per
+/// 32-bit vector lane, the round functions as vpternlogd and the rotates
+/// as vprold over the one pre-padded block. Call only when
+/// avx512Supported(); on non-x86 builds it forwards to pair6ManyLoop.
+void pair6ManyAvx512(std::uint64_t fixed,
+                     std::span<const std::uint64_t> others,
+                     PairSide fixedSide,
+                     std::span<std::uint64_t> out) noexcept;
 
 }  // namespace sha1_lanes
 

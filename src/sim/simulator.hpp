@@ -131,10 +131,13 @@ class PeriodicTask {
     handle_ = sim_->scheduleAt(firstAt, [this] { fire(); });
   }
 
-  /// Stop firing; safe to call repeatedly or from inside `fn`.
+  /// Stop firing; safe to call repeatedly or from inside `fn`. The
+  /// closure and what it captured are freed now, or, when `fn` stops its
+  /// own task, as soon as `fn` returns.
   void stop() noexcept {
     handle_.cancel();
     sim_ = nullptr;
+    if (!firing_) fn_ = nullptr;
   }
 
   [[nodiscard]] bool running() const noexcept { return sim_ != nullptr; }
@@ -155,10 +158,14 @@ class PeriodicTask {
     // Reschedule before invoking so `fn_` may call stop().
     nextFireAt_ = sim_->now() + period_;
     handle_ = sim_->schedule(period_, [this] { fire(); });
+    firing_ = true;
     fn_();
+    firing_ = false;
+    if (sim_ == nullptr) fn_ = nullptr;  // `fn` stopped its own task
   }
 
   Simulator* sim_ = nullptr;
+  bool firing_ = false;
   SimDuration period_ = SimDuration::zero();
   std::function<void()> fn_;
   EventHandle handle_;

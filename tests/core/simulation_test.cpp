@@ -111,6 +111,28 @@ TEST(SimulationTest, PickInitiatorHonorsBandAndOnlineness) {
   EXPECT_FALSE(s.pickInitiator(AvBand{2.0, 3.0}).has_value());
 }
 
+TEST(SimulationTest, PickInitiatorFollowsTheChurnEpoch) {
+  // The eligible list is kept per (epoch, band): after the clock crosses
+  // epochs, every pick must still be online and in band *now*.
+  AvmemSimulation s(baseConfig());
+  s.warmup(sim::SimDuration::hours(3));
+  std::size_t picks = 0;
+  for (int step = 0; step < 12; ++step) {
+    s.run(sim::SimDuration::minutes(25));
+    for (int k = 0; k < 10; ++k) {
+      for (const AvBand band : {AvBand::mid(), AvBand::high()}) {
+        const auto who = s.pickInitiator(band);
+        if (!who) continue;
+        ++picks;
+        EXPECT_TRUE(s.isOnline(*who)) << "step " << step;
+        EXPECT_TRUE(band.contains(s.trueAvailability(*who)))
+            << "step " << step;
+      }
+    }
+  }
+  EXPECT_GT(picks, 100u);
+}
+
 TEST(SimulationTest, ExternalTraceConstructorWorks) {
   trace::OvernetTraceConfig tcfg;
   tcfg.hosts = 80;

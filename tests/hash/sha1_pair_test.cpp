@@ -2,19 +2,22 @@
 // class: every lane this CPU can run must return the top 64 digest bits of
 // SHA-1(a || b) for every pair of NodeId wire encodings, because the AVMEM
 // predicate and AVMON's monitor relation must not depend on which lane a
-// host picked.
+// host picked. The multi-pair entry (sha1Pair6Many) must in turn equal
+// sha1Pair6 pair for pair, on either side, at every batch length.
 #include "hash/sha1.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "core/node_id.hpp"
+#include "hash/fast64_batch.hpp"
 #include "hash/normalized.hpp"
 #include "hash/pair_hash.hpp"
 
@@ -108,6 +111,99 @@ TEST(Sha1PairTest, PairHasherOtherLengthsStream) {
   const auto* p = reinterpret_cast<const std::uint8_t*>(fox.data());
   EXPECT_EQ(h(std::span(p, 6), std::span(p + 6, fox.size() - 6)),
             normalizeU64(0x2fd4e1c67a2d28fcull));
+}
+
+using ManyLane = void (*)(std::uint64_t, std::span<const std::uint64_t>,
+                          PairSide, std::span<std::uint64_t>) noexcept;
+
+// The id word of a NodeId, as the simulation passes it: fast64Tail6, whose
+// sentinel bit 48 the SHA-1 lanes must ignore.
+std::uint64_t wordOf(const core::NodeId& id) {
+  return fast64Tail6(id.ip, id.port);
+}
+
+std::vector<core::NodeId> manyIds() {
+  std::vector<core::NodeId> ids = core::makeNodeIds(300, 20070101);
+  ids.push_back(core::NodeId{0u, 0});
+  ids.push_back(core::NodeId{0xFFFFFFFFu, 0xFFFF});
+  return ids;
+}
+
+// Every batch length 0..48 (every n mod 16, and n < 16), plus the whole
+// id list, with each id of a sample as the fixed operand on both sides.
+void expectManyLaneMatches(ManyLane lane) {
+  const std::vector<core::NodeId> ids = manyIds();
+  std::vector<std::uint64_t> words;
+  for (const core::NodeId& id : ids) words.push_back(wordOf(id));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 48; ++n) lengths.push_back(n);
+  lengths.push_back(ids.size());
+  for (const std::size_t fixedAt : {std::size_t{0}, std::size_t{7},
+                                    ids.size() - 2, ids.size() - 1}) {
+    const core::NodeId& fixed = ids[fixedAt];
+    for (const std::size_t n : lengths) {
+      // Start each batch at a different offset so lanes see varied ids.
+      const std::size_t off = (n * 5) % (ids.size() - n + 1);
+      const std::span<const std::uint64_t> others(words.data() + off, n);
+      for (const PairSide side : {PairSide::kLeft, PairSide::kRight}) {
+        std::vector<std::uint64_t> out(n + 1, 0xDEADull);
+        lane(wordOf(fixed), others, side, {out.data(), n});
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto other = ids[off + i].bytes();
+          const std::uint64_t want =
+              side == PairSide::kLeft ? sha1Pair6(fixed.bytes(), other)
+                                      : sha1Pair6(other, fixed.bytes());
+          ASSERT_EQ(out[i], want)
+              << "fixed " << fixedAt << " n " << n << " i " << i
+              << (side == PairSide::kLeft ? " left" : " right");
+        }
+        EXPECT_EQ(out[n], 0xDEADull) << "wrote past n = " << n;
+      }
+    }
+  }
+}
+
+TEST(Sha1PairManyTest, LoopLaneMatchesSha1Pair6) {
+  expectManyLaneMatches(&sha1_lanes::pair6ManyLoop);
+}
+
+TEST(Sha1PairManyTest, Avx512LaneMatchesSha1Pair6) {
+  if (!sha1_lanes::avx512Supported()) {
+    GTEST_SKIP() << "CPU has no AVX-512F";
+  }
+  expectManyLaneMatches(&sha1_lanes::pair6ManyAvx512);
+}
+
+TEST(Sha1PairManyTest, DispatchedEntryMatchesSha1Pair6) {
+  expectManyLaneMatches(&sha1Pair6Many);
+}
+
+TEST(Sha1PairManyTest, PairHasherHashManyMatchesScalarOnBothSides) {
+  // Both algorithms: hashMany over id words equals operator() on the wire
+  // bytes, bit for bit, with the fixed id on either side and a length
+  // that spans more than one internal chunk.
+  const std::vector<core::NodeId> ids = manyIds();
+  std::vector<std::uint64_t> words;
+  for (const core::NodeId& id : ids) words.push_back(wordOf(id));
+  for (const PairHashAlgorithm algo :
+       {PairHashAlgorithm::kSha1, PairHashAlgorithm::kFast64}) {
+    const PairHasher h(algo, 0x5EEDull);
+    for (const std::size_t fixedAt : {std::size_t{3}, ids.size() - 1}) {
+      const core::NodeId& fixed = ids[fixedAt];
+      for (const PairSide side : {PairSide::kLeft, PairSide::kRight}) {
+        std::vector<double> out(ids.size());
+        h.hashMany(wordOf(fixed), words, side, out);
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          const double want = side == PairSide::kLeft
+                                  ? h(fixed.bytes(), ids[i].bytes())
+                                  : h(ids[i].bytes(), fixed.bytes());
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                    std::bit_cast<std::uint64_t>(want))
+              << toString(algo) << " fixed " << fixedAt << " i " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
