@@ -1,11 +1,32 @@
 #include "core/multicast.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace avmem::core {
 
 using net::NodeIndex;
+
+/// Shared per-operation state, owned by the handle and the in-flight
+/// closures.
+struct MulticastEngine::Operation {
+  /// One node's acceptance of the message.
+  struct Delivery {
+    sim::SimTime at;
+    bool accepted = false;
+    bool inRange = false;  // ground truth
+  };
+
+  MulticastParams params;
+  sim::SimTime startedAt;
+  bool reachedRange = false;
+  std::size_t eligible = 0;
+  /// Indexed by node; a node accepts the message at most once.
+  std::vector<Delivery> deliveries;
+  /// The operation's gossip tasks. The operation owns them and their
+  /// closures hold it only weakly, so releasing an operation frees its
+  /// tasks, and a task frees its closure once it stops.
+  std::vector<std::unique_ptr<sim::PeriodicTask>> gossipTasks;
+};
 
 MulticastEngine::Handle MulticastEngine::launch(
     NodeIndex initiator, const MulticastParams& params) {
@@ -13,24 +34,23 @@ MulticastEngine::Handle MulticastEngine::launch(
   op->params = params;
   op->params.entryAnycast.range = params.range;
   op->startedAt = sim_.now();
+  op->deliveries.resize(nodes_.size());
 
   // Ground-truth eligible set: online nodes whose true availability lies
   // in R at launch ("number could have been delivered", Figures 12-13).
   const auto n = static_cast<NodeIndex>(nodes_.size());
   for (NodeIndex i = 0; i < n; ++i) {
-    if (network_.isOnline(i) && params.range.contains(groundTruthAv_(i))) {
+    if (network_.isOnline(i) &&
+        params.range.contains(oracle_.availability(i))) {
       ++op->eligible;
     }
   }
-
-  const Handle handle = nextHandle_++;
-  operations_.emplace(handle, op);
 
   if (network_.isOnline(initiator) &&
       params.range.contains(nodes_[initiator].selfAvailability())) {
     // Initiator already in range: dissemination starts here.
     receiveAt(op, initiator, initiator);
-    return handle;
+    return op;
   }
 
   // Stage 1: anycast into the range.
@@ -39,7 +59,7 @@ MulticastEngine::Handle MulticastEngine::launch(
                    if (r.outcome != AnycastOutcome::kDelivered) return;
                    receiveAt(op, r.deliveredTo, r.deliveredTo);
                  });
-  return handle;
+  return op;
 }
 
 sim::SimDuration MulticastEngine::horizon(const MulticastParams& params) {
@@ -57,26 +77,15 @@ sim::SimDuration MulticastEngine::horizon(const MulticastParams& params) {
          sim::SimDuration::seconds(30);
 }
 
-MulticastResult MulticastEngine::finalize(Handle handle) {
-  const auto it = operations_.find(handle);
-  if (it == operations_.end()) {
-    throw std::invalid_argument("MulticastEngine::finalize: unknown handle");
-  }
-  const std::shared_ptr<Operation> op = it->second;
-
+MulticastResult MulticastEngine::finalize(const Handle& op) {
   MulticastResult result;
   result.reachedRange = op->reachedRange;
   result.eligible = op->eligible;
   sim::SimDuration last = sim::SimDuration::zero();
-  // The deliveries map is unordered; iterate in ascending node order so
-  // deliveredNodes/deliveryLatencies come out identical across runs,
-  // library versions, and (eventually) shard layouts.
-  // detlint: allow(unordered-iter) copied out and sorted immediately below; iteration order cannot escape
-  std::vector<std::pair<NodeIndex, Delivery>> ordered(op->deliveries.begin(),
-                                                      op->deliveries.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [node, d] : ordered) {
+  const auto n = static_cast<NodeIndex>(op->deliveries.size());
+  for (NodeIndex node = 0; node < n; ++node) {
+    const Operation::Delivery& d = op->deliveries[node];
+    if (!d.accepted) continue;
     if (d.inRange) {
       ++result.delivered;
       result.deliveredNodes.push_back(node);
@@ -90,14 +99,14 @@ MulticastResult MulticastEngine::finalize(Handle handle) {
   result.lastDeliveryLatency = last;
 
   for (auto& task : op->gossipTasks) task->stop();
-  operations_.erase(it);
   return result;
 }
 
 void MulticastEngine::receiveAt(std::shared_ptr<Operation> op,
                                 NodeIndex sender, NodeIndex node) {
   // "Any duplicate copies of the multicast are ignored."
-  if (op->deliveries.contains(node)) return;
+  Operation::Delivery& d = op->deliveries[node];
+  if (d.accepted) return;
 
   // Refresh the receiver's self-estimate (see AnycastEngine::arriveAt).
   nodes_[node].updateSelfAvailability();
@@ -106,10 +115,9 @@ void MulticastEngine::receiveAt(std::shared_ptr<Operation> op,
   // where the anycast stage already verified hop-by-hop).
   if (sender != node && !nodes_[node].verifyIncoming(sender)) return;
 
-  Delivery d;
   d.at = sim_.now();
-  d.inRange = op->params.range.contains(groundTruthAv_(node));
-  op->deliveries.emplace(node, d);
+  d.accepted = true;
+  d.inRange = op->params.range.contains(oracle_.availability(node));
   op->reachedRange = op->reachedRange || d.inRange;
 
   // A node whose own (service-reported) availability is outside R is spam;

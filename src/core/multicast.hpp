@@ -18,18 +18,16 @@
 // of the last in-range delivery.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "avmon/availability_service.hpp"
 #include "core/anycast.hpp"
 #include "core/avmem_node.hpp"
 #include "core/config.hpp"
 #include "core/range.hpp"
 #include "net/network.hpp"
-#include "sim/random.hpp"
+#include "sim/simulator.hpp"
 
 namespace avmem::core {
 
@@ -64,10 +62,11 @@ struct MulticastResult {
   std::size_t spam = 0;
   /// Launch -> last in-range delivery.
   sim::SimDuration lastDeliveryLatency;
-  /// Per-delivery latencies (in-range accepts only).
+  /// Per-delivery latencies (in-range accepts only): deliveryLatencies[i]
+  /// belongs to deliveredNodes[i].
   std::vector<sim::SimDuration> deliveryLatencies;
-  /// The in-range nodes that accepted the message (parallel to nothing;
-  /// unordered). Lets applications aggregate per-receiver state.
+  /// The in-range nodes that accepted the message, in ascending node
+  /// order. Lets applications aggregate per-receiver state.
   std::vector<net::NodeIndex> deliveredNodes;
 
   [[nodiscard]] double reliability() const noexcept {
@@ -84,58 +83,43 @@ struct MulticastResult {
 
 /// Runs multicast operations over a population of AvmemNodes.
 ///
-/// Usage: `launch` one or more multicasts, advance the simulator past
-/// their dissemination horizon, then `finalize` each handle.
+/// Usage: `launch` a multicast, advance the simulator past its
+/// dissemination `horizon`, then `finalize` the handle and drop it.
 class MulticastEngine {
- public:
-  /// Handle identifying an in-flight multicast.
-  using Handle = std::uint64_t;
+  struct Operation;
 
-  /// `groundTruthAv(n)` must return node n's true availability (used only
-  /// for metric classification, never for protocol decisions).
+ public:
+  /// An in-flight multicast. The handle and the operation's in-flight
+  /// messages share ownership of its state.
+  using Handle = std::shared_ptr<Operation>;
+
+  /// `oracle` supplies each node's true availability, used only for
+  /// metric classification, never for protocol decisions.
   MulticastEngine(sim::Simulator& sim, net::Network& network,
                   std::vector<AvmemNode>& nodes, AnycastEngine& anycast,
-                  std::function<double(net::NodeIndex)> groundTruthAv)
+                  const avmon::OracleAvailabilityService& oracle)
       : sim_(sim),
         network_(network),
         nodes_(nodes),
         anycast_(anycast),
-        groundTruthAv_(std::move(groundTruthAv)) {}
+        oracle_(oracle) {}
 
   MulticastEngine(const MulticastEngine&) = delete;
   MulticastEngine& operator=(const MulticastEngine&) = delete;
 
   /// Launch a multicast from `initiator`. The eligible set is snapshotted
   /// immediately (online nodes whose ground-truth availability is in R).
-  Handle launch(net::NodeIndex initiator, const MulticastParams& params);
+  [[nodiscard]] Handle launch(net::NodeIndex initiator,
+                              const MulticastParams& params);
 
   /// Upper bound on the dissemination time of `params`, for callers
   /// deciding how far to advance the simulator before finalizing.
   [[nodiscard]] static sim::SimDuration horizon(const MulticastParams& params);
 
-  /// Collect the result; the multicast's state is released.
-  [[nodiscard]] MulticastResult finalize(Handle handle);
+  /// Collect the result and stop the operation's gossip tasks.
+  [[nodiscard]] MulticastResult finalize(const Handle& op);
 
  private:
-  struct Delivery {
-    sim::SimTime at;
-    bool inRange = false;  // ground truth
-  };
-
-  struct Operation {
-    MulticastParams params;
-    sim::SimTime startedAt;
-    bool reachedRange = false;
-    std::size_t eligible = 0;
-    /// node -> delivery record (presence = accepted the message once).
-    // detlint: allow(unordered-state) dedup membership + point queries; finalize() copies into a node-sorted vector before any order-sensitive use
-    std::unordered_map<net::NodeIndex, Delivery> deliveries;
-    /// The operation's gossip tasks. The operation owns them and their
-    /// closures hold it only weakly, so finalizing an operation frees its
-    /// tasks, and a task frees its closure once it stops.
-    std::vector<std::unique_ptr<sim::PeriodicTask>> gossipTasks;
-  };
-
   /// Message arrival at `node` from `sender` (or from the anycast stage
   /// when `sender == node`, which skips verification).
   void receiveAt(std::shared_ptr<Operation> op, net::NodeIndex sender,
@@ -147,10 +131,7 @@ class MulticastEngine {
   net::Network& network_;
   std::vector<AvmemNode>& nodes_;
   AnycastEngine& anycast_;
-  std::function<double(net::NodeIndex)> groundTruthAv_;
-  Handle nextHandle_ = 1;
-  // detlint: allow(unordered-state) keyed find/emplace/erase by handle only; never iterated, ordering cannot escape
-  std::unordered_map<Handle, std::shared_ptr<Operation>> operations_;
+  const avmon::OracleAvailabilityService& oracle_;
 };
 
 }  // namespace avmem::core

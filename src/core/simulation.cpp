@@ -252,8 +252,7 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   anycastEngine_ = std::make_unique<AnycastEngine>(
       *sim_, *network_, nodes_, rng_.fork("anycast"));
   multicastEngine_ = std::make_unique<MulticastEngine>(
-      *sim_, *network_, nodes_, *anycastEngine_,
-      [this](NodeIndex i) { return trueAvailability(i); });
+      *sim_, *network_, nodes_, *anycastEngine_, *oracle_);
 }
 
 void AvmemSimulation::startAttackCampaigns() {

@@ -40,10 +40,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <span>
 #include <tuple>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -191,7 +191,7 @@ class ShuffleChannel {
     timeout.dueUs = quantize(timeout.rawDueUs);
     push(timeout);
 
-    awaitingAck_.insert(nextSeq_);
+    awaitingAck_.insert(awaitingAck_.end(), nextSeq_);
     ++nextSeq_;
   }
 
@@ -524,8 +524,7 @@ class ShuffleChannel {
   std::vector<ShuffleDelivery> deliveries_;
   std::vector<ShuffleMsg> requestRecords_;
   std::vector<ShuffleRequestOutcome> outcomes_;
-  // detlint: allow(unordered-state) membership test + erase by seq only; the checkpoint's ack-set persist() writes it as a sorted array, so ordering never reaches snapshot bytes
-  std::unordered_set<std::uint64_t> awaitingAck_;
+  std::set<std::uint64_t> awaitingAck_;  ///< requests not yet acked, by seq
   std::uint64_t nextSeq_ = 0;
   std::uint64_t nextOrder_ = 0;
   std::int64_t scheduledWakeUs_ = kNoWake;

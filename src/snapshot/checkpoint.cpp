@@ -23,7 +23,6 @@
 #include <string>
 #include <tuple>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -231,16 +230,6 @@ void persistSize(Ar& ar, Io<Ar, std::size_t>& n) {
   if constexpr (Ar::kLoading) n = static_cast<std::size_t>(wide);
 }
 
-/// The channel's pending-ack set in ascending order, so bucket order never
-/// reaches the bytes and a restored channel re-saves byte-identically.
-std::vector<std::uint64_t> sortedAcks(
-    const std::unordered_set<std::uint64_t>& acks) {
-  // detlint: allow(unordered-iter) copied out and sorted on the next line; snapshot bytes see ascending seq order
-  std::vector<std::uint64_t> out(acks.begin(), acks.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 /// ShuffleMsg goes field by field: the struct has padding, and padding
 /// bytes are indeterminate — serializing them would break the round-trip
 /// byte-identity property (and leak uninitialized memory into the file).
@@ -434,13 +423,29 @@ void persistChan(Ar& ar, World<Ar>& w) {
   }
   ar.check(spanned == liveEntries,
            "checkpoint channel: live entry count does not match the heap");
-  std::vector<std::uint64_t> ackSeqs;
-  if constexpr (!Ar::kLoading) ackSeqs = sortedAcks(awaitingAck);
+  std::vector<std::uint64_t> ackSeqs(awaitingAck.begin(), awaitingAck.end());
   ar.array(ackSeqs);
+  ar(nextSeq, nextOrder, wakeUs, w.wakeSeq);
   if constexpr (Ar::kLoading) {
+    // A request is awaited from its send until its ack or its timeout
+    // record settles it: each awaited seq was issued, once, and its
+    // timeout record is still in the heap.
+    std::vector<std::uint64_t> timeouts;
+    for (const auto& msg : heap) {
+      if (msg.kind == net::ShuffleMsg::Kind::kTimeout) {
+        timeouts.push_back(msg.seq);
+      }
+    }
+    std::sort(timeouts.begin(), timeouts.end());
+    ar.check(std::adjacent_find(ackSeqs.begin(), ackSeqs.end(),
+                                std::greater_equal<>()) == ackSeqs.end() &&
+                 (ackSeqs.empty() || ackSeqs.back() < nextSeq) &&
+                 std::includes(timeouts.begin(), timeouts.end(),
+                               ackSeqs.begin(), ackSeqs.end()),
+             "checkpoint channel: pending acks not ascending, issued and "
+             "timed");
     awaitingAck.insert(ackSeqs.begin(), ackSeqs.end());
   }
-  ar(nextSeq, nextOrder, wakeUs, w.wakeSeq);
   persist(ar, rng);
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "core/simulation.hpp"
 
 namespace avmem::core {
@@ -125,19 +128,45 @@ TEST(MulticastTest, UnreachableRangeYieldsEmptyResult) {
   EXPECT_EQ(r.eligible, 0u);
 }
 
-TEST(MulticastTest, FinalizeUnknownHandleThrows) {
+TEST(MulticastTest, SequentialMulticastsEachComplete) {
   AvmemSimulation s(smallConfig());
-  s.warmup(sim::SimDuration::minutes(10));
-  // No engine access for an invalid handle through the facade; exercise
-  // the contract via a fresh multicast finalized twice.
+  s.warmup(sim::SimDuration::hours(6));
   const auto initiator = s.pickInitiator(AvBand::high());
   ASSERT_TRUE(initiator.has_value());
   MulticastParams p;
   p.range = AvRange::threshold(0.5);
-  (void)s.runMulticast(*initiator, p);  // finalized internally once
-  // A second multicast works fine after the first was finalized.
-  const auto r2 = s.runMulticast(*initiator, p);
-  EXPECT_GE(r2.eligible, 0u);
+  // Each multicast is launched, run past its horizon and finalized
+  // before the next starts; the second sees nothing of the first.
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    const auto r = s.runMulticast(*initiator, p);
+    EXPECT_TRUE(r.reachedRange);
+    EXPECT_GT(r.delivered, 0u);
+    EXPECT_LE(r.delivered, r.eligible);
+    EXPECT_EQ(r.deliveredNodes.size(), r.delivered);
+  }
+}
+
+TEST(MulticastTest, DeliveredNodesAscendWithTheirLatencies) {
+  for (const MulticastMode mode :
+       {MulticastMode::kFlood, MulticastMode::kGossip}) {
+    SCOPED_TRACE(toString(mode));
+    AvmemSimulation s(smallConfig());
+    s.warmup(sim::SimDuration::hours(6));
+    const auto initiator = s.pickInitiator(AvBand::high());
+    ASSERT_TRUE(initiator.has_value());
+    MulticastParams p;
+    p.range = AvRange::threshold(0.6);
+    p.mode = mode;
+    const auto r = s.runMulticast(*initiator, p);
+    ASSERT_GT(r.delivered, 1u);
+    ASSERT_EQ(r.deliveredNodes.size(), r.delivered);
+    ASSERT_EQ(r.deliveryLatencies.size(), r.delivered);
+    EXPECT_TRUE(std::ranges::adjacent_find(r.deliveredNodes,
+                                           std::greater_equal<>()) ==
+                r.deliveredNodes.end());
+    EXPECT_EQ(std::ranges::max(r.deliveryLatencies), r.lastDeliveryLatency);
+  }
 }
 
 TEST(MulticastTest, ThresholdAndRangeFormsBothWork) {

@@ -414,6 +414,63 @@ TEST(SnapshotHostileTest, ChannelSpanOutsideArenaBehindValidCrc) {
   }
 }
 
+TEST(SnapshotHostileTest, ChannelAckSetMalformedBehindValidCrc) {
+  // CHAN continues after the live-entry count with the pending-ack seqs
+  // (u64 length, u64 each) and then the next seq. The writer emits them
+  // ascending, each issued (below the next seq) and each still awaiting
+  // its timeout record; a restored channel must re-save the same bytes.
+  constexpr std::size_t kMsgBytes = 1 + 6 * 4 + 4 * 8;
+  using Edit = void (*)(std::vector<std::uint64_t>&, std::uint64_t);
+  const auto chan = [](Edit edit) {
+    return mutateSection(
+        goodBytes(), fourcc('C', 'H', 'A', 'N'), [&](std::string& payload) {
+          std::uint64_t heap = 0;
+          std::memcpy(&heap, payload.data(), 8);
+          const std::size_t arenaAt = 8 + heap * kMsgBytes;
+          std::uint64_t arena = 0;
+          std::memcpy(&arena, payload.data() + arenaAt, 8);
+          const std::size_t acksAt = arenaAt + 8 + 4 * arena + 8;
+          std::uint64_t count = 0;
+          std::memcpy(&count, payload.data() + acksAt, 8);
+          ASSERT_GT(count, 0u) << "donor has no pending ack to mutate";
+          std::vector<std::uint64_t> acks(count);
+          std::memcpy(acks.data(), payload.data() + acksAt + 8, 8 * count);
+          ASSERT_GT(acks.front(), 0u);
+          const std::size_t tailAt = acksAt + 8 + 8 * count;
+          std::uint64_t nextSeq = 0;
+          std::memcpy(&nextSeq, payload.data() + tailAt, 8);
+          edit(acks, nextSeq);
+          std::string rebuilt = payload.substr(0, acksAt);
+          const std::uint64_t n = acks.size();
+          rebuilt.append(reinterpret_cast<const char*>(&n), 8);
+          rebuilt.append(reinterpret_cast<const char*>(acks.data()), 8 * n);
+          payload = rebuilt + payload.substr(tailAt);
+        });
+  };
+  const std::pair<const char*, Edit> cases[] = {
+      {"duplicate",
+       [](std::vector<std::uint64_t>& acks, std::uint64_t) {
+         acks.insert(acks.begin(), acks.front());
+       }},
+      {"descending",
+       [](std::vector<std::uint64_t>& acks, std::uint64_t) {
+         acks.insert(acks.begin(), acks.front() + 1);
+       }},
+      {"not yet issued",
+       [](std::vector<std::uint64_t>& acks, std::uint64_t nextSeq) {
+         acks.push_back(nextSeq);
+       }},
+      {"no timeout record",
+       [](std::vector<std::uint64_t>& acks, std::uint64_t) {
+         acks.front() = 0;  // settled minutes before the save
+       }},
+  };
+  for (const auto& [what, edit] : cases) {
+    SCOPED_TRACE(what);
+    expectRestoreError<CheckpointFormatError>(chan(edit));
+  }
+}
+
 TEST(SnapshotHostileTest, AvmonCellsOutOfOrderBehindValidCrc) {
   // The writer emits each materialized target once, ascending. A repeated
   // target would silently overwrite the earlier cell's counters.

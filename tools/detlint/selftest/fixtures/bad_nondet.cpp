@@ -1,20 +1,14 @@
 // detlint selftest fixture: every violation here is deliberate.
 // Seeded violations: nondet-source (rand, random_device, system_clock,
-// time(), default-seeded engine), unordered-iter (range-for + begin()),
-// and one allow() WITHOUT a justification which must NOT suppress.
+// time(), default-seeded engine).
 // This TU is never compiled by the main build.
 
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
 #include <random>
-#include <unordered_map>
 
-struct Stats {
-  std::unordered_map<int, double> latencies;  // VIOLATION: unordered-state
-};
-
-inline double sampleEverything(Stats& s) {
+inline double sampleEverything() {
   double acc = 0.0;
 
   // VIOLATION: C rand().
@@ -34,14 +28,6 @@ inline double sampleEverything(Stats& s) {
 
   // VIOLATION: wall clock via time().
   acc += static_cast<double>(time(nullptr));
-
-  // VIOLATION (not suppressed): allow() without a justification.
-  for (const auto& kv : s.latencies) {  // detlint: allow(unordered-iter)
-    acc += kv.second;
-  }
-
-  // VIOLATION: begin() exposes unordered iteration order.
-  acc += s.latencies.begin()->second;
 
   return acc;
 }

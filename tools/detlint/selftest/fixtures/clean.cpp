@@ -1,13 +1,12 @@
 // detlint selftest fixture: a TU that exercises every pattern detlint
 // inspects and must produce ZERO findings. Legitimate idioms the lint
-// must not flag: steady_clock host timing, point queries into an
-// unordered map held as a local, and iteration over an ordered member.
+// must not flag: steady_clock host timing, a comment and a string that
+// name std::unordered_map, and iteration over an ordered member.
 // This TU is never compiled by the main build.
 
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 class Engine {
@@ -20,12 +19,10 @@ class Engine {
     return std::chrono::duration<double>(t1 - t0).count();
   }
 
-  // Point queries into a local unordered map: no iteration, no finding.
-  static double lookupOnly(std::uint64_t key) {
-    std::unordered_map<std::uint64_t, double> cache;
-    cache.emplace(key, 1.0);
-    auto it = cache.find(key);
-    return it == cache.end() ? 0.0 : it->second;
+  // Naming a banned type in a comment or a string is not using it:
+  // std::unordered_map<int, int> stays prose here.
+  static const char* advice() {
+    return "use std::map, not std::unordered_map";
   }
 
   // Iterating an ordered member is deterministic.
