@@ -126,7 +126,6 @@ void AvmonSystem::foldEpoch(std::uint64_t e) {
 
   // Commit (serial, ascending targets): counters + wire billing. Pings of
   // epoch e are billed at the boundary instant ending it.
-  const std::int64_t nowUs = sim_.now().toMicros();
   for (std::size_t i = 0; i < count; ++i) {
     const NodeIndex t = foldTargets_[i];
     TargetCell& cell = *cells_[t];
@@ -134,42 +133,37 @@ void AvmonSystem::foldEpoch(std::uint64_t e) {
     const std::size_t off = foldOffsets_[i];
     for (std::size_t j = 0; j < cell.monitors.size(); ++j) {
       if (foldMonitorUp_[off + j] == 0) continue;  // offline monitor: no ping
-      if (!billPing(cell.monitors[j], t, targetUp, nowUs)) continue;
+      if (!billPing(cell.monitors[j], t, targetUp)) continue;
       ++cell.samples[j];
       if (targetUp) ++cell.up[j];
     }
   }
 }
 
-bool AvmonSystem::billPing(NodeIndex m, NodeIndex target, bool targetUp,
-                           std::int64_t nowUs) {
+bool AvmonSystem::billPing(NodeIndex m, NodeIndex target, bool targetUp) {
   ++pings_.sent;
   pings_.bytes += kPingBytes;
   if (wire_ != nullptr) {
     net::NetworkStats& stats = wire_->stats_;
     ++stats.sent;
     stats.bytesSent += kPingBytes;
-    if (wire_->fault_ != nullptr) {
-      const fault::WireVerdict v = wire_->fault_->onWire(
-          fault::WireKind::kPing, m, target, nowUs);
-      if (v.drop) {
-        ++stats.injectedDrops;
-        ++pings_.lostToFaults;
-        return false;  // the monitor never hears back: sample lost
-      }
-      if (v.duplicate) {
-        // The second copy is delivery accounting only — the receiver
-        // answers (or not) once per epoch either way.
-        ++stats.duplicated;
-        if (targetUp) {
-          ++stats.delivered;
-        } else {
-          ++stats.droppedOffline;
-        }
-      }
-      // v.extraDelayUs: a late ping still lands inside the same epoch at
-      // this granularity — no observable effect.
+    const fault::WireVerdict v =
+        wire_->fate(fault::WireKind::kPing, m, target);
+    if (v.drop) {
+      ++pings_.lostToFaults;
+      return false;  // the monitor never hears back: sample lost
     }
+    if (v.duplicate) {
+      // The second copy is delivery accounting only — the receiver
+      // answers (or not) once per epoch either way.
+      if (targetUp) {
+        ++stats.delivered;
+      } else {
+        ++stats.droppedOffline;
+      }
+    }
+    // v.extraDelayUs: a late ping still lands inside the same epoch at
+    // this granularity — no observable effect.
     if (targetUp) {
       ++stats.delivered;
       ++stats.acksSent;  // the pong

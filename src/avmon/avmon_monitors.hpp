@@ -42,8 +42,8 @@
 //    monitors once, and later queries load the sums (see
 //    AvmonAvailabilityService::query).
 //  * Wire-billed pings. Each committed sample is a ping billed into
-//    NetworkStats (and answered by a pong when the target is up) through a
-//    friend seam on net::Network, consulted against the fault injector's
+//    NetworkStats (and answered by a pong when the target is up) through
+//    net::Network's one fault consult (a friend seam), on the injector's
 //    kPing lane — chaos campaigns drop/duplicate/delay AVMON traffic like
 //    any other message kind. A dropped ping is a lost sample. Extra delay
 //    is a no-op at epoch granularity. Catch-up counters computed at
@@ -269,8 +269,7 @@ class AvmonSystem {
   void foldEpoch(std::uint64_t e);
   /// Bill one ping over the wire seam; returns false when an injected
   /// drop ate the sample. Serial (commit) context only.
-  bool billPing(NodeIndex m, NodeIndex target, bool targetUp,
-                std::int64_t nowUs);
+  bool billPing(NodeIndex m, NodeIndex target, bool targetUp);
 
   const trace::AvailabilityModel& trace_;
   sim::Simulator& sim_;

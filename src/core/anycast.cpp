@@ -116,16 +116,14 @@ void AnycastEngine::forwardFrom(std::shared_ptr<Operation> op, NodeIndex node,
       // inside R. If there is no such neighbor, x selects as the next hop
       // the neighbor whose availability is closest to R."
       const NodeIndex next = candidates.front().peer;
-      network_.send(
-          next,
-          [this, op, node, next, ttl, hops](sim::SimTime) {
-            // Receiver-side verification: a rejecting receiver silently
-            // kills a fire-and-forget anycast (the watchdog reports
-            // kDropped).
-            if (!nodes_[next].verifyIncoming(node)) return;
-            arriveAt(op, next, ttl - 1, hops + 1);
-          },
-          net::Network::kDefaultMessageBytes, /*src=*/node);
+      network_.send(node, next,
+                    [this, op, node, next, ttl, hops](sim::SimTime) {
+                      // Receiver-side verification: a rejecting receiver
+                      // silently kills a fire-and-forget anycast (the
+                      // watchdog reports kDropped).
+                      if (!nodes_[next].verifyIncoming(node)) return;
+                      arriveAt(op, next, ttl - 1, hops + 1);
+                    });
       break;
     }
 
@@ -156,13 +154,11 @@ void AnycastEngine::forwardFrom(std::shared_ptr<Operation> op, NodeIndex node,
           break;
         }
       }
-      network_.send(
-          chosen,
-          [this, op, node, chosen, ttl, hops](sim::SimTime) {
-            if (!nodes_[chosen].verifyIncoming(node)) return;
-            arriveAt(op, chosen, ttl - 1, hops + 1);
-          },
-          net::Network::kDefaultMessageBytes, /*src=*/node);
+      network_.send(node, chosen,
+                    [this, op, node, chosen, ttl, hops](sim::SimTime) {
+                      if (!nodes_[chosen].verifyIncoming(node)) return;
+                      arriveAt(op, chosen, ttl - 1, hops + 1);
+                    });
       break;
     }
   }
@@ -187,7 +183,7 @@ void AnycastEngine::tryCandidates(std::shared_ptr<Operation> op,
 
   const NodeIndex target = candidates[next].peer;
   network_.sendWithAck(
-      target,
+      node, target,
       // Receiver side: verify the sender is a legitimate in-neighbor; a
       // rejection suppresses the ack, so the sender's timeout fires and it
       // moves to its next-best candidate.
@@ -196,7 +192,6 @@ void AnycastEngine::tryCandidates(std::shared_ptr<Operation> op,
         arriveAt(op, target, ttl - 1, hops + 1);
         return true;
       },
-      /*onAck=*/[] { /* progress is driven from the receiver side */ },
       /*onTimeout=*/
       [this, op, node, candidates = std::move(candidates), next, budget,
        resendsLeft, ttl, hops]() mutable {
@@ -215,8 +210,7 @@ void AnycastEngine::tryCandidates(std::shared_ptr<Operation> op,
         tryCandidates(op, node, std::move(candidates), next + 1, budget - 1,
                       op->params.lossRetries, ttl, hops);
       },
-      op->params.ackTimeout,
-      net::Network::kDefaultMessageBytes, /*src=*/node);
+      op->params.ackTimeout);
 }
 
 }  // namespace avmem::core

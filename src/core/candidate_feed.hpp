@@ -154,9 +154,6 @@ class CandidateFeed {
 
   // --- introspection -------------------------------------------------------
 
-  [[nodiscard]] std::size_t bucketCount() const noexcept {
-    return config_.buckets;
-  }
   /// Entries in the frozen (readable) snapshot.
   [[nodiscard]] std::size_t directoryPopulation() const noexcept {
     return frozen_.population;

@@ -92,12 +92,9 @@ class SliverList {
   [[nodiscard]] std::size_t size() const noexcept { return peers_.size(); }
   [[nodiscard]] bool empty() const noexcept { return peers_.empty(); }
 
-  // Flat-array views (hot paths iterate these directly).
+  // Flat-array view (hot paths iterate it directly).
   [[nodiscard]] std::span<const NodeIndex> peers() const noexcept {
     return peers_;
-  }
-  [[nodiscard]] std::span<const double> cachedAvs() const noexcept {
-    return avs_;
   }
 
   [[nodiscard]] NodeIndex peerAt(std::size_t i) const noexcept {

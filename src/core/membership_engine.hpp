@@ -135,11 +135,6 @@ class MembershipEngine {
     return discovery_.activeShardCount() + refresh_.activeShardCount();
   }
 
-  /// Execution lanes the plan phase uses (1 = fully serial).
-  [[nodiscard]] std::size_t planThreads() const noexcept {
-    return pool_ != nullptr ? pool_->threadCount() : 1;
-  }
-
   /// Host wall-clock spent in the (parallelizable) plan phase across both
   /// schedules since start().
   [[nodiscard]] double planWallSeconds() const noexcept {

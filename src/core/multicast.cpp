@@ -138,7 +138,7 @@ void MulticastEngine::floodFrom(std::shared_ptr<Operation> op,
   for (const NeighborEntry& e : nodes_[node].neighbors(op->params.slivers)) {
     if (!op->params.range.contains(e.cachedAv)) continue;
     const NodeIndex peer = e.peer;
-    network_.send(peer, [this, op, node, peer](sim::SimTime) {
+    network_.send(node, peer, [this, op, node, peer](sim::SimTime) {
       receiveAt(op, node, peer);
     });
   }
@@ -179,7 +179,7 @@ void MulticastEngine::gossipFrom(std::shared_ptr<Operation> op,
           sentTo.push_back(e.peer);
           ++sentThisRound;
           const NodeIndex peer = e.peer;
-          network_.send(peer, [this, op, node, peer](sim::SimTime) {
+          network_.send(node, peer, [this, op, node, peer](sim::SimTime) {
             receiveAt(op, node, peer);
           });
         }

@@ -45,11 +45,6 @@ class OverlaySnapshot {
     return inDegree_.at(n);
   }
 
-  /// Ground-truth availability of `n` at capture time.
-  [[nodiscard]] double availabilityOf(net::NodeIndex n) const {
-    return availability_.at(n);
-  }
-
   /// Connected components of the snapshot treated as an *undirected*
   /// graph (the relevant notion for the paper's connectivity theorems:
   /// an edge lets either endpoint learn of the other), restricted to the

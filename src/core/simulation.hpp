@@ -205,18 +205,6 @@ struct AnycastBatchResult {
   [[nodiscard]] double deliveredFraction() const noexcept {
     return fraction(AnycastOutcome::kDelivered);
   }
-  /// Mean delivery latency in ms over *delivered* anycasts.
-  [[nodiscard]] double meanDeliveryLatencyMs() const noexcept {
-    double total = 0.0;
-    std::size_t n = 0;
-    for (const auto& r : results) {
-      if (r.outcome == AnycastOutcome::kDelivered) {
-        total += r.latency.toMillis();
-        ++n;
-      }
-    }
-    return n == 0 ? 0.0 : total / static_cast<double>(n);
-  }
 };
 
 /// The assembled system.

@@ -1,16 +1,19 @@
 // The fault injector: turns a FaultPlan into deterministic wire verdicts
 // and a composed availability overlay.
 //
-// Wire seam. net::Network::send/sendWithAck and net/shuffle_channel.hpp
-// consult onWire() at their delivery-scheduling points. Every consult
-// that lands inside an active, scope-matching loss stage burns one
-// counter of that wire kind's stream and derives its dice from
-// Rng::stream(plan.seed, kind, seq) — a pure function, so verdicts are
-// independent of thread count (all consults happen in serial
-// event/commit context, in identical order at every count). Outside
-// any active stage onWire() is a pure no-op that draws nothing and
-// advances nothing, which is what makes a plan with no active stages —
-// or a disabled injector — byte-identical to a faultless run.
+// Wire seam. Every wire lane — Network::send, both legs of
+// Network::sendWithAck, the shuffle channel's request/reply/ack and
+// AVMON's pings — consults onWire() once per message through one
+// definition, net::Network::fate(), when the message leaves its sender,
+// naming both endpoints. Every consult that lands inside an active,
+// scope-matching loss stage burns one counter of that wire kind's stream
+// and derives its dice from Rng::stream(plan.seed, kind, seq) — a pure
+// function, so verdicts are independent of thread count (all consults
+// happen in serial event/commit context, in identical order at every
+// count). Outside any active stage onWire() is a pure no-op that draws
+// nothing and advances nothing, which is what makes a plan with no
+// active stages — or a disabled injector — byte-identical to a
+// faultless run.
 //
 // Availability seam. Outage and flash-crowd stages do not touch the
 // wire; they compose over the trace as an OutageOverlayModel that
@@ -28,7 +31,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -39,7 +41,8 @@
 
 namespace avmem::fault {
 
-/// Sentinel for "source unknown at this seam" (endpoint-blind sends).
+/// Sentinel for "no such node". Every wire lane names both endpoints; a
+/// consult naming this one never matches a region-scoped stage.
 inline constexpr std::uint32_t kUnknownNode = 0xFFFFFFFFu;
 
 /// Which wire lane a consult is for. Each kind owns an independent
@@ -73,10 +76,13 @@ inline constexpr std::uint64_t kWindowSaltBase = 0x0D0BEull;
       sim::Rng::stream(seed, detail::kRegionSalt, node).below(regions));
 }
 
-/// One consult's outcome. `drop` wins over everything; a duplicate is a
-/// second delivery of the same message, offset by `duplicateDelayUs`
-/// past the primary's latency (drawn from the fault stream — the real
-/// latency stream is never perturbed).
+/// One consult's outcome, drawn from the fault stream (the real latency
+/// stream is never perturbed). `drop` wins over everything; `extraDelayUs`
+/// is added to the message's latency; a duplicate is a second delivery
+/// of the same message. The lanes place that copy differently: Network's
+/// lanes deliver it `duplicateDelayUs` past the bare latency (without the
+/// extra delay), the shuffle channel `duplicateDelayUs` past the delayed
+/// primary.
 struct WireVerdict {
   bool drop = false;
   bool duplicate = false;
@@ -96,12 +102,6 @@ struct FaultStats {
 
 class FaultInjector {
  public:
-  /// Maps a node to its region for loss-stage scoping. Defaults to the
-  /// plan's deterministic hash assignment; installs a topology-backed
-  /// map (net::RegionLatency::regionOf) via setRegionMap when one
-  /// exists.
-  using RegionFn = std::function<std::uint32_t(std::uint32_t)>;
-
   explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
     attackSweepsDone_.assign(plan_.attacks.size(), 0);
   }
@@ -109,23 +109,11 @@ class FaultInjector {
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
 
-  void setRegionMap(RegionFn fn) { regionMap_ = std::move(fn); }
-
-  /// Region of `node` under this plan: the installed map if any, else
-  /// a pure hash of (plan.seed, node) — stable across runs and
-  /// independent of everything else drawn from the plan seed.
+  /// Region of `node` under this plan: a pure hash of (plan.seed, node)
+  /// — stable across runs, independent of everything else drawn from the
+  /// plan seed, and the same assignment the outage overlay uses.
   [[nodiscard]] std::uint32_t regionOf(std::uint32_t node) const {
-    if (regionMap_) return regionMap_(node) % plan_.regions;
     return hashRegionOf(plan_.seed, plan_.regions, node);
-  }
-
-  /// True iff some loss stage is active at `nowUs` (cheap pre-check the
-  /// wire seams may use to skip consults entirely).
-  [[nodiscard]] bool lossActiveAt(std::int64_t nowUs) const noexcept {
-    for (const auto& s : plan_.loss) {
-      if (nowUs >= s.fromUs && nowUs < s.toUs) return true;
-    }
-    return false;
   }
 
   /// Consult at a delivery-scheduling point. Must only be called from
@@ -161,9 +149,6 @@ class FaultInjector {
 
   [[nodiscard]] std::size_t attackStageCount() const noexcept {
     return plan_.attacks.size();
-  }
-  [[nodiscard]] const AttackStage& attackStage(std::size_t i) const {
-    return plan_.attacks.at(i);
   }
   [[nodiscard]] std::uint64_t attackSweepsDone(std::size_t i) const {
     return attackSweepsDone_.at(i);
@@ -224,7 +209,6 @@ class FaultInjector {
   }
 
   FaultPlan plan_;
-  RegionFn regionMap_;
   std::array<std::uint64_t, kWireKindCount> wireSeq_{};
   std::vector<std::uint64_t> attackSweepsDone_;
   FaultStats stats_;

@@ -31,9 +31,9 @@ inline constexpr std::int32_t kAnyRegion = -1;
 /// Wire degradation over a time window: every message whose
 /// delivery-scheduling point falls inside [fromUs, toUs) — and whose
 /// endpoints match the optional region scope — rolls independent
-/// drop/duplicate/extra-delay dice. Scoped stages only match messages
-/// whose source is known at the seam (the shuffle lanes and anycast
-/// hops pass it; endpoint-blind sends match unscoped stages only).
+/// drop/duplicate/extra-delay dice. Every wire lane names both
+/// endpoints, so a scope matches any message whose sender (or receiver)
+/// lies in the region.
 /// When several loss stages overlap in time, the first matching stage
 /// in file order wins.
 struct LossStage {

@@ -15,8 +15,9 @@
 //
 // High-volume gossip traffic has a second, typed lane: the batched POD
 // message queue in net/shuffle_channel.hpp, which shares this network's
-// latency model, online gating, and stats but allocates no closures per
-// message (see that header).
+// latency model, online gate, fault consult and stats but allocates no
+// closures per message (see that header). AVMON's monitor pings bill
+// through the same fault consult and stats.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +40,6 @@ namespace avmem::net {
 
 /// Dense node address within one simulation.
 using NodeIndex = std::uint32_t;
-
-/// "Sender unknown at this call site" — endpoint-blind sends pass this,
-/// and region-scoped fault stages then never match them.
-inline constexpr NodeIndex kUnknownSender = 0xFFFFFFFFu;
 
 /// Answers "is node n online right now?" — implemented by the simulation
 /// harness over the churn trace.
@@ -85,31 +82,22 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Fire-and-forget datagram. `onDeliver` runs only if `dst` is online at
-  /// the delivery instant. `approxBytes` feeds the bandwidth accounting.
-  /// `src` is accounting-only context for the fault injector's region
-  /// scoping; callers that know the sender should pass it.
-  void send(NodeIndex dst, DeliveryFn onDeliver,
-            std::size_t approxBytes = kDefaultMessageBytes,
-            NodeIndex src = kUnknownSender) {
+  /// Fire-and-forget datagram from `src` to `dst`. `onDeliver` runs only
+  /// if `dst` is online at the delivery instant. `approxBytes` feeds the
+  /// bandwidth accounting; `src` feeds the fault injector's region scope.
+  void send(NodeIndex src, NodeIndex dst, DeliveryFn onDeliver,
+            std::size_t approxBytes = kDefaultMessageBytes) {
     ++stats_.sent;
     stats_.bytesSent += approxBytes;
-    sim::SimDuration lat = latency_->sample(rng_);
-    if (fault_ != nullptr) {
-      const fault::WireVerdict v = fault_->onWire(
-          fault::WireKind::kDatagram, src, dst, sim_.now().toMicros());
-      if (v.drop) {
-        ++stats_.injectedDrops;
-        return;  // vanished on the wire; nothing is ever delivered
-      }
-      if (v.duplicate) {
-        ++stats_.duplicated;
-        scheduleDelivery(dst, onDeliver,
-                         lat + sim::SimDuration::micros(v.duplicateDelayUs));
-      }
-      lat += sim::SimDuration::micros(v.extraDelayUs);
+    const sim::SimDuration lat = latency_->sample(rng_);
+    const fault::WireVerdict v = fate(fault::WireKind::kDatagram, src, dst);
+    if (v.drop) return;  // vanished on the wire; nothing is ever delivered
+    if (v.duplicate) {
+      scheduleDelivery(dst, onDeliver,
+                       lat + sim::SimDuration::micros(v.duplicateDelayUs));
     }
-    scheduleDelivery(dst, std::move(onDeliver), lat);
+    scheduleDelivery(dst, std::move(onDeliver),
+                     lat + sim::SimDuration::micros(v.extraDelayUs));
   }
 
   /// Called at the delivery instant; returns whether the receiver accepts
@@ -117,16 +105,13 @@ class Network {
   /// receiver looks exactly like an offline one to the sender).
   using AckedDeliveryFn = std::function<bool(sim::SimTime)>;
 
-  /// Request/ack exchange: deliver to `dst`; if `dst` is online and
+  /// Request/ack exchange from `src` to `dst`: if `dst` is online and
   /// `onDeliver` returns true, an ack travels back (one more latency
-  /// sample) and `onAck` runs at the sender. If no ack arrives within
-  /// `timeout`, `onTimeout` runs instead. Exactly one of
-  /// `onAck` / `onTimeout` fires.
-  void sendWithAck(NodeIndex dst, AckedDeliveryFn onDeliver,
-                   std::function<void()> onAck,
+  /// sample) and settles the exchange. If no ack arrives within
+  /// `timeout`, `onTimeout` runs instead; it never runs after an ack.
+  void sendWithAck(NodeIndex src, NodeIndex dst, AckedDeliveryFn onDeliver,
                    std::function<void()> onTimeout, sim::SimDuration timeout,
-                   std::size_t approxBytes = kDefaultMessageBytes,
-                   NodeIndex src = kUnknownSender) {
+                   std::size_t approxBytes = kDefaultMessageBytes) {
     ++stats_.sent;
     stats_.bytesSent += approxBytes;
 
@@ -140,41 +125,31 @@ class Network {
       fnTimeout();
     });
 
-    sim::SimDuration lat = latency_->sample(rng_);
-    if (fault_ != nullptr) {
-      const fault::WireVerdict v = fault_->onWire(
-          fault::WireKind::kAckRequest, src, dst, sim_.now().toMicros());
-      if (v.drop) {
-        ++stats_.injectedDrops;
-        return;  // request lost: the timeout (already armed) will fire
-      }
-      if (v.duplicate) {
-        // Both copies are full request deliveries: the receiver sees the
-        // message twice and each acceptance acks independently (the
-        // settled flag makes the second ack a no-op at the sender).
-        ++stats_.duplicated;
-        scheduleAckedDelivery(dst, src, onDeliver, onAck, settled,
-                              lat + sim::SimDuration::micros(
-                                        v.duplicateDelayUs));
-      }
-      lat += sim::SimDuration::micros(v.extraDelayUs);
+    const sim::SimDuration lat = latency_->sample(rng_);
+    const fault::WireVerdict v =
+        fate(fault::WireKind::kAckRequest, src, dst);
+    if (v.drop) return;  // request lost: the timeout (already armed) fires
+    if (v.duplicate) {
+      // Both copies are full request deliveries: the receiver sees the
+      // message twice and each acceptance acks independently (the
+      // settled flag makes the second ack a no-op at the sender).
+      scheduleAckedDelivery(
+          src, dst, onDeliver, settled,
+          lat + sim::SimDuration::micros(v.duplicateDelayUs));
     }
-    scheduleAckedDelivery(dst, src, std::move(onDeliver), std::move(onAck),
-                          settled, lat);
+    scheduleAckedDelivery(src, dst, std::move(onDeliver), std::move(settled),
+                          lat + sim::SimDuration::micros(v.extraDelayUs));
   }
 
   [[nodiscard]] const NetworkStats& stats() const noexcept { return stats_; }
   void resetStats() noexcept { stats_ = NetworkStats{}; }
 
-  /// Install (or clear) the fault injector consulted at every
-  /// delivery-scheduling point. When null — the default — the wire path
-  /// is byte-identical to a build without fault/ in the picture: no
-  /// extra randomness is drawn and no schedule changes.
+  /// Install (or clear) the fault injector every wire lane consults
+  /// through fate(). When null — the default — the wire path is
+  /// byte-identical to a build without fault/ in the picture: no extra
+  /// randomness is drawn and no schedule changes.
   void setFaultInjector(fault::FaultInjector* injector) noexcept {
     fault_ = injector;
-  }
-  [[nodiscard]] fault::FaultInjector* faultInjector() const noexcept {
-    return fault_;
   }
 
   /// Warm-state checkpointing (snapshot/): the wire counters plus the
@@ -200,37 +175,52 @@ class Network {
 
  private:
   /// The typed batched-message lane (net/shuffle_channel.hpp) shares this
-  /// network's latency model, online oracle, and stats so both paths
-  /// account identically.
+  /// network's latency model, fault consult, online gate and stats so
+  /// both paths account identically.
   friend class ShuffleChannel;
-  /// AVMON's epoch-batched ping lane bills into the same stats and
-  /// consults the same fault injector (serial commit context only).
+  /// AVMON's epoch-batched ping lane bills into the same stats through
+  /// the same fault consult (serial commit context only).
   friend class ::avmem::avmon::AvmonSystem;
+
+  /// The one fault consult of every wire lane, made when a message
+  /// leaves `src` for `dst`. Without an injector the verdict is empty and
+  /// nothing is drawn; otherwise injected drops and duplicates are
+  /// counted here, once, whatever the lane.
+  [[nodiscard]] fault::WireVerdict fate(fault::WireKind kind, NodeIndex src,
+                                        NodeIndex dst) {
+    if (fault_ == nullptr) return {};
+    const fault::WireVerdict v =
+        fault_->onWire(kind, src, dst, sim_.now().toMicros());
+    if (v.drop) ++stats_.injectedDrops;
+    if (v.duplicate) ++stats_.duplicated;
+    return v;
+  }
+
+  /// The one online gate of every lane, taken at the delivery instant:
+  /// true (counted delivered) iff `dst` is online, else counted
+  /// droppedOffline — silence, exactly like a datagram to a dead host.
+  [[nodiscard]] bool arrives(NodeIndex dst) {
+    if (!online_(dst)) {
+      ++stats_.droppedOffline;
+      return false;
+    }
+    ++stats_.delivered;
+    return true;
+  }
 
   void scheduleDelivery(NodeIndex dst, DeliveryFn fn, sim::SimDuration lat) {
     sim_.schedule(lat, [this, dst, fn = std::move(fn)] {
-      if (!online_(dst)) {
-        ++stats_.droppedOffline;
-        return;
-      }
-      ++stats_.delivered;
-      fn(sim_.now());
+      if (arrives(dst)) fn(sim_.now());
     });
   }
 
-  void scheduleAckedDelivery(NodeIndex dst, NodeIndex src,
+  void scheduleAckedDelivery(NodeIndex src, NodeIndex dst,
                              AckedDeliveryFn fnDeliver,
-                             std::function<void()> fnAck,
                              std::shared_ptr<bool> settled,
                              sim::SimDuration lat) {
-    sim_.schedule(lat, [this, dst, src, settled = std::move(settled),
-                        fnDeliver = std::move(fnDeliver),
-                        fnAck = std::move(fnAck)]() mutable {
-      if (!online_(dst)) {
-        ++stats_.droppedOffline;
-        return;  // no ack will ever come; the timeout will fire
-      }
-      ++stats_.delivered;
+    sim_.schedule(lat, [this, src, dst, settled = std::move(settled),
+                        fnDeliver = std::move(fnDeliver)] {
+      if (!arrives(dst)) return;  // no ack will ever come; the timeout fires
       if (!fnDeliver(sim_.now())) {
         ++stats_.rejected;
         return;  // receiver rejected: no ack; the timeout will fire
@@ -238,31 +228,17 @@ class Network {
       // Ack travels back with an independent latency sample.
       ++stats_.acksSent;
       stats_.bytesSent += kAckBytes;
-      sim::SimDuration back = latency_->sample(rng_);
-      if (fault_ != nullptr) {
-        const fault::WireVerdict v = fault_->onWire(
-            fault::WireKind::kAck, dst, src, sim_.now().toMicros());
-        if (v.drop) {
-          ++stats_.injectedDrops;
-          return;  // ack lost: the sender times out despite acceptance
-        }
-        if (v.duplicate) {
-          ++stats_.duplicated;
-          sim_.schedule(
-              back + sim::SimDuration::micros(v.duplicateDelayUs),
-              [settled, fnAck] {
-                if (*settled) return;
-                *settled = true;
-                fnAck();
-              });
-        }
-        back += sim::SimDuration::micros(v.extraDelayUs);
+      const sim::SimDuration back = latency_->sample(rng_);
+      const fault::WireVerdict v = fate(fault::WireKind::kAck, dst, src);
+      if (v.drop) return;  // ack lost: the sender times out despite acceptance
+      // An ack's arrival only settles the exchange; a duplicate settles
+      // nothing new but is still an event on the wire.
+      const auto settle = [settled] { *settled = true; };
+      if (v.duplicate) {
+        sim_.schedule(back + sim::SimDuration::micros(v.duplicateDelayUs),
+                      settle);
       }
-      sim_.schedule(back, [settled, fnAck = std::move(fnAck)] {
-        if (*settled) return;
-        *settled = true;
-        fnAck();
-      });
+      sim_.schedule(back + sim::SimDuration::micros(v.extraDelayUs), settle);
     });
   }
 

@@ -156,8 +156,9 @@ class ShuffleChannel {
     // the record, so the channel's wire RNG consumption never depends on
     // fault dice.
     const std::int64_t lat = sampleLatencyUs();
-    const WireFate fate = consult(fault::WireKind::kShuffleRequest, src, dst);
-    if (!fate.drop) {
+    const fault::WireVerdict v =
+        network_.fate(fault::WireKind::kShuffleRequest, src, dst);
+    if (!v.drop) {
       ShuffleMsg req{};
       req.kind = ShuffleMsg::Kind::kRequest;
       req.src = src;
@@ -165,20 +166,7 @@ class ShuffleChannel {
       req.payloadOffset = appendSpan(payload);
       req.payloadCount = static_cast<std::uint32_t>(payload.size());
       req.seq = nextSeq_;
-      req.rawDueUs = nowUs() + lat + fate.extraUs;
-      req.dueUs = quantize(req.rawDueUs);
-      push(req);
-      if (fate.duplicate) {
-        // The copy owns its own arena span — every heap record retires
-        // exactly the entries it references, keeping the liveEntries_
-        // invariant (and compaction) honest under duplication storms.
-        ShuffleMsg dup = req;
-        dup.payloadOffset = appendFromArena(req.payloadOffset,
-                                            req.payloadCount);
-        dup.rawDueUs = req.rawDueUs + fate.dupExtraUs;
-        dup.dueUs = quantize(dup.rawDueUs);
-        push(dup);
-      }
+      pushLeg(req, lat, v);
     }
     // The timeout sentinel always arms: a dropped request looks to the
     // initiator exactly like an unresponsive partner.
@@ -258,23 +246,6 @@ class ShuffleChannel {
     return network_.latency_->sample(rng_).toMicros();
   }
 
-  /// One injector consult, flattened for the channel's push sites. When
-  /// no injector is installed this is a no-op returning "deliver as-is".
-  struct WireFate {
-    bool drop = false;
-    bool duplicate = false;
-    std::int64_t extraUs = 0;
-    std::int64_t dupExtraUs = 0;
-  };
-  [[nodiscard]] WireFate consult(fault::WireKind kind, NodeIndex src,
-                                 NodeIndex dst) {
-    fault::FaultInjector* f = network_.fault_;
-    if (f == nullptr) return {};
-    const fault::WireVerdict v = f->onWire(kind, src, dst, nowUs());
-    if (v.drop) ++network_.stats_.injectedDrops;
-    if (v.duplicate) ++network_.stats_.duplicated;
-    return {v.drop, v.duplicate, v.extraDelayUs, v.duplicateDelayUs};
-  }
   [[nodiscard]] std::int64_t quantize(std::int64_t dueUs) const noexcept {
     if (quantumUs_ <= 0) return dueUs;
     return ((dueUs + quantumUs_ - 1) / quantumUs_) * quantumUs_;
@@ -318,6 +289,29 @@ class ShuffleChannel {
       return a.order > b.order;
     }
   };
+
+  /// Push leg `m` due `latUs` plus the verdict's extra delay from now.
+  /// A duplicate verdict pushes a copy `duplicateDelayUs` after it that
+  /// owns its own arena spans (requests and replies carry a payload,
+  /// replies also an echo, acks neither) — every heap record retires
+  /// exactly the entries it references, keeping the liveEntries_
+  /// invariant (and compaction) honest under duplication storms.
+  void pushLeg(ShuffleMsg m, std::int64_t latUs, const fault::WireVerdict& v) {
+    m.rawDueUs = nowUs() + latUs + v.extraDelayUs;
+    m.dueUs = quantize(m.rawDueUs);
+    push(m);
+    if (!v.duplicate) return;
+    ShuffleMsg dup = m;
+    if (m.kind != ShuffleMsg::Kind::kAck) {
+      dup.payloadOffset = appendFromArena(m.payloadOffset, m.payloadCount);
+    }
+    if (m.kind == ShuffleMsg::Kind::kReply) {
+      dup.echoOffset = appendFromArena(m.echoOffset, m.echoCount);
+    }
+    dup.rawDueUs = m.rawDueUs + v.duplicateDelayUs;
+    dup.dueUs = quantize(dup.rawDueUs);
+    push(dup);
+  }
 
   void push(ShuffleMsg m) {
     m.order = nextOrder_++;
@@ -381,22 +375,14 @@ class ShuffleChannel {
     for (const ShuffleMsg& m : batch_) {
       switch (m.kind) {
         case ShuffleMsg::Kind::kRequest: {
-          if (!network_.online_(m.dst)) {
-            ++stats.droppedOffline;  // no ack; the timeout will fire
-            break;
-          }
-          ++stats.delivered;
+          if (!network_.arrives(m.dst)) break;  // the timeout will fire
           deliveries_.push_back({m.kind, m.dst, m.src, m.seq, payloadOf(m),
                                  {}});
           requestRecords_.push_back(m);  // for the echo + reply emission
           break;
         }
         case ShuffleMsg::Kind::kReply: {
-          if (!network_.online_(m.dst)) {
-            ++stats.droppedOffline;
-            break;
-          }
-          ++stats.delivered;
+          if (!network_.arrives(m.dst)) break;
           deliveries_.push_back(
               {m.kind, m.dst, m.src, m.seq, payloadOf(m), echoOf(m)});
           break;
@@ -434,8 +420,8 @@ class ShuffleChannel {
       stats.bytesSent +=
           outcome.reply.size() * Network::kMembershipEntryBytes;
       const std::int64_t replyLat = sampleLatencyUs();
-      const WireFate replyFate =
-          consult(fault::WireKind::kShuffleReply, req.dst, req.src);
+      const fault::WireVerdict replyFate =
+          network_.fate(fault::WireKind::kShuffleReply, req.dst, req.src);
       if (!replyFate.drop) {
         ShuffleMsg reply{};
         reply.kind = ShuffleMsg::Kind::kReply;
@@ -447,25 +433,14 @@ class ShuffleChannel {
         reply.echoOffset =
             appendFromArena(req.payloadOffset, req.payloadCount);
         reply.echoCount = req.payloadCount;
-        reply.rawDueUs = nowUs() + replyLat + replyFate.extraUs;
-        reply.dueUs = quantize(reply.rawDueUs);
-        push(reply);
-        if (replyFate.duplicate) {
-          ShuffleMsg dup = reply;
-          dup.payloadOffset =
-              appendFromArena(reply.payloadOffset, reply.payloadCount);
-          dup.echoOffset = appendFromArena(reply.echoOffset, reply.echoCount);
-          dup.rawDueUs = reply.rawDueUs + replyFate.dupExtraUs;
-          dup.dueUs = quantize(dup.rawDueUs);
-          push(dup);
-        }
+        pushLeg(reply, replyLat, replyFate);
       }
 
       ++stats.acksSent;
       stats.bytesSent += Network::kAckBytes;
       const std::int64_t ackLat = sampleLatencyUs();
-      const WireFate ackFate =
-          consult(fault::WireKind::kShuffleAck, req.dst, req.src);
+      const fault::WireVerdict ackFate =
+          network_.fate(fault::WireKind::kShuffleAck, req.dst, req.src);
       if (!ackFate.drop) {
         // A dropped ack leaves the exchange settled at the receiver but
         // the initiator times out anyway — the classic ack-loss storm
@@ -475,15 +450,7 @@ class ShuffleChannel {
         ack.src = req.dst;
         ack.dst = req.src;
         ack.seq = req.seq;
-        ack.rawDueUs = nowUs() + ackLat + ackFate.extraUs;
-        ack.dueUs = quantize(ack.rawDueUs);
-        push(ack);
-        if (ackFate.duplicate) {
-          ShuffleMsg dup = ack;
-          dup.rawDueUs = ack.rawDueUs + ackFate.dupExtraUs;
-          dup.dueUs = quantize(dup.rawDueUs);
-          push(dup);
-        }
+        pushLeg(ack, ackLat, ackFate);
       }
     }
   }

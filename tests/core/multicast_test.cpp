@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <optional>
+#include <tuple>
 
 #include "core/simulation.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
 
 namespace avmem::core {
 namespace {
@@ -166,6 +171,50 @@ TEST(MulticastTest, DeliveredNodesAscendWithTheirLatencies) {
                                            std::greater_equal<>()) ==
                 r.deliveredNodes.end());
     EXPECT_EQ(std::ranges::max(r.deliveryLatencies), r.lastDeliveryLatency);
+  }
+}
+
+TEST(MulticastTest, SendsCarryTheirSenderToTheFaultInjector) {
+  // A loss stage scoped to a source region only matches messages whose
+  // sender is known. With one region every node is inside the scope, and
+  // zero dice leave every message untouched, so the datagram lane's
+  // counter advances exactly when the multicast names its senders.
+  for (const MulticastMode mode :
+       {MulticastMode::kFlood, MulticastMode::kGossip}) {
+    SCOPED_TRACE(toString(mode));
+    SimulationConfig cfg = smallConfig();
+    cfg.faultPlan.regions = 1;
+    fault::LossStage scoped;
+    scoped.fromUs = sim::SimDuration::hours(6).toMicros();
+    scoped.toUs = sim::SimDuration::hours(30).toMicros();
+    scoped.srcRegion = 0;
+    cfg.faultPlan.loss.push_back(scoped);
+    AvmemSimulation s(cfg);
+    s.warmup(sim::SimDuration::hours(6));
+
+    // An initiator inside the range multicasts with no entry anycast, so
+    // every datagram consulted below is a multicast send.
+    MulticastParams p;
+    p.range = AvRange::threshold(0.7);
+    p.mode = mode;
+    std::optional<net::NodeIndex> initiator;
+    for (const auto i : s.onlineNodes()) {
+      if (p.range.contains(s.trueAvailability(i)) &&
+          p.range.contains(s.node(i).selfAvailability())) {
+        initiator = i;
+        break;
+      }
+    }
+    ASSERT_TRUE(initiator.has_value());
+    ASSERT_NE(s.faultInjector(), nullptr);
+    const auto datagrams = [&] {
+      return std::get<0>(s.faultInjector()->persistedState())
+          [static_cast<std::size_t>(fault::WireKind::kDatagram)];
+    };
+    const std::uint64_t before = datagrams();
+    const auto r = s.runMulticast(*initiator, p);
+    ASSERT_GT(r.delivered, 1u);
+    EXPECT_GT(datagrams(), before);
   }
 }
 

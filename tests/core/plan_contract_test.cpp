@@ -83,7 +83,7 @@ static_assert(Streams<const sim::Rng>);
 
 template <class N>
 concept Sends = requires(N& network, net::Network::DeliveryFn fn) {
-  network.send(NodeIndex{0}, fn);
+  network.send(NodeIndex{0}, NodeIndex{1}, fn);
 };
 template <class N>
 concept AsksOnline = requires(N& network) {

@@ -53,11 +53,9 @@ TEST(FaultInjectorTest, NoActiveStageDrawsNothing) {
 
 TEST(FaultInjectorTest, WindowStartInclusiveEndExclusive) {
   FaultInjector inj(lossPlan(1.0, 0.0, 0.0));
-  EXPECT_FALSE(inj.lossActiveAt(kHourUs - 1));
-  EXPECT_TRUE(inj.lossActiveAt(kHourUs));
-  EXPECT_TRUE(inj.lossActiveAt(2 * kHourUs - 1));
-  EXPECT_FALSE(inj.lossActiveAt(2 * kHourUs));
+  EXPECT_FALSE(inj.onWire(WireKind::kDatagram, 1, 2, kHourUs - 1).drop);
   EXPECT_TRUE(inj.onWire(WireKind::kDatagram, 1, 2, kHourUs).drop);
+  EXPECT_TRUE(inj.onWire(WireKind::kDatagram, 1, 2, 2 * kHourUs - 1).drop);
   EXPECT_FALSE(inj.onWire(WireKind::kDatagram, 1, 2, 2 * kHourUs).drop);
 }
 
@@ -166,15 +164,27 @@ TEST(FaultInjectorTest, RegionScopingMatchesAndUnknownSenderIsExempt) {
             1u);
 }
 
-TEST(FaultInjectorTest, InstalledRegionMapOverridesHashAssignment) {
+TEST(FaultInjectorTest, DstRegionScopeUsesThePlanHashAssignment) {
   FaultPlan p = lossPlan(1.0, 0.0, 0.0);
   p.regions = 4;
   p.loss[0].dstRegion = 1;
   FaultInjector inj(p);
-  inj.setRegionMap([](std::uint32_t node) { return node; });  // node % 4
-  EXPECT_EQ(inj.regionOf(5), 1u);
-  EXPECT_TRUE(inj.onWire(WireKind::kDatagram, 0, 5, kHourUs).drop);
-  EXPECT_FALSE(inj.onWire(WireKind::kDatagram, 0, 6, kHourUs).drop);
+  // Loss scoping and the outage overlay share one region assignment.
+  std::uint32_t inside = 0, outside = 0;
+  bool haveIn = false, haveOut = false;
+  for (std::uint32_t n = 0; n < 256 && !(haveIn && haveOut); ++n) {
+    EXPECT_EQ(inj.regionOf(n), hashRegionOf(p.seed, p.regions, n));
+    if (inj.regionOf(n) == 1) {
+      inside = n;
+      haveIn = true;
+    } else {
+      outside = n;
+      haveOut = true;
+    }
+  }
+  ASSERT_TRUE(haveIn && haveOut);
+  EXPECT_TRUE(inj.onWire(WireKind::kDatagram, 0, inside, kHourUs).drop);
+  EXPECT_FALSE(inj.onWire(WireKind::kDatagram, 0, outside, kHourUs).drop);
 }
 
 TEST(FaultInjectorTest, FirstMatchingLossStageWins) {
