@@ -15,6 +15,7 @@
 #include "hash/pair_hash.hpp"
 #include "hash/sha1.hpp"
 #include "sim/random.hpp"
+#include "snapshot/snapshot_io.hpp"
 
 namespace {
 
@@ -180,6 +181,21 @@ void BM_Fast64BatchSpeedup(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * kRun));
 }
 BENCHMARK(BM_Fast64BatchSpeedup);
+
+// CRC-32 of one checkpoint section's payload, the integrity check every
+// save and restore pays per byte. Arg: payload bytes (4 KiB, 1 MiB, and
+// 11 MiB, about a scale-10k checkpoint).
+void BM_Crc32(benchmark::State& state) {
+  sim::Rng rng(23);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snapshot::crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20)->Arg(11 << 20);
 
 }  // namespace
 

@@ -238,6 +238,18 @@ void BM_AvmonQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_AvmonQuery);
 
+void BM_GenerateOvernetTrace(benchmark::State& state) {
+  // The dense paper trace (1442 hosts x 504 epochs, diurnal cycle on),
+  // regenerated by every paper-1442 world construction and restore.
+  const trace::OvernetTraceConfig config;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trace::generateOvernetTimeline(config));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          config.hosts * config.epochs);
+}
+BENCHMARK(BM_GenerateOvernetTrace)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -1,6 +1,8 @@
 #include "snapshot/snapshot_io.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -9,32 +11,62 @@ namespace avmem::snapshot {
 
 namespace {
 
-/// CRC-32 (IEEE, reflected, polynomial 0xEDB88320) lookup table, computed
-/// once at static-init time from the reference bitwise recurrence.
-std::array<std::uint32_t, 256> makeCrcTable() noexcept {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-16 tables for CRC-32 (IEEE, reflected, polynomial
+/// 0xEDB88320): row 0 is the classic byte table; row k advances a byte's
+/// contribution past k further zero bytes, so one lookup per byte folds a
+/// 16-byte block into the running CRC at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables makeCrcTables() noexcept {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-const std::array<std::uint32_t, 256>& crcTable() noexcept {
-  static const std::array<std::uint32_t, 256> table = makeCrcTable();
-  return table;
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+// The block loop reads four bytes as one native word and takes the first
+// of them from the word's low end, which holds on the little-endian hosts
+// snapshot_io.hpp asserts.
+std::uint32_t loadWord(const std::uint8_t* p) noexcept {
+  std::uint32_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len) noexcept {
-  const auto& table = crcTable();
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 16; data += 16, len -= 16) {
+    const std::uint32_t w0 = loadWord(data) ^ c;
+    const std::uint32_t w1 = loadWord(data + 4);
+    const std::uint32_t w2 = loadWord(data + 8);
+    const std::uint32_t w3 = loadWord(data + 12);
+    // Block byte j is 15 - j bytes from the block's end: table 15 - j.
+    c = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu] ^
+        t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24] ^
+        t[11][w1 & 0xFFu] ^ t[10][(w1 >> 8) & 0xFFu] ^
+        t[9][(w1 >> 16) & 0xFFu] ^ t[8][w1 >> 24] ^
+        t[7][w2 & 0xFFu] ^ t[6][(w2 >> 8) & 0xFFu] ^
+        t[5][(w2 >> 16) & 0xFFu] ^ t[4][w2 >> 24] ^
+        t[3][w3 & 0xFFu] ^ t[2][(w3 >> 8) & 0xFFu] ^
+        t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -137,7 +169,8 @@ bool CheckpointReader::nextSection(std::uint32_t& id,
   read(&id, sizeof(id), "section frame");
   read(&len, sizeof(len), "section frame");
   read(&crc, sizeof(crc), "section frame");
-  if (remaining_ != std::numeric_limits<std::size_t>::max()) {
+  const bool sizeKnown = remaining_ != std::numeric_limits<std::size_t>::max();
+  if (sizeKnown) {
     if (remaining_ < kFrameBytes || len > remaining_ - kFrameBytes) {
       throw CheckpointFormatError(
           "checkpoint section length exceeds file size");
@@ -145,8 +178,20 @@ bool CheckpointReader::nextSection(std::uint32_t& id,
     remaining_ -= kFrameBytes + static_cast<std::size_t>(len);
   }
 
-  payload.resize(static_cast<std::size_t>(len));
-  if (len != 0) read(payload.data(), payload.size(), "section payload");
+  // A length checked against the stream size is read in one go. On a
+  // stream of unknown size the length is the file's unverified claim, so
+  // the buffer grows at most kUnverifiedChunk per read: a lying frame runs
+  // out of bytes ("truncated") at most one chunk past the real data,
+  // instead of first allocating whatever it claimed.
+  constexpr std::uint64_t kUnverifiedChunk = 1u << 20;
+  const std::uint64_t step = sizeKnown ? len : kUnverifiedChunk;
+  std::size_t filled = 0;
+  do {
+    const auto n = static_cast<std::size_t>(std::min(len - filled, step));
+    payload.resize(filled + n);
+    if (n != 0) read(payload.data() + filled, n, "section payload");
+    filled += n;
+  } while (filled < len);
   if (crc32(payload.data(), payload.size()) != crc) {
     throw CheckpointCrcError("checkpoint section CRC mismatch");
   }

@@ -10,9 +10,10 @@
 // compatibility: a newer writer may append sections without bumping the
 // format version), verify every recognized section's CRC before parsing a
 // byte of it, and bounds-check every length against the remaining file
-// before allocating — a truncated or bit-flipped file produces a typed
-// CheckpointError, never UB (tests/snapshot/snapshot_hostile_test.cpp runs
-// this layer under ASan).
+// before allocating (on a stream whose size cannot be learned, a payload is
+// read in bounded chunks instead) — a truncated or bit-flipped file
+// produces a typed CheckpointError, never UB
+// (tests/snapshot/snapshot_hostile_test.cpp runs this layer under ASan).
 //
 // Scalars and bulk arrays are little-endian; the simulator only targets
 // little-endian hosts (enforced below), so serialization is memcpy-speed:
@@ -33,7 +34,8 @@
 namespace avmem::snapshot {
 
 static_assert(std::endian::native == std::endian::little,
-              "checkpoint serialization assumes a little-endian host");
+              "checkpoint serialization and the CRC-32 kernel's word loads "
+              "assume a little-endian host");
 
 // --- error taxonomy --------------------------------------------------------
 //
@@ -91,6 +93,7 @@ class CheckpointUnsupportedError : public CheckpointError {
 // --- primitives ------------------------------------------------------------
 
 /// CRC-32 (IEEE 802.3, reflected), the checksum gating every section.
+/// A slicing-by-16 table kernel: one lookup per byte, 16 bytes per step.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data,
                                   std::size_t len) noexcept;
 
@@ -234,9 +237,11 @@ class Cursor {
 };
 
 /// Validates the header on construction, then iterates sections. Section
-/// payload lengths are checked against the remaining stream size (when the
-/// stream is seekable — files and stringstreams are) before allocation, and
-/// every payload's CRC is verified before it is handed out.
+/// payload lengths are checked against the remaining stream size before
+/// allocation when the stream is seekable (files and stringstreams are);
+/// otherwise the payload buffer grows in bounded chunks as bytes arrive, so
+/// a lying length still ends in CheckpointFormatError. Every payload's CRC
+/// is verified before it is handed out.
 class CheckpointReader {
  public:
   explicit CheckpointReader(std::istream& in);

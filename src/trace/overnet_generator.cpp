@@ -50,6 +50,19 @@ std::vector<std::vector<std::uint8_t>> generateOvernetTimeline(
       sim::SimDuration::days(1).toMicros() /
       static_cast<double>(config.epochDuration.toMicros());
 
+  // Diurnal cycle: the join rate peaks mid-day and dips at night. The swing
+  // depends on the epoch alone, so it is tabled once here rather than
+  // recomputed in every (host, epoch) cell; empty when the cycle is off.
+  std::vector<double> swing;
+  if (config.diurnalAmplitude > 0.0 && epochsPerDay > 0.0) {
+    swing.resize(config.epochs);
+    for (std::uint32_t e = 0; e < config.epochs; ++e) {
+      const double phase = 2.0 * std::numbers::pi *
+                           (static_cast<double>(e) / epochsPerDay);
+      swing[e] = 1.0 + config.diurnalAmplitude * std::sin(phase);
+    }
+  }
+
   std::vector<std::vector<std::uint8_t>> timeline(config.hosts);
   for (std::uint32_t h = 0; h < config.hosts; ++h) {
     const double a = sampleIntrinsicAvailability(config, mixRng);
@@ -61,14 +74,9 @@ std::vector<std::vector<std::uint8_t>> generateOvernetTimeline(
     bool on = rng.chance(a);  // start from the stationary distribution
     for (std::uint32_t e = 0; e < config.epochs; ++e) {
       row[e] = on ? 1 : 0;
-      // Diurnal cycle: join rate peaks mid-day, dips at night.
-      double q = rates.qOn;
-      if (config.diurnalAmplitude > 0.0 && epochsPerDay > 0.0) {
-        const double phase = 2.0 * std::numbers::pi *
-                             (static_cast<double>(e) / epochsPerDay);
-        q = std::clamp(
-            q * (1.0 + config.diurnalAmplitude * std::sin(phase)), 0.0, 1.0);
-      }
+      const double q =
+          swing.empty() ? rates.qOn
+                        : std::clamp(rates.qOn * swing[e], 0.0, 1.0);
       if (on) {
         if (rng.chance(rates.pOff)) on = false;
       } else {

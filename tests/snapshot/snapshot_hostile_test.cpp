@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <istream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -295,6 +297,59 @@ TEST(SnapshotHostileTest, AbsurdSectionLengthRejectedBeforeAllocation) {
   const std::uint64_t absurd = 1ull << 60;
   std::memcpy(bytes.data() + frames[0].frameStart + 4, &absurd, 8);
   expectRestoreError<CheckpointFormatError>(bytes);
+}
+
+/// Serves a byte string but refuses every seek (std::streambuf's own
+/// seekoff/seekpos fail), as a pipe does: the reader cannot learn how
+/// many bytes remain.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(SnapshotHostileTest, LyingLengthOnUnseekableStreamIsTruncation) {
+  // With no stream size to check against, the claimed 1 TiB must not be
+  // allocated up front: the reader runs out of bytes first. Under ASan a
+  // terabyte allocation would abort instead of throwing.
+  std::string bytes = goodBytes();
+  const std::vector<FrameRef> frames = walkFrames(bytes);
+  ASSERT_FALSE(frames.empty());
+  const std::uint64_t lie = 1ull << 40;
+  std::memcpy(bytes.data() + frames[0].frameStart + 4, &lie, 8);
+
+  AvmemSimulation victim(donorScenario().config);
+  UnseekableBuf buf(bytes);
+  std::istream in(&buf);
+  try {
+    victim.restoreCheckpoint(in);
+    FAIL() << "restore accepted a lying section length";
+  } catch (const CheckpointFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SnapshotHostileTest, ValidCheckpointRestoresFromUnseekableStream) {
+  // A skipped section of a few MiB makes the reader assemble one payload
+  // from several bounded reads, and still check its CRC.
+  const std::string& good = goodBytes();
+  auto sections = sectionsOf(good);
+  sections.push_back(
+      {fourcc('Z', 'Z', 'Z', '3'), std::string((5u << 19) + 3, '\x2a')});
+  const std::string bytes = reframe(good.substr(0, kHeaderBytes), sections);
+
+  AvmemSimulation victim(donorScenario().config);
+  UnseekableBuf buf(bytes);
+  std::istream in(&buf);
+  ASSERT_NO_THROW(victim.restoreCheckpoint(in));
+  std::ostringstream out(std::ios::binary);
+  victim.saveCheckpoint(out);
+  EXPECT_EQ(out.str(), good);
 }
 
 TEST(SnapshotHostileTest, UnknownSectionsAreSkipped) {

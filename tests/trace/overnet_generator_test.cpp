@@ -5,6 +5,7 @@
 #include "stats/summary.hpp"
 #include "trace/trace_io.hpp"
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -123,6 +124,42 @@ TEST(OvernetGeneratorTest, RejectsEmptyConfigs) {
   cfg.epochs = 10;
   cfg.lowWeight = cfg.midWeight = cfg.highWeight = cfg.serverWeight = 0.0;
   EXPECT_THROW(generateOvernetTrace(cfg), std::invalid_argument);
+}
+
+/// FNV-1a over the timeline, row by row: a change to any (host, epoch)
+/// cell, or to the matrix shape, changes the value.
+std::uint64_t timelineFingerprint(
+    const std::vector<std::vector<std::uint8_t>>& timeline) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  mix(timeline.size());
+  for (const auto& row : timeline) {
+    mix(row.size());
+    for (const std::uint8_t cell : row) mix(cell);
+  }
+  return h;
+}
+
+// The generated world is pinned: the paper-1442 workload, every figure
+// bench and the checkpoint fingerprints all stand on these exact bits, so
+// a rewrite of the generator must reproduce them, not merely their
+// statistics.
+TEST(OvernetGeneratorTest, PaperDefaultTimelineIsPinned) {
+  const OvernetTraceConfig cfg;  // 1442 hosts x 504 epochs, seed 42
+  const auto timeline = generateOvernetTimeline(cfg);
+  ASSERT_EQ(timeline.size(), 1442u);
+  ASSERT_EQ(timeline.front().size(), 504u);
+  EXPECT_EQ(timelineFingerprint(timeline), 0x5d44388091008530ull);
+}
+
+TEST(OvernetGeneratorTest, StrongDiurnalTimelineIsPinned) {
+  OvernetTraceConfig cfg;
+  cfg.hosts = 300;
+  cfg.epochs = 777;  // not a whole number of days
+  cfg.seed = 7;
+  cfg.diurnalAmplitude = 0.6;
+  EXPECT_EQ(timelineFingerprint(generateOvernetTimeline(cfg)),
+            0xd87fc6bc9336ba50ull);
 }
 
 TEST(TraceIoTest, RoundTripsThroughText) {
