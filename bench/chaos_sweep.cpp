@@ -25,9 +25,10 @@
 //               [--smoke] [--json out.json] [--floor F]
 //               [--require-recovery]
 //
-// Environment: AVMEM_THREADS and AVMEM_FAULT_PLAN are honored through
-// the scenario builders (the fault-plan file replaces the scenario's
-// built-in campaign).
+// Environment: AVMEM_THREADS and AVMEM_FAULT_PLAN are honored
+// (bench/fig_common.hpp; the fault-plan file replaces the scenario's
+// built-in campaign). Checkpoint paths are ignored: the sweep owns the
+// timeline.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -37,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/fig_common.hpp"
 #include "bench/sweep_columns.hpp"
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
@@ -93,10 +95,7 @@ int main(int argc, char** argv) {
     std::cerr << "chaos_sweep: " << e.what() << "\n";
     return 2;
   }
-  // The sweep owns the timeline; a checkpoint path in the environment
-  // would re-save at every sampling step.
-  scenario.config.checkpointIn.clear();
-  scenario.config.checkpointOut.clear();
+  benchfig::applyEnvOverrides(scenario.config);
 
   std::cerr << "building " << scenario.name << " ("
             << scenario.config.trace.hosts << " hosts)...\n";

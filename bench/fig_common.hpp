@@ -4,6 +4,9 @@
 // paper's scale (1442 hosts, 7-day synthetic Overnet trace, 24 h warm-up,
 // AVMON availability backend) and prints the same rows/series the figure
 // plots. Set AVMEM_FAST=1 for a reduced smoke configuration.
+//
+// The library reads no environment; every AVMEM_* override a bench honours
+// is read here or in the bench itself.
 #pragma once
 
 #include <cstdlib>
@@ -16,6 +19,7 @@
 #include "core/attack.hpp"
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
+#include "fault/fault_plan.hpp"
 #include "stats/series_printer.hpp"
 
 namespace avmem::benchfig {
@@ -82,25 +86,75 @@ struct BenchEnv {
   return backend;
 }
 
-/// The paper's default experimental system, via the scenario registry.
+/// A non-empty environment value, or nullopt. Paths pass through
+/// verbatim; a bad one fails loudly where it is opened.
+[[nodiscard]] inline std::optional<std::string> nonEmptyEnv(const char* var) {
+  const char* v = std::getenv(var);
+  if (v == nullptr || *v == '\0') return std::nullopt;
+  return std::string(v);
+}
+
+/// Apply the environment overrides every scenario-driven bench honours to
+/// a built config:
+///  * AVMEM_THREADS pins the maintenance plan-phase thread count
+///    (0 = auto / hardware_concurrency, 1 = serial). Malformed values
+///    (non-digits, minus signs, absurd counts) are rejected loudly rather
+///    than silently becoming "auto" or a few billion threads.
+///  * AVMEM_FAULT_PLAN names a fault-campaign file (docs/SCENARIOS.md
+///    "Fault campaigns") that replaces any built-in campaign, so one
+///    variable swaps the campaign without a recompile. A bad path or a
+///    malformed plan throws fault::FaultPlanError.
+inline void applyEnvOverrides(core::SimulationConfig& config) {
+  if (const auto t = nonEmptyEnv("AVMEM_THREADS")) {
+    const char* text = t->c_str();
+    char* end = nullptr;
+    const unsigned long value = std::strtoul(text, &end, 10);
+    constexpr unsigned long kMaxThreads = 1024;
+    if (end == text || *end != '\0' || text[0] == '-' ||
+        value > kMaxThreads) {
+      std::cerr << "ignoring AVMEM_THREADS='" << *t
+                << "' (want an integer in [0, " << kMaxThreads
+                << "]; 0 = auto)\n";
+    } else {
+      config.maintenanceThreads = static_cast<std::size_t>(value);
+    }
+  }
+  if (const auto plan = nonEmptyEnv("AVMEM_FAULT_PLAN")) {
+    config.faultPlan = fault::loadFaultPlan(*plan);
+  }
+}
+
+/// The paper's default experimental system, via the scenario registry,
+/// with the environment overrides applied.
 [[nodiscard]] inline core::SimulationConfig defaultConfig(
     const BenchEnv& env,
     core::PredicateChoice predicate = core::PredicateChoice::kPaperDefault) {
   auto scenario = core::makeScenario("paper-default", env.scenarioTuning());
   scenario.config.predicate = predicate;
+  applyEnvOverrides(scenario.config);
   return scenario.config;
 }
 
 /// Build and warm the system, logging progress to stderr (stdout carries
-/// only the figure data).
+/// only the figure data). AVMEM_CHECKPOINT names a warm-state checkpoint
+/// to restore instead of warming up; otherwise, AVMEM_CHECKPOINT_OUT names
+/// where to save one after the warm-up.
 [[nodiscard]] inline std::unique_ptr<core::AvmemSimulation> buildWarmSystem(
     const BenchEnv& env, const core::SimulationConfig& cfg) {
   std::cerr << "building system: " << cfg.trace.hosts
             << " hosts, seed " << cfg.seed << "\n";
   auto system = std::make_unique<core::AvmemSimulation>(cfg);
   std::cerr << "predicate: " << system->predicate().name() << "\n";
-  std::cerr << "warming up " << env.warmup.toString() << " simulated...\n";
-  system->warmup(env.warmup);
+  if (const auto in = nonEmptyEnv("AVMEM_CHECKPOINT")) {
+    std::cerr << "restoring warm state from " << *in << "...\n";
+    system->restoreCheckpoint(*in);
+  } else {
+    std::cerr << "warming up " << env.warmup.toString() << " simulated...\n";
+    system->warmup(env.warmup);
+    if (const auto out = nonEmptyEnv("AVMEM_CHECKPOINT_OUT")) {
+      system->saveCheckpoint(*out);
+    }
+  }
   std::cerr << "online nodes: " << system->onlineNodes().size() << " / "
             << system->nodeCount() << "\n";
   return system;

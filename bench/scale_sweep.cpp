@@ -41,6 +41,8 @@
 //                         (default: the scenario's choice, markov)
 //   AVMEM_THREADS         maintenance plan-phase threads
 //                         (default 0 = every core; 1 = serial)
+//   AVMEM_FAULT_PLAN      fault-campaign file applied to every point
+//                         (docs/SCENARIOS.md "Fault campaigns")
 //   AVMEM_SHUFFLE_PERIOD_S  override the shuffle period in whole seconds,
 //                         1 .. 31536000 (one year) — small values make the
 //                         run gossip-dominated (CI uses this to gate the
@@ -131,18 +133,18 @@ int main(int argc, char** argv) {
     return f != nullptr && f[0] == '1';
   }();
   std::optional<std::string> jsonPath;
-  std::optional<std::string> checkpointIn;
-  std::optional<std::string> checkpointOut;
+  std::optional<std::string> restoreFrom;
+  std::optional<std::string> saveTo;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       fast = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       jsonPath = argv[++i];
     } else if (std::strcmp(argv[i], "--checkpoint-in") == 0 && i + 1 < argc) {
-      checkpointIn = argv[++i];
+      restoreFrom = argv[++i];
     } else if (std::strcmp(argv[i], "--checkpoint-out") == 0 &&
                i + 1 < argc) {
-      checkpointOut = argv[++i];
+      saveTo = argv[++i];
     } else {
       std::cerr << "scale_sweep: unknown argument '" << argv[i]
                 << "' (usage: scale_sweep [--smoke] [--json out.json]"
@@ -151,18 +153,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!checkpointIn) {
-    if (const char* p = std::getenv("AVMEM_CHECKPOINT");
-        p != nullptr && *p != '\0') {
-      checkpointIn = p;
-    }
-  }
-  if (!checkpointOut) {
-    if (const char* p = std::getenv("AVMEM_CHECKPOINT_OUT");
-        p != nullptr && *p != '\0') {
-      checkpointOut = p;
-    }
-  }
+  if (!restoreFrom) restoreFrom = benchfig::nonEmptyEnv("AVMEM_CHECKPOINT");
+  if (!saveTo) saveTo = benchfig::nonEmptyEnv("AVMEM_CHECKPOINT_OUT");
   std::uint64_t seed = 20070101;
   if (const char* s = std::getenv("AVMEM_SCALE_SEED"); s != nullptr) {
     seed = std::strtoull(s, nullptr, 10);
@@ -200,6 +192,7 @@ int main(int argc, char** argv) {
   std::vector<benchfig::Columns> points;
   for (const std::uint32_t n : sizes) {
     auto scenario = core::makeScaleScenario(n, seed);
+    benchfig::applyEnvOverrides(scenario.config);
     if (useAvmon) {
       // Mirror the scale-avmon-* registry entries: the monitor relation
       // hashes through kFast64 on a stream independent of the protocol
@@ -215,11 +208,6 @@ int main(int argc, char** argv) {
     if (shufflePeriodS) {
       scenario.config.shuffle.period = sim::SimDuration::seconds(*shufflePeriodS);
     }
-    // The sweep drives save/restore itself (per-point paths, timed as a
-    // separate column); clear whatever the AVMEM_CHECKPOINT* environment
-    // put in the config so warmup() does not also act on it.
-    scenario.config.checkpointIn.clear();
-    scenario.config.checkpointOut.clear();
     std::cerr << "building " << scenario.name << " ("
               << core::traceBackendName(scenario.config.traceBackend)
               << " availability backend)...\n";
@@ -233,8 +221,8 @@ int main(int argc, char** argv) {
 
     double warmupS = 0.0;
     double restoreS = 0.0;
-    if (checkpointIn) {
-      const std::string path = pointPath(*checkpointIn, n);
+    if (restoreFrom) {
+      const std::string path = pointPath(*restoreFrom, n);
       std::cerr << "restoring warm state from " << path << "...\n";
       const auto tRestore = Clock::now();
       try {
@@ -254,8 +242,8 @@ int main(int argc, char** argv) {
       const auto tWarm = Clock::now();
       system.warmup(scenario.warmup);
       warmupS = secondsSince(tWarm);
-      if (checkpointOut) {
-        const std::string path = pointPath(*checkpointOut, n);
+      if (saveTo) {
+        const std::string path = pointPath(*saveTo, n);
         std::cerr << "saving warm state to " << path << "...\n";
         try {
           system.saveCheckpoint(path);

@@ -7,7 +7,9 @@
 // Scenarios come from the shared registry (core/scenario.hpp); the default
 // is the paper setup shrunk to a fast demo. Pass "paper-default" for the
 // full 1442-host / 24 h configuration, or any other registered name
-// (run with an unknown name to list them).
+// (run with an unknown name to list them). The scenario runs exactly as
+// the registry builds it: no environment variable changes it.
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -28,9 +30,10 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(std::strtoul(argv[2], nullptr, 10));
   }
 
-  if (!core::ScenarioRegistry::global().contains(scenarioName)) {
+  const auto names = core::scenarioNames();
+  if (!std::binary_search(names.begin(), names.end(), scenarioName)) {
     std::cerr << "unknown scenario '" << scenarioName << "'; available:\n";
-    for (const auto& name : core::ScenarioRegistry::global().names()) {
+    for (const auto name : names) {
       std::cerr << "  " << name << "\n";
     }
     return 1;

@@ -41,7 +41,7 @@ ShuffleService::ShuffleService(sim::Simulator& sim, net::Network& network,
       rng_(rng),
       pool_(pool),
       views_(nodeCount),
-      channel_(sim, network, *this, config.ackTimeout, config.deliveryQuantum,
+      channel_(sim, network, *this, config.ackTimeout, kShuffleDeliveryQuantum,
                rng.fork("shuffle-wire")),
       rounds_(nodeCount, 0) {
   if (nodeCount < 2) {

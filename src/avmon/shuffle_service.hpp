@@ -63,11 +63,13 @@ struct ShuffleConfig {
   std::size_t shards = 0;
   /// How long an initiator waits for the partner's ack before evicting it.
   sim::SimDuration ackTimeout = sim::SimDuration::millis(500);
-  /// Delivery grid for the typed message queue: instants round *up* onto
-  /// this quantum so records coalesce into batches the drain can plan in
-  /// parallel. 0 = exact delivery instants (no batching beyond ties).
-  sim::SimDuration deliveryQuantum = sim::SimDuration::millis(20);
 };
+
+/// Delivery grid for the shuffle channel's typed message queue: instants
+/// round *up* onto this quantum so records coalesce into batches the drain
+/// can plan in parallel.
+inline constexpr sim::SimDuration kShuffleDeliveryQuantum =
+    sim::SimDuration::millis(20);
 
 /// Owns every node's coarse view and drives the periodic exchanges.
 class ShuffleService final : public net::ShuffleSink {

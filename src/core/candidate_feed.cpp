@@ -17,11 +17,7 @@ CandidateFeed::CandidateFeed(const CandidateFeedConfig& config,
   publishedInEpoch_.assign(nodeCount, 0);
 }
 
-void CandidateFeed::start(sim::Simulator& sim,
-                          sim::SimDuration defaultEpochPeriod) {
-  const sim::SimDuration period =
-      config_.epochPeriod > sim::SimDuration::zero() ? config_.epochPeriod
-                                                     : defaultEpochPeriod;
+void CandidateFeed::start(sim::Simulator& sim, sim::SimDuration period) {
   // First seal one period in: the first building epoch collects one full
   // round of commits before anything becomes readable.
   sealTask_.start(sim, sim.now() + period, period, [this] { sealEpoch(); });
@@ -40,7 +36,7 @@ double CandidateFeed::bucketMid(std::size_t b) const noexcept {
 
 double CandidateFeed::bucketThreshold(const AvmemPredicate::Row& owner,
                                       std::size_t b) const noexcept {
-  return std::min(1.0, config_.thresholdSlack * owner.f(bucketMid(b)));
+  return std::min(1.0, kThresholdSlack * owner.f(bucketMid(b)));
 }
 
 void CandidateFeed::publish(NodeIndex node, double av) {

@@ -73,14 +73,6 @@ struct CandidateFeedConfig {
   std::size_t verticalScanBudget = 96;
   /// Cap on candidates emitted per round (both phases combined).
   std::size_t maxCandidates = 16;
-  /// Multiplier on the per-bucket predicate threshold used by the hash
-  /// pre-filter. The threshold is evaluated at the bucket midpoint, and f
-  /// varies within a bucket; slack > 1 trades a few wasted evaluations
-  /// for not missing edge-of-bucket members.
-  double thresholdSlack = 1.5;
-  /// Snapshot hand-off period; zero = follow the Discovery period (every
-  /// online node republishes once per epoch).
-  sim::SimDuration epochPeriod = sim::SimDuration::zero();
 };
 
 /// The availability-bucketed rendezvous directory.
@@ -94,12 +86,19 @@ class CandidateFeed {
   CandidateFeed(const CandidateFeedConfig& config, std::size_t nodeCount,
                 const ProtocolContext& ctx, std::uint64_t seed);
 
+  /// Multiplier on the per-bucket predicate threshold used by the hash
+  /// pre-filter. The threshold is evaluated at the bucket midpoint, and f
+  /// varies within a bucket; slack > 1 trades a few wasted evaluations
+  /// for not missing edge-of-bucket members.
+  static constexpr double kThresholdSlack = 1.5;
+
   CandidateFeed(const CandidateFeed&) = delete;
   CandidateFeed& operator=(const CandidateFeed&) = delete;
 
-  /// Begin the periodic epoch hand-off. `defaultEpochPeriod` is used when
-  /// the config's epochPeriod is zero. Idempotent (restarts the timer).
-  void start(sim::Simulator& sim, sim::SimDuration defaultEpochPeriod);
+  /// Begin the periodic epoch hand-off, one seal per `period` (the
+  /// Discovery period: every online node republishes once per epoch).
+  /// Idempotent (restarts the timer).
+  void start(sim::Simulator& sim, sim::SimDuration period);
 
   /// Cancel the hand-off timer.
   void stop() noexcept { sealTask_.stop(); }
@@ -137,13 +136,10 @@ class CandidateFeed {
                     building_.population, publishedInEpoch_, sealedEpochs_);
   }
 
-  /// Re-arm the seal timer at the checkpointed instant; the period is
-  /// recomputed from config exactly as start() derives it.
-  void armSeal(sim::Simulator& sim, sim::SimDuration defaultEpochPeriod,
+  /// Re-arm the seal timer at the checkpointed instant, with the period
+  /// start() was given.
+  void armSeal(sim::Simulator& sim, sim::SimDuration period,
                sim::SimTime firstAt) {
-    const sim::SimDuration period =
-        config_.epochPeriod > sim::SimDuration::zero() ? config_.epochPeriod
-                                                       : defaultEpochPeriod;
     sealTask_.start(sim, firstAt, period, [this] { sealEpoch(); });
   }
 

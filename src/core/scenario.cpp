@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <iostream>
-#include <optional>
 #include <stdexcept>
 
 #include "fault/fault_plan.hpp"
@@ -13,67 +10,10 @@ namespace avmem::core {
 
 namespace {
 
-/// AVMEM_THREADS override for the maintenance plan-phase thread count
-/// (0 = auto / hardware_concurrency, 1 = serial). Applies to every
-/// scenario the registry builds and to makeScaleScenario, so a bench or
-/// CI job can pin the thread count without touching configs. Malformed
-/// values (non-digits, minus signs, absurd counts) are rejected loudly
-/// rather than silently becoming "auto" or a few billion threads.
-[[nodiscard]] std::optional<std::size_t> threadsFromEnv() {
-  const char* t = std::getenv("AVMEM_THREADS");
-  if (t == nullptr || *t == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(t, &end, 10);
-  constexpr unsigned long kMaxThreads = 1024;
-  if (end == t || *end != '\0' || t[0] == '-' || value > kMaxThreads) {
-    std::cerr << "scenario: ignoring AVMEM_THREADS='" << t
-              << "' (want an integer in [0, " << kMaxThreads
-              << "]; 0 = auto)\n";
-    return std::nullopt;
-  }
-  return static_cast<std::size_t>(value);
-}
-
-/// AVMEM_CHECKPOINT / AVMEM_CHECKPOINT_OUT overrides for warm-state
-/// checkpoint restore / save paths (snapshot/checkpoint.hpp). Any
-/// non-empty value is a path — no parsing to reject — so unlike the
-/// numeric overrides these pass through verbatim; a bad path fails
-/// loudly at open time with a CheckpointIoError.
-[[nodiscard]] std::optional<std::string> checkpointPathFromEnv(
-    const char* var) {
-  const char* p = std::getenv(var);
-  if (p == nullptr || *p == '\0') return std::nullopt;
-  return std::string(p);
-}
-
-/// AVMEM_FAULT_PLAN override: path to a fault-campaign file
-/// (fault/fault_plan.hpp) applied to whatever scenario is built. Replaces
-/// any plan the scenario baked in (the chaos-* entries), so one env var
-/// swaps the campaign without a recompile. Like the checkpoint paths,
-/// the value passes through verbatim; a bad path or malformed plan fails
-/// loudly at Simulation construction with a FaultPlanError.
-void applyFaultPlanEnv(SimulationConfig& config) {
-  if (const auto plan = checkpointPathFromEnv("AVMEM_FAULT_PLAN")) {
-    config.faultPlan = {};  // drop any built-in campaign; the file wins
-    config.faultPlanPath = *plan;
-  }
-}
-
-/// Apply the caller's host/seed overrides plus the environment thread
-/// override to an already-built scenario.
+/// Apply the caller's host/seed overrides to an already-built scenario.
 void applyCommonTuning(Scenario& s, const ScenarioTuning& tuning) {
   if (tuning.hosts != 0) s.config.trace.hosts = tuning.hosts;
   if (tuning.seed != 0) s.config.seed = tuning.seed;
-  if (const auto threads = threadsFromEnv()) {
-    s.config.maintenanceThreads = *threads;
-  }
-  if (const auto in = checkpointPathFromEnv("AVMEM_CHECKPOINT")) {
-    s.config.checkpointIn = *in;
-  }
-  if (const auto out = checkpointPathFromEnv("AVMEM_CHECKPOINT_OUT")) {
-    s.config.checkpointOut = *out;
-  }
-  applyFaultPlanEnv(s.config);
 }
 
 /// The Middleware 2007 evaluation setup (fig_common.hpp's former
@@ -215,13 +155,63 @@ Scenario buildChaos(ChaosLevel level, const ScenarioTuning& tuning) {
                     w + 0.2, w + 1.0);   // flooding sweeps alongside loss
       break;
   }
-  // An AVMEM_FAULT_PLAN file (already applied inside makeScaleScenario)
-  // outranks the built-in campaign: keep the path, skip the baked plan.
-  if (s.config.faultPlanPath.empty()) {
-    s.config.faultPlan = fault::parseFaultPlanText(text);
-  }
+  s.config.faultPlan = fault::parseFaultPlanText(text);
   return s;
 }
+
+/// One registry entry: metadata plus the builder.
+struct ScenarioEntry {
+  std::string_view name;
+  std::string_view summary;
+  Scenario (*build)(const ScenarioTuning&);
+};
+
+/// The registry: every built-in scenario, in documentation order.
+constexpr ScenarioEntry kScenarios[] = {
+  {"paper-default",
+   "Middleware 2007 evaluation setup: 1442 hosts, AVMON, SHA-1, 24h "
+   "warm-up",
+   buildPaperDefault},
+  {"oracle-small",
+   "150 hosts over ground-truth availability: quick protocol studies",
+   buildOracleSmall},
+  {"noisy-verification",
+   "oracle-small with bounded monitoring noise (Figures 5-6 regime)",
+   buildNoisyVerification},
+  {"coarse-view-baseline",
+   "raw shuffled views as membership (Figure-10 comparator)",
+   buildCoarseViewBaseline},
+  {"random-overlay",
+   "consistent-random SCAMP-sized overlay (Figure-10 comparator)",
+   buildRandomOverlay},
+  {"scale-10k",
+   "scale mode at 10k nodes: oracle + kFast64 + shards + Markov churn",
+   [](const ScenarioTuning& t) { return buildScale(10'000, t); }},
+  {"scale-100k",
+   "scale mode at 100k nodes: oracle + kFast64 + shards + Markov churn",
+   [](const ScenarioTuning& t) { return buildScale(100'000, t); }},
+  {"scale-1m",
+   "scale mode at 1M nodes: oracle + kFast64 + shards + Markov churn",
+   [](const ScenarioTuning& t) { return buildScale(1'000'000, t); }},
+  {"scale-avmon-100k",
+   "scale mode at 100k nodes with the real AVMON overlay (lazy monitor "
+   "cells, epoch-fold estimates, wire-billed pings)",
+   [](const ScenarioTuning& t) { return buildScaleAvmon(100'000, t); }},
+  {"scale-avmon-1m",
+   "scale mode at 1M nodes with the real AVMON overlay (expensive: "
+   "full query coverage implies O(N^2) monitor-hash work)",
+   [](const ScenarioTuning& t) { return buildScaleAvmon(1'000'000, t); }},
+  {"chaos-loss",
+   "scale-100k under a 30% loss / 5% duplication / delay-jitter window",
+   [](const ScenarioTuning& t) { return buildChaos(ChaosLevel::kLoss, t); }},
+  {"chaos-outage",
+   "scale-100k under 20% loss plus a full regional blackout",
+   [](const ScenarioTuning& t) { return buildChaos(ChaosLevel::kOutage, t); }},
+  {"chaos-storm",
+   "scale-100k under loss + regional blackout + flash crowd + flooding "
+   "attack sweeps",
+   [](const ScenarioTuning& t) { return buildChaos(ChaosLevel::kStorm, t); }},
+};
 
 }  // namespace
 
@@ -273,116 +263,24 @@ Scenario makeScaleScenario(std::uint32_t hosts, std::uint64_t seed) {
   // all concurrency-safe, and results are thread-count-invariant by
   // construction. Paper scenarios keep the serial default of 1.
   s.config.maintenanceThreads = 0;
-  if (const auto threads = threadsFromEnv()) {
-    s.config.maintenanceThreads = *threads;
-  }
-
-  applyFaultPlanEnv(s.config);
 
   s.warmup = sim::SimDuration::hours(2);
   return s;
 }
 
-ScenarioRegistry::ScenarioRegistry() {
-  add({"paper-default",
-       "Middleware 2007 evaluation setup: 1442 hosts, AVMON, SHA-1, 24h "
-       "warm-up",
-       buildPaperDefault});
-  add({"oracle-small",
-       "150 hosts over ground-truth availability: quick protocol studies",
-       buildOracleSmall});
-  add({"noisy-verification",
-       "oracle-small with bounded monitoring noise (Figures 5-6 regime)",
-       buildNoisyVerification});
-  add({"coarse-view-baseline",
-       "raw shuffled views as membership (Figure-10 comparator)",
-       buildCoarseViewBaseline});
-  add({"random-overlay",
-       "consistent-random SCAMP-sized overlay (Figure-10 comparator)",
-       buildRandomOverlay});
-  add({"scale-10k",
-       "scale mode at 10k nodes: oracle + kFast64 + shards + Markov churn",
-       [](const ScenarioTuning& t) { return buildScale(10'000, t); }});
-  add({"scale-100k",
-       "scale mode at 100k nodes: oracle + kFast64 + shards + Markov churn",
-       [](const ScenarioTuning& t) { return buildScale(100'000, t); }});
-  add({"scale-1m",
-       "scale mode at 1M nodes: oracle + kFast64 + shards + Markov churn",
-       [](const ScenarioTuning& t) { return buildScale(1'000'000, t); }});
-  add({"scale-avmon-100k",
-       "scale mode at 100k nodes with the real AVMON overlay (lazy monitor "
-       "cells, epoch-fold estimates, wire-billed pings)",
-       [](const ScenarioTuning& t) { return buildScaleAvmon(100'000, t); }});
-  add({"scale-avmon-1m",
-       "scale mode at 1M nodes with the real AVMON overlay (expensive: "
-       "full query coverage implies O(N^2) monitor-hash work)",
-       [](const ScenarioTuning& t) {
-         return buildScaleAvmon(1'000'000, t);
-       }});
-  add({"chaos-loss",
-       "scale-100k under a 30% loss / 5% duplication / delay-jitter window",
-       [](const ScenarioTuning& t) {
-         return buildChaos(ChaosLevel::kLoss, t);
-       }});
-  add({"chaos-outage",
-       "scale-100k under 20% loss plus a full regional blackout",
-       [](const ScenarioTuning& t) {
-         return buildChaos(ChaosLevel::kOutage, t);
-       }});
-  add({"chaos-storm",
-       "scale-100k under loss + regional blackout + flash crowd + flooding "
-       "attack sweeps",
-       [](const ScenarioTuning& t) {
-         return buildChaos(ChaosLevel::kStorm, t);
-       }});
-}
-
-ScenarioRegistry& ScenarioRegistry::global() {
-  static ScenarioRegistry registry;
-  return registry;
-}
-
-void ScenarioRegistry::add(ScenarioSpec spec) {
-  for (auto& existing : specs_) {
-    if (existing.name == spec.name) {
-      existing = std::move(spec);
-      return;
-    }
+Scenario makeScenario(std::string_view name, const ScenarioTuning& tuning) {
+  for (const ScenarioEntry& entry : kScenarios) {
+    if (entry.name == name) return entry.build(tuning);
   }
-  specs_.push_back(std::move(spec));
+  throw std::out_of_range("makeScenario: unknown scenario '" +
+                          std::string(name) + "'");
 }
 
-bool ScenarioRegistry::contains(std::string_view name) const {
-  return find(name) != nullptr;
-}
-
-const ScenarioSpec* ScenarioRegistry::find(std::string_view name) const {
-  for (const auto& spec : specs_) {
-    if (spec.name == name) return &spec;
-  }
-  return nullptr;
-}
-
-Scenario ScenarioRegistry::build(std::string_view name,
-                                 const ScenarioTuning& tuning) const {
-  const ScenarioSpec* spec = find(name);
-  if (spec == nullptr) {
-    throw std::out_of_range("ScenarioRegistry: unknown scenario '" +
-                            std::string(name) + "'");
-  }
-  return spec->build(tuning);
-}
-
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& spec : specs_) out.push_back(spec.name);
+std::vector<std::string_view> scenarioNames() {
+  std::vector<std::string_view> out;
+  for (const ScenarioEntry& entry : kScenarios) out.push_back(entry.name);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-Scenario makeScenario(std::string_view name, const ScenarioTuning& tuning) {
-  return ScenarioRegistry::global().build(name, tuning);
 }
 
 }  // namespace avmem::core

@@ -54,13 +54,6 @@ AvmemSimulation::AvmemSimulation(
   if (trace_ == nullptr) {
     throw std::invalid_argument("AvmemSimulation: null availability model");
   }
-  // Fault plans are data: an explicit in-config plan wins; otherwise a
-  // campaign file named by faultPlanPath (or AVMEM_FAULT_PLAN via the
-  // scenario builders) is parsed here, before anything observes the
-  // trace.
-  if (config_.faultPlan.empty() && !config_.faultPlanPath.empty()) {
-    config_.faultPlan = fault::loadFaultPlan(config_.faultPlanPath);
-  }
   if (!config_.faultPlan.outages.empty() ||
       !config_.faultPlan.flashCrowds.empty()) {
     // Compose the outage/flash-crowd windows over the trace so the
@@ -112,7 +105,7 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
       break;
     case AvailabilityBackend::kNoisy:
       serviceOwned_ = std::make_unique<avmon::NoisyAvailabilityService>(
-          *oracle_, *sim_, config.noisyMaxError, config.noisyStaleness,
+          *oracle_, *sim_, config.noisyMaxError, kNoisyStaleness,
           rng_.fork("noisy-availability").next());
       service_ = serviceOwned_.get();
       break;
@@ -138,7 +131,7 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   }
   nStar = std::max(nStar, 2.0);
   AvailabilityPdf pdf =
-      AvailabilityPdf::fromSamples(availabilities, nStar, config.pdfBins);
+      AvailabilityPdf::fromSamples(availabilities, nStar, kPdfBins);
 
   // Predicate. In coarse-view-overlay mode the membership list is the
   // shuffled view itself; an always-true predicate makes receiver-side
@@ -293,30 +286,20 @@ void AvmemSimulation::fireAttackStage(std::size_t i) {
 }
 
 void AvmemSimulation::warmup(sim::SimDuration duration) {
-  if (!started_ && !config_.checkpointIn.empty()) {
-    // Restore replaces the warm-up entirely: the clock jumps to the
-    // checkpoint's sim-time and the world resumes exactly where the
-    // checkpointing run left off.
-    restoreCheckpoint(config_.checkpointIn);
-  } else {
-    if (!started_) {
-      started_ = true;
-      // Armed first: AVMON's epoch-boundary fold must order ahead of any
-      // same-instant maintenance chain armed at t0, so queries at a
-      // boundary observe the freshly folded counters.
-      if (avmonSystem_ != nullptr) avmonSystem_->start();
-      shuffle_->start();
-      engine_->start();
-      if (feed_ != nullptr) {
-        feed_->start(*sim_, config_.protocol.discoveryPeriod);
-      }
-      if (fault_ != nullptr) startAttackCampaigns();
+  if (!started_) {
+    started_ = true;
+    // Armed first: AVMON's epoch-boundary fold must order ahead of any
+    // same-instant maintenance chain armed at t0, so queries at a
+    // boundary observe the freshly folded counters.
+    if (avmonSystem_ != nullptr) avmonSystem_->start();
+    shuffle_->start();
+    engine_->start();
+    if (feed_ != nullptr) {
+      feed_->start(*sim_, config_.protocol.discoveryPeriod);
     }
-    sim_->runUntil(sim_->now() + duration);
-    if (!config_.checkpointOut.empty()) {
-      saveCheckpoint(config_.checkpointOut);
-    }
+    if (fault_ != nullptr) startAttackCampaigns();
   }
+  sim_->runUntil(sim_->now() + duration);
 }
 
 std::vector<NodeIndex> AvmemSimulation::onlineNodes() const {

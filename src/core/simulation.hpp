@@ -89,9 +89,8 @@ struct SimulationConfig {
   avmon::AvmonConfig avmon{};
 
   AvailabilityBackend backend = AvailabilityBackend::kAvmon;
-  /// kNoisy parameters.
+  /// kNoisy error bound (answers go stale per kNoisyStaleness).
   double noisyMaxError = 0.05;
-  sim::SimDuration noisyStaleness = sim::SimDuration::minutes(20);
 
   /// Ground-truth churn representation. The synthetic generator feeds the
   /// recorded backend; kMarkov skips materialization entirely and streams
@@ -119,7 +118,6 @@ struct SimulationConfig {
   /// verification is vacuous (any sender is accepted).
   bool useCoarseViewOverlay = false;
 
-  std::size_t pdfBins = 20;
   std::uint64_t seed = 1;
 
   /// Timing-wheel slots per maintenance schedule (discovery, refresh,
@@ -133,36 +131,25 @@ struct SimulationConfig {
   /// (hardware_concurrency). Results are identical at any count; only
   /// wall-clock changes. Every availability service (oracle, noisy, AVMON)
   /// answers queries as pure reads and every pair hash backend is a pure
-  /// function, so the plan phase runs on any number of threads.
-  /// Scenario builders honor the AVMEM_THREADS environment override.
+  /// function, so the plan phase runs on any number of threads. The one
+  /// field the checkpoint config fingerprint leaves out: a checkpoint
+  /// restores at any thread count, bit-identically.
   std::size_t maintenanceThreads = 1;
 
-  /// Warm-state checkpointing (snapshot/checkpoint.hpp). When
-  /// `checkpointIn` names a file, the first warmup() call restores the
-  /// converged world from it instead of simulating the warm-up; when
-  /// `checkpointOut` is nonempty, warmup() writes a checkpoint there after
-  /// the warm-up completes. Both are empty by default. These are I/O
-  /// plumbing, not world state: they are deliberately EXCLUDED from the
-  /// checkpoint config fingerprint (as is maintenanceThreads — a
-  /// checkpoint restores at any thread count, bit-identically). Scenario builders honor the
-  /// AVMEM_CHECKPOINT / AVMEM_CHECKPOINT_OUT environment overrides.
-  std::string checkpointIn;
-  std::string checkpointOut;
-
   /// Deterministic fault injection (src/fault/, docs/ARCHITECTURE.md
-  /// "Fault injection"). `faultPlan` is the campaign itself — loss
-  /// windows, correlated regional outages, flash crowds, attacker
-  /// sweeps; when it is empty() no injector is built and the wire path
-  /// is byte-identical to a faultless build. `faultPlanPath` is I/O
-  /// plumbing like the checkpoint paths (EXCLUDED from the config
-  /// fingerprint): when non-empty and `faultPlan` is empty, the
-  /// campaign file is parsed at construction. The *parsed plan's*
-  /// contents DO feed the fingerprint — a mid-campaign checkpoint only
-  /// restores into the same campaign. Scenario builders honor the
-  /// AVMEM_FAULT_PLAN environment override.
+  /// "Fault injection"): loss windows, correlated regional outages, flash
+  /// crowds, attacker sweeps. When it is empty() no injector is built and
+  /// the wire path is byte-identical to a faultless build. The plan feeds
+  /// the config fingerprint — a mid-campaign checkpoint only restores into
+  /// the same campaign. fault::loadFaultPlan reads a campaign file.
   fault::FaultPlan faultPlan{};
-  std::string faultPlanPath;
 };
+
+/// How long a kNoisy answer stays fresh before it is re-fetched.
+inline constexpr sim::SimDuration kNoisyStaleness =
+    sim::SimDuration::minutes(20);
+/// Histogram bins of the availability PDF the predicate integrates over.
+inline constexpr std::size_t kPdfBins = 20;
 
 /// Availability band used to pick initiators (paper Section 4.2:
 /// LOW ∈ [0, 1/3), MID ∈ [1/3, 2/3), HIGH ∈ [2/3, 1]).
@@ -223,9 +210,9 @@ class AvmemSimulation {
 
   /// Start the maintenance machinery (shuffling, discovery, refresh) and
   /// advance simulated time by `duration` (the paper warms up for 24 h).
-  /// Honors config.checkpointIn (restore replaces the warm-up run; the
-  /// clock jumps to the checkpoint's sim-time) and config.checkpointOut
-  /// (a checkpoint is written once the warm-up completes).
+  /// A restored system is already started; warmup() then only advances
+  /// the clock. Callers that warm from or into a file call
+  /// restoreCheckpoint / saveCheckpoint themselves.
   void warmup(sim::SimDuration duration);
 
   // --- warm-state checkpointing (snapshot/checkpoint.hpp) ------------------

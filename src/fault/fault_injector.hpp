@@ -41,10 +41,6 @@
 
 namespace avmem::fault {
 
-/// Sentinel for "no such node". Every wire lane names both endpoints; a
-/// consult naming this one never matches a region-scoped stage.
-inline constexpr std::uint32_t kUnknownNode = 0xFFFFFFFFu;
-
 /// Which wire lane a consult is for. Each kind owns an independent
 /// counter stream, so adding consults to one lane never shifts the
 /// randomness another lane sees.
@@ -194,13 +190,11 @@ class FaultInjector {
     for (const auto& s : plan_.loss) {
       if (nowUs < s.fromUs || nowUs >= s.toUs) continue;
       if (s.srcRegion != kAnyRegion &&
-          (src == kUnknownNode ||
-           regionOf(src) != static_cast<std::uint32_t>(s.srcRegion))) {
+          regionOf(src) != static_cast<std::uint32_t>(s.srcRegion)) {
         continue;
       }
       if (s.dstRegion != kAnyRegion &&
-          (dst == kUnknownNode ||
-           regionOf(dst) != static_cast<std::uint32_t>(s.dstRegion))) {
+          regionOf(dst) != static_cast<std::uint32_t>(s.dstRegion)) {
         continue;
       }
       return &s;

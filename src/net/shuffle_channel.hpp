@@ -14,7 +14,7 @@
 // is a heap push, not a closure allocation. Latencies are sampled in the
 // same aggregate enqueue pass (one `LatencyModel::sample` per leg, drawn
 // from the channel's own RNG fork) and optionally quantized up onto a
-// delivery grid (`deliveryQuantum`), which lands many records on the same
+// delivery grid (`quantum`), which lands many records on the same
 // instant: the drain hands the sink whole delivery *batches*, and the sink
 // may plan independent per-node work concurrently (plan/commit, see
 // avmon/shuffle_service.*). All byte/delivery accounting lands in the
@@ -124,18 +124,18 @@ class ShuffleSink {
 /// not a second network).
 class ShuffleChannel {
  public:
-  /// `deliveryQuantum` > 0 rounds every delivery instant *up* onto that
+  /// `quantum` > 0 rounds every delivery instant *up* onto that
   /// grid, which coalesces records into real batches (the paper's U[20,80]
   /// ms hop latency keeps its spread; each sample just lands on the next
   /// grid line). 0 = exact instants, batches form only on natural ties.
   ShuffleChannel(sim::Simulator& sim, Network& network, ShuffleSink& sink,
-                 sim::SimDuration ackTimeout, sim::SimDuration deliveryQuantum,
+                 sim::SimDuration ackTimeout, sim::SimDuration quantum,
                  sim::Rng rng)
       : sim_(sim),
         network_(network),
         sink_(sink),
         ackTimeoutUs_(ackTimeout.toMicros()),
-        quantumUs_(deliveryQuantum.toMicros()),
+        quantumUs_(quantum.toMicros()),
         rng_(rng) {}
 
   ShuffleChannel(const ShuffleChannel&) = delete;

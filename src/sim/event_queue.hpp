@@ -94,11 +94,6 @@ class EventQueue {
     return false;
   }
 
-  /// Number of events scheduled over the queue's lifetime.
-  [[nodiscard]] std::uint64_t totalScheduled() const noexcept {
-    return nextSeq_;
-  }
-
   /// Number of *live* (not fired, not cancelled) pending events. Linear
   /// scan — checkpoint-time introspection, not a hot-path query.
   [[nodiscard]] std::size_t liveCount() const noexcept {

@@ -776,11 +776,13 @@ std::uint64_t configFingerprint(const SimulationConfig& config) {
   m.add(sh.period);
   m.add(static_cast<std::uint64_t>(sh.shards));
   m.add(sh.ackTimeout);
-  m.add(sh.deliveryQuantum);
+  // Former knobs that became constants stay mixed in at their positions,
+  // so every existing checkpoint keeps its fingerprint.
+  m.add(avmon::kShuffleDeliveryQuantum);
   // Backend selection and parameters.
   m.add(static_cast<std::uint64_t>(config.backend));
   m.add(config.noisyMaxError);
-  m.add(config.noisyStaleness);
+  m.add(core::kNoisyStaleness);
   // Two retired backend knobs, mixed in at their last defaults so every
   // existing checkpoint keeps its fingerprint.
   m.add(0.05);
@@ -798,19 +800,18 @@ std::uint64_t configFingerprint(const SimulationConfig& config) {
   m.add(static_cast<std::uint64_t>(f.horizontalScanBudget));
   m.add(static_cast<std::uint64_t>(f.verticalScanBudget));
   m.add(static_cast<std::uint64_t>(f.maxCandidates));
-  m.add(f.thresholdSlack);
-  m.add(f.epochPeriod);
-  // Remaining result-determining knobs. maintenanceThreads and the
-  // checkpoint paths are deliberately absent: a checkpoint restores at any
-  // thread count.
+  m.add(core::CandidateFeed::kThresholdSlack);
+  m.add(sim::SimDuration::zero());  // retired seal-period knob (zero: follow
+                                    // the Discovery period)
+  // Remaining result-determining knobs. maintenanceThreads is deliberately
+  // absent: a checkpoint restores at any thread count.
   m.add(static_cast<std::uint64_t>(config.useCoarseViewOverlay ? 1 : 0));
-  m.add(static_cast<std::uint64_t>(config.pdfBins));
+  m.add(static_cast<std::uint64_t>(core::kPdfBins));
   m.add(config.seed);
   m.add(static_cast<std::uint64_t>(config.maintenanceShards));
   // The fault campaign is world state — a mid-campaign checkpoint only
-  // restores into the same campaign. faultPlanPath is I/O plumbing and
-  // stays excluded (the *parsed contents* are what matter); an empty
-  // plan fingerprints to 0, keeping faultless checkpoints stable.
+  // restores into the same campaign. An empty plan fingerprints to 0,
+  // keeping faultless checkpoints stable.
   m.add(config.faultPlan.fingerprint());
   return m.result();
 }

@@ -6,8 +6,9 @@
 // arrays, coarse views, in-flight shuffle legs (heap + arena), the
 // candidate-feed double-buffered directory, Markov trace cursors, every
 // mutated RNG, and the scheduler/event-queue state (wheel slot timers, the
-// channel wake, the feed seal, sim clock, executed-event count) — so a run
-// can resume from sim-time T instead of re-simulating to it.
+// channel wake, the feed seal, the attack-stage timers, the AVMON fold, sim
+// clock, executed-event count) — so a run can resume from sim-time T
+// instead of re-simulating to it.
 //
 // The correctness contract is strict: restoring a checkpoint taken at T
 // and running to T + delta is BIT-IDENTICAL (view digest, sliver digests,
@@ -21,7 +22,8 @@
 // std::function callbacks cannot serialize, so the checkpoint instead
 // captures *reconstructible* state and re-arms. Save verifies that every
 // live event is accounted for by a known owner (wheel slots, the channel
-// wake, the feed seal) and refuses otherwise — a mid-anycast world throws
+// wake, the feed seal, the attack-stage timers, the AVMON fold) and
+// refuses otherwise — a mid-anycast world throws
 // CheckpointUnsupportedError rather than snapshotting partially. Restore
 // parses every section into staged values (read through the owners'
 // persistedState() ties), validates them, installs them without
@@ -44,8 +46,7 @@
 //
 // Config compatibility: the header carries a fingerprint over every
 // result-determining config field. maintenanceThreads is excluded —
-// restore at any thread count — as are the checkpoint paths themselves.
-// A mismatch throws CheckpointConfigError instead of silently computing
+// restore at any thread count. A mismatch throws CheckpointConfigError instead of silently computing
 // something else.
 #pragma once
 
@@ -62,8 +63,8 @@ class AvmemSimulation;
 namespace avmem::snapshot {
 
 /// 64-bit fingerprint over every config field that determines simulation
-/// results, in a fixed field order. Exclusions (thread count, checkpoint
-/// and fault-plan paths) are the fields a restore is allowed to vary.
+/// results, in a fixed field order. The one exclusion, the thread count,
+/// is the field a restore is allowed to vary.
 [[nodiscard]] std::uint64_t configFingerprint(
     const core::SimulationConfig& config);
 

@@ -4,20 +4,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
+
+#include "snapshot/checkpoint.hpp"
 
 namespace avmem::core {
 namespace {
 
 TEST(ScenarioTest, RegistryShipsTheBuiltins) {
-  auto& reg = ScenarioRegistry::global();
+  const std::vector<std::string_view> names = scenarioNames();
   for (const char* name :
        {"paper-default", "oracle-small", "noisy-verification",
         "coarse-view-baseline", "random-overlay", "scale-10k", "scale-100k",
-        "scale-1m"}) {
-    EXPECT_TRUE(reg.contains(name)) << name;
+        "scale-1m", "scale-avmon-100k", "scale-avmon-1m", "chaos-loss",
+        "chaos-outage", "chaos-storm"}) {
+    EXPECT_TRUE(std::binary_search(names.begin(), names.end(), name))
+        << name;
   }
-  EXPECT_FALSE(reg.names().empty());
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
 }
 
 TEST(ScenarioTest, UnknownNameThrows) {
@@ -90,17 +99,42 @@ TEST(ScenarioTest, RegisteredScenarioBuildsARunnableWorld) {
   EXPECT_GT(world.onlineNodes().size(), 0u);
 }
 
-TEST(ScenarioTest, CustomScenariosCanBeRegistered) {
-  auto& reg = ScenarioRegistry::global();
-  reg.add({"test-custom", "registered by scenario_test",
-           [](const ScenarioTuning&) {
-             Scenario s;
-             s.name = "test-custom";
-             s.config.trace.hosts = 42;
-             return s;
-           }});
-  ASSERT_TRUE(reg.contains("test-custom"));
-  EXPECT_EQ(reg.build("test-custom").config.trace.hosts, 42u);
+TEST(ScenarioTest, BuildersIgnoreTheEnvironment) {
+  ScenarioTuning fast;
+  fast.fast = true;
+  struct Built {
+    std::uint64_t fingerprint;
+    std::size_t threads;
+  };
+  const auto build = [&fast](std::string_view name) {
+    const Scenario s = makeScenario(name, fast);
+    return Built{snapshot::configFingerprint(s.config),
+                 s.config.maintenanceThreads};
+  };
+  const std::vector<std::string_view> names = scenarioNames();
+  std::vector<Built> clean;
+  for (const std::string_view name : names) clean.push_back(build(name));
+
+  const char* const vars[][2] = {
+      {"AVMEM_THREADS", "3"},
+      {"AVMEM_CHECKPOINT", "/nonexistent/warm.avmem"},
+      {"AVMEM_CHECKPOINT_OUT", "/nonexistent/out.avmem"},
+      {"AVMEM_FAULT_PLAN", "/nonexistent/c.fault"}};
+  for (const auto& var : vars) ::setenv(var[0], var[1], 1);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const Built b = build(names[i]);
+    EXPECT_EQ(b.fingerprint, clean[i].fingerprint) << names[i];
+    EXPECT_EQ(b.threads, clean[i].threads) << names[i];
+  }
+  ScenarioTuning small = fast;
+  small.hosts = 200;
+  for (const char* name : {"oracle-small", "chaos-storm"}) {
+    EXPECT_NO_THROW({
+      AvmemSimulation world(makeScenario(name, small).config);
+      world.warmup(sim::SimDuration::minutes(10));
+    }) << name;
+  }
+  for (const auto& var : vars) ::unsetenv(var[0]);
 }
 
 }  // namespace

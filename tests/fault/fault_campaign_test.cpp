@@ -21,12 +21,7 @@ using core::SimulationConfig;
 
 SimulationConfig scaleConfig(std::uint32_t hosts = 900,
                              std::uint64_t seed = 20070101) {
-  core::Scenario s = core::makeScaleScenario(hosts, seed);
-  s.config.checkpointIn.clear();
-  s.config.checkpointOut.clear();
-  s.config.faultPlan = {};
-  s.config.faultPlanPath.clear();
-  return s.config;
+  return core::makeScaleScenario(hosts, seed).config;
 }
 
 double probeDelivery(AvmemSimulation& s, std::size_t batch = 20) {

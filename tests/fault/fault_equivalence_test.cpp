@@ -45,14 +45,7 @@ constexpr const char* kCampaign =
 
 SimulationConfig baseConfig(std::uint32_t hosts = 900,
                             std::uint64_t seed = 20070101) {
-  core::Scenario s = core::makeScaleScenario(hosts, seed);
-  // The test owns the timeline and the campaign: no checkpoint I/O, no
-  // environment-supplied plan.
-  s.config.checkpointIn.clear();
-  s.config.checkpointOut.clear();
-  s.config.faultPlan = {};
-  s.config.faultPlanPath.clear();
-  return s.config;
+  return core::makeScaleScenario(hosts, seed).config;
 }
 
 /// Everything simulation-visible a campaign could perturb.

@@ -47,9 +47,6 @@ constexpr const char* kCampaign =
 
 core::SimulationConfig goldenConfig() {
   core::Scenario s = core::makeScaleScenario(64, 20070101);
-  s.config.checkpointIn.clear();
-  s.config.checkpointOut.clear();
-  s.config.faultPlanPath.clear();
   s.config.backend = core::AvailabilityBackend::kAvmon;
   s.config.faultPlan = fault::parseFaultPlanText(kCampaign);
   return s.config;

@@ -639,7 +639,6 @@ TEST(SnapshotHostileTest, WheelSlotCountMismatchBehindValidCrc) {
 /// save instant, so its checkpoint carries a FALT section.
 Scenario campaignDonorScenario() {
   Scenario s = donorScenario();
-  s.config.faultPlanPath.clear();
   s.config.faultPlan = fault::parseFaultPlanText(
       "seed = 11\n"
       "[loss]\nfrom_h = 0.1\nto_h = 0.3\ndrop = 0.2\n"
