@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     std::cerr << "chaos_sweep: " << e.what() << "\n";
     return 2;
   }
-  benchfig::applyEnvOverrides(scenario.config);
+  benchfig::applyEnvOverrides(scenario.config, "chaos_sweep");
 
   std::cerr << "building " << scenario.name << " ("
             << scenario.config.trace.hosts << " hosts)...\n";

@@ -1,9 +1,8 @@
-// Shared scaffolding for the figure-reproduction bench binaries.
-//
-// Every bench regenerates one figure of the paper's Section 4 at the
-// paper's scale (1442 hosts, 7-day synthetic Overnet trace, 24 h warm-up,
-// AVMON availability backend) and prints the same rows/series the figure
-// plots. Set AVMEM_FAST=1 for a reduced smoke configuration.
+// Environment plumbing shared by the bench binaries: paper_figures (the
+// paper's Section 4 figures, the ablations and Section 3.1's overhead
+// analysis at 1442 hosts, 7-day synthetic Overnet trace, 24 h warm-up,
+// AVMON availability backend; AVMEM_FAST=1 for a reduced smoke
+// configuration), trace_characterization, scale_sweep and chaos_sweep.
 //
 // The library reads no environment; every AVMEM_* override a bench honours
 // is read here or in the bench itself.
@@ -11,12 +10,10 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 
-#include "core/attack.hpp"
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
 #include "fault/fault_plan.hpp"
@@ -103,8 +100,10 @@ struct BenchEnv {
 ///  * AVMEM_FAULT_PLAN names a fault-campaign file (docs/SCENARIOS.md
 ///    "Fault campaigns") that replaces any built-in campaign, so one
 ///    variable swaps the campaign without a recompile. A bad path or a
-///    malformed plan throws fault::FaultPlanError.
-inline void applyEnvOverrides(core::SimulationConfig& config) {
+///    malformed plan prints "<benchName>: fault plan: ..." and exits with
+///    status 2.
+inline void applyEnvOverrides(core::SimulationConfig& config,
+                              std::string_view benchName) {
   if (const auto t = nonEmptyEnv("AVMEM_THREADS")) {
     const char* text = t->c_str();
     char* end = nullptr;
@@ -120,44 +119,13 @@ inline void applyEnvOverrides(core::SimulationConfig& config) {
     }
   }
   if (const auto plan = nonEmptyEnv("AVMEM_FAULT_PLAN")) {
-    config.faultPlan = fault::loadFaultPlan(*plan);
-  }
-}
-
-/// The paper's default experimental system, via the scenario registry,
-/// with the environment overrides applied.
-[[nodiscard]] inline core::SimulationConfig defaultConfig(
-    const BenchEnv& env,
-    core::PredicateChoice predicate = core::PredicateChoice::kPaperDefault) {
-  auto scenario = core::makeScenario("paper-default", env.scenarioTuning());
-  scenario.config.predicate = predicate;
-  applyEnvOverrides(scenario.config);
-  return scenario.config;
-}
-
-/// Build and warm the system, logging progress to stderr (stdout carries
-/// only the figure data). AVMEM_CHECKPOINT names a warm-state checkpoint
-/// to restore instead of warming up; otherwise, AVMEM_CHECKPOINT_OUT names
-/// where to save one after the warm-up.
-[[nodiscard]] inline std::unique_ptr<core::AvmemSimulation> buildWarmSystem(
-    const BenchEnv& env, const core::SimulationConfig& cfg) {
-  std::cerr << "building system: " << cfg.trace.hosts
-            << " hosts, seed " << cfg.seed << "\n";
-  auto system = std::make_unique<core::AvmemSimulation>(cfg);
-  std::cerr << "predicate: " << system->predicate().name() << "\n";
-  if (const auto in = nonEmptyEnv("AVMEM_CHECKPOINT")) {
-    std::cerr << "restoring warm state from " << *in << "...\n";
-    system->restoreCheckpoint(*in);
-  } else {
-    std::cerr << "warming up " << env.warmup.toString() << " simulated...\n";
-    system->warmup(env.warmup);
-    if (const auto out = nonEmptyEnv("AVMEM_CHECKPOINT_OUT")) {
-      system->saveCheckpoint(*out);
+    try {
+      config.faultPlan = fault::loadFaultPlan(*plan);
+    } catch (const fault::FaultPlanError& e) {
+      std::cerr << benchName << ": " << e.what() << "\n";
+      std::exit(2);
     }
   }
-  std::cerr << "online nodes: " << system->onlineNodes().size() << " / "
-            << system->nodeCount() << "\n";
-  return system;
 }
 
 /// Standard figure header on stdout.
@@ -169,13 +137,6 @@ inline void printHeader(const std::string& figure, const std::string& title,
   std::cout << "# config: hosts=" << env.hosts
             << " warmup=" << env.warmup.toString() << " seed=" << env.seed
             << "\n";
-}
-
-/// The paper's initiator bands.
-[[nodiscard]] inline core::AvBand bandByName(const std::string& name) {
-  if (name == "LOW") return core::AvBand::low();
-  if (name == "MID") return core::AvBand::mid();
-  return core::AvBand::high();
 }
 
 }  // namespace avmem::benchfig

@@ -3,12 +3,11 @@
 //   gossip: HIGH -> av > 0.90, LOW -> av > 0.20  (fanout 5, Ng 2, 1 s)
 #pragma once
 
-#include <array>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "bench/fig_common.hpp"
+#include "core/simulation.hpp"
 
 namespace avmem::benchfig {
 

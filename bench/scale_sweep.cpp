@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
   std::vector<benchfig::Columns> points;
   for (const std::uint32_t n : sizes) {
     auto scenario = core::makeScaleScenario(n, seed);
-    benchfig::applyEnvOverrides(scenario.config);
+    benchfig::applyEnvOverrides(scenario.config, "scale_sweep");
     if (useAvmon) {
       // Mirror the scale-avmon-* registry entries: the monitor relation
       // hashes through kFast64 on a stream independent of the protocol

@@ -1,9 +1,10 @@
 // Plain-text rendering of benchmark output: aligned tables and CDF series.
 //
-// Each bench binary regenerates one figure of the paper as rows/series on
-// stdout; this keeps that output consistent and greppable.
+// The bench binaries print the paper's figures as rows/series on stdout;
+// this keeps that output consistent and greppable.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <iomanip>
 #include <iostream>
@@ -27,16 +28,22 @@ class TablePrinter {
 
   void addRow(std::vector<double> row) { rows_.push_back(std::move(row)); }
 
+  /// Each column is at least 16 characters wide, and one wider than its
+  /// header, so adjacent headers never run together.
   void print(std::ostream& os, int precision = 4) const {
-    constexpr int kWidth = 16;
-    for (const auto& h : headers_) {
-      os << std::setw(kWidth) << h;
+    const auto width = [this](std::size_t column) {
+      const std::size_t header =
+          column < headers_.size() ? headers_[column].size() + 1 : 0;
+      return static_cast<int>(std::max(kMinWidth, header));
+    };
+    for (std::size_t c = 0; c < headers_.size(); ++c) {
+      os << std::setw(width(c)) << headers_[c];
     }
     os << '\n';
     os << std::fixed << std::setprecision(precision);
     for (const auto& row : rows_) {
-      for (const double v : row) {
-        os << std::setw(kWidth) << v;
+      for (std::size_t c = 0; c < row.size(); ++c) {
+        os << std::setw(width(c)) << row[c];
       }
       os << '\n';
     }
@@ -46,6 +53,8 @@ class TablePrinter {
   [[nodiscard]] std::size_t rowCount() const noexcept { return rows_.size(); }
 
  private:
+  static constexpr std::size_t kMinWidth = 16;
+
   std::vector<std::string> headers_;
   std::vector<std::vector<double>> rows_;
 };

@@ -215,7 +215,7 @@ TEST(AttackTest, FloodingAcceptanceIsLowUnderOracle) {
   // discovered (a low-availability attacker discovers slowly) and (b)
   // availability drift. Both scale like expected-degree / population, so
   // the bound tightens with N: ~20-25% at this 120-host scale, <10% at
-  // the paper's 1442 hosts (checked by the fig05 bench).
+  // the paper's 1442 hosts (checked by paper_figures' fig05 row).
   EXPECT_LT(sweep.acceptFraction(), 0.3);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace avmem::stats {
 namespace {
@@ -22,6 +24,27 @@ TEST(TablePrinterTest, AlignsHeadersAndRows) {
   EXPECT_NE(out.find("0.125"), std::string::npos);
   // One header line + two data lines.
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);
+}
+
+TEST(TablePrinterTest, LongHeadersStaySeparatedAndAligned) {
+  TablePrinter t({"retries", "fraction_delivered", "avg_delivery_latency_ms"});
+  t.addRow({2.0, 0.5, 739.25});
+  std::ostringstream os;
+  t.print(os, 2);
+
+  std::istringstream lines(os.str());
+  std::string header;
+  std::string row;
+  std::getline(lines, header);
+  std::getline(lines, row);
+  std::istringstream words(header);
+  std::vector<std::string> tokens;
+  for (std::string w; words >> w;) tokens.push_back(w);
+  EXPECT_EQ(tokens, (std::vector<std::string>{"retries", "fraction_delivered",
+                                              "avg_delivery_latency_ms"}));
+  // Values are right-aligned under their headers.
+  EXPECT_EQ(header.size(), row.size());
+  EXPECT_EQ(header.find("fraction_delivered") + 18, row.find("0.50") + 4);
 }
 
 TEST(TablePrinterTest, PrecisionIsHonored) {
